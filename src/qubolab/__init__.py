@@ -2,7 +2,7 @@
 generation, a differentiable reaction-diffusion graph network, and an
 evaluation harness with a single CLI."""
 
-from .autodiff import AdamState, SparseMatrix, Tape, Tensor, adam_step, backward
+from .autodiff import AdamState, Tape, Tensor, adam_step, backward
 from .datagen import (DataGenParams, DataPair, Dataset, barrier_observed_vector,
                       generate_dataset, generate_pair, read_dataset,
                       write_dataset)
@@ -24,7 +24,7 @@ from .solvers import (IntractableSizeError, SabParams, SolverResult, TabuParams,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "SparseMatrix", "Tape", "Tensor", "adam_step", "backward",
+    "AdamState", "Tape", "Tensor", "adam_step", "backward",
     "DataGenParams", "DataPair", "Dataset", "barrier_observed_vector",
     "generate_dataset", "generate_pair", "read_dataset", "write_dataset",
     "EvalRecord", "IsingSweep", "LandscapeGrid", "accuracy", "benchmark",

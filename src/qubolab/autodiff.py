@@ -12,13 +12,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class Tensor:
     """A dense float64 array with an optional gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -34,22 +33,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-class SparseMatrix:
-    """Constant sparse operand for spmm; caches its transpose for backward."""
-
-    __slots__ = ("csr", "csr_t")
-
-    def __init__(self, matrix):
-        if not sp.issparse(matrix):
-            raise ValueError("SparseMatrix expects a scipy sparse matrix")
-        self.csr = matrix.tocsr()
-        self.csr_t = self.csr.T.tocsr()
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.csr.shape
-
-
 @dataclass
 class _Record:
     out: Tensor
@@ -61,11 +44,13 @@ class Tape:
     """Execution-ordered list of differentiable operations.
 
     Use as a context manager; operations executed inside the block are
-    recorded.  A tape supports exactly one backward pass.
+    recorded.  A tape supports exactly one backward pass, which releases
+    the records, and with them every intermediate tensor, as it goes.
     """
 
     def __init__(self):
         self._records: list[_Record] = []
+        self._recorded = 0
         self._used = False
 
     def __enter__(self) -> Tape:
@@ -77,7 +62,8 @@ class Tape:
         assert popped is self
 
     def __len__(self) -> int:
-        return len(self._records)
+        """Number of operations recorded, including released ones."""
+        return self._recorded
 
 
 _TAPE_STACK: list[Tape] = []
@@ -93,6 +79,7 @@ def _emit(out_data, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     if tape is not None:
         out._tape = tape
         tape._records.append(_Record(out=out, inputs=inputs, vjp=vjp))
+        tape._recorded += 1
     return out
 
 
@@ -110,7 +97,12 @@ def backward(loss: Tensor) -> None:
     flowing: dict[int, tuple[Tensor, np.ndarray]] = {
         id(loss): (loss, np.ones_like(loss.data))
     }
-    for rec in reversed(tape._records):
+    # Popping each record drops the references an output holds back to its
+    # tape, so the activations are freed by reference counting, not left
+    # for the cyclic garbage collector.
+    records = tape._records
+    while records:
+        rec = records.pop()
         entry = flowing.pop(id(rec.out), None)
         if entry is None:
             continue
@@ -160,15 +152,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a.data @ b.data, (a, b), vjp)
 
 
-def spmm(m: SparseMatrix, x: Tensor) -> Tensor:
-    _check_2d("spmm", x)
-    if m.shape[1] != x.data.shape[0]:
-        raise ValueError(f"spmm shapes {m.shape} and {x.data.shape} do not align")
+def const_matmul(m, x: Tensor) -> Tensor:
+    """Constant (k, c) matrix m, dense or scipy sparse, times each of the
+    n items of x (c*n, d) whose row i*n + j is row i of item j: the result
+    is (m @ x.reshape(c, n*d)).reshape(k*n, d), m @ x when n = 1."""
+    _check_2d("const_matmul", x)
+    rows, d = x.data.shape
+    k, c = m.shape
+    if rows % c:
+        raise ValueError(f"const_matmul shapes {m.shape} and {x.data.shape} do not align")
+    n = rows // c
 
     def vjp(g):
-        return (m.csr_t @ g,)
+        return ((m.T @ g.reshape(k, n * d)).reshape(rows, d),)
 
-    return _emit(m.csr @ x.data, (x,), vjp)
+    return _emit((m @ x.data.reshape(c, n * d)).reshape(k * n, d), (x,), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -102,7 +102,6 @@ def _cmd_solve(args) -> None:
     elif args.method == "tabu":
         params = solvers.TabuParams(
             max_steps=args.steps, tabu_tenure=args.tenure,
-            aspiration=args.aspiration,
             patience=None if args.patience == 0 else args.patience,
         )
         result = solvers.tabu_solve(inst, b, params)
@@ -255,12 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--b", required=True, help="observed-vector file")
     p.add_argument("--method", required=True, choices=["exhaustive", "tabu", "sab"])
-    p.add_argument("--cap", type=int, default=26)
+    p.add_argument("--cap", type=int, default=solvers.EXHAUSTIVE_CAP)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--tenure", type=int, default=10)
     p.add_argument("--patience", type=int, default=50,
                    help="tabu early-stop patience; 0 disables")
-    p.add_argument("--aspiration", action="store_true")
     p.add_argument("--dt", type=float, default=0.5)
     p.add_argument("--a0", type=float, default=1.0)
     p.add_argument("--c0", type=float, default=None)
@@ -303,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-range", type=_floats_pair, default=(-3.0, 3.0))
     p.add_argument("--t-range", type=_floats_pair, default=(-3.0, 3.0))
     p.add_argument("--resolution", type=int, default=41)
-    p.add_argument("--cap", type=int, default=26)
+    p.add_argument("--cap", type=int, default=solvers.EXHAUSTIVE_CAP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_probe)
 
@@ -312,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-min", type=float, required=True)
     p.add_argument("--b-max", type=float, required=True)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--cap", type=int, default=26)
+    p.add_argument("--cap", type=int, default=solvers.EXHAUSTIVE_CAP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

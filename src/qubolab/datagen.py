@@ -254,13 +254,16 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None) 
             rec = json.loads(text)
         except json.JSONDecodeError as err:
             fail(lineno, f"invalid JSON: {err}")
+        if not isinstance(rec, dict):
+            fail(lineno, f"record must be a JSON object, got {rec!r}")
         for key in ("b", "x", "split"):
             if key not in rec:
                 fail(lineno, f"record missing field {key!r}")
-        if len(rec["b"]) != k:
-            fail(lineno, f"b has length {len(rec['b'])}, expected {k}")
-        if len(rec["x"]) != k:
-            fail(lineno, f"x has length {len(rec['x'])}, expected {k}")
+        for key in ("b", "x"):
+            if not isinstance(rec[key], list):
+                fail(lineno, f"{key} must be a list of {k} numbers, got {rec[key]!r}")
+            if len(rec[key]) != k:
+                fail(lineno, f"{key} has length {len(rec[key])}, expected {k}")
         try:
             b = as_observed_vector([float(v) for v in rec["b"]], k)
             x = as_binary_assignment(rec["x"], k)

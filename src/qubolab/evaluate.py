@@ -13,11 +13,11 @@ import numpy as np
 
 from .datagen import Dataset
 from .model import BpgnnModel
-from .qubo import QuboInstance, as_binary_assignment, as_observed_vector
-from .solvers import (SabParams, SolverResult, TabuParams, exhaustive_solve,
-                      refine_with_tabu, sab_solve, tabu_solve)
-
-EXHAUSTIVE_CAP = 26
+from .qubo import (QuboInstance, as_binary_assignment, as_observed_vector,
+                   rel_gaps)
+from .solvers import (EXHAUSTIVE_CAP, SabParams, SolverResult, TabuParams,
+                      exhaustive_solve, refine_with_tabu, sab_solve,
+                      tabu_solve)
 
 
 @dataclass
@@ -45,13 +45,12 @@ def rel_qubo(instance: QuboInstance, b, x_o, x_p) -> float:
     """Relative objective gap (f_p - f_o) / |f_o| of a prediction x_p
     against a reference solution x_o.  Zero is a perfect match; the value
     is non-negative whenever x_o is optimal."""
-    f_o = instance.evaluate(b, x_o)
-    if abs(f_o) <= 1e-12:
-        raise ValueError(
-            f"undefined reference objective: |f_o| = {abs(f_o)} is below 1e-12"
-        )
-    f_p = instance.evaluate(b, x_p)
-    return (f_p - f_o) / abs(f_o)
+    gaps = rel_gaps(instance, as_observed_vector(b, instance.k)[None, :],
+                    as_binary_assignment(x_o, instance.k)[None, :],
+                    as_binary_assignment(x_p, instance.k)[None, :])
+    if not gaps.size:
+        raise ValueError("undefined reference objective: |f_o| is below 1e-12")
+    return float(gaps[0])
 
 
 def homophily(instance: QuboInstance, labels) -> float:
@@ -226,54 +225,42 @@ BENCH_COLUMNS = ("method", "k", "acc_mean", "acc_std", "relqubo_mean",
                  "relqubo_std", "time_ms_mean")
 
 
-def _run_method(method: str, instance: QuboInstance, b, model: BpgnnModel | None):
-    """Returns (x_p, elapsed_ms) for one validation example."""
-    if method == "exhaustive":
-        r = exhaustive_solve(instance, b)
-        return r.x_best, r.elapsed_ms
-    if method == "tabu":
-        r = tabu_solve(instance, b, TabuParams())
-        return r.x_best, r.elapsed_ms
-    if method == "sab":
-        r = sab_solve(instance, b, SabParams())
-        return r.x_best, r.elapsed_ms
-    if method == "bpgnn":
-        t0 = time.perf_counter()
-        x_p = model.predict(b)
-        return x_p, (time.perf_counter() - t0) * 1000.0
-    if method == "bpgnn+ts":
-        r = hybrid_infer(model, instance, b)
-        return r.x_best, r.elapsed_ms
-    raise ValueError(f"unknown method {method!r}; expected one of {BENCH_METHODS}")
+# Methods that solve one example per call: (instance, b, model) -> SolverResult.
+_PER_EXAMPLE = {
+    "exhaustive": lambda instance, b, model: exhaustive_solve(instance, b),
+    "tabu": lambda instance, b, model: tabu_solve(instance, b, TabuParams()),
+    "sab": lambda instance, b, model: sab_solve(instance, b, SabParams()),
+    "bpgnn+ts": lambda instance, b, model: hybrid_infer(model, instance, b),
+}
 
 
 def evaluate_method(method: str, instance: QuboInstance, dataset: Dataset,
                     model: BpgnnModel | None = None,
                     split: str = "val") -> EvalRecord:
     """Mean accuracy/objective-gap/time of one method over a dataset split,
-    referenced against the stored labels."""
+    referenced against the stored labels.  "bpgnn" predicts the whole
+    split in one batch and reports that batch's time per example."""
     if method not in BENCH_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {BENCH_METHODS}")
     if method in ("bpgnn", "bpgnn+ts") and model is None:
         raise ValueError(f"method {method!r} needs a trained model")
-    idx = dataset.indices(split)
-    if not idx:
+    if not dataset.indices(split):
         raise ValueError(f"dataset has no {split!r} pairs")
-    accs, rels, times = [], [], []
-    for i in idx:
-        pair = dataset.pairs[i]
-        x_p, ms = _run_method(method, instance, pair.b, model)
-        accs.append(accuracy(pair.x, x_p))
-        # A reference objective of ~0 makes the relative gap undefined;
-        # such pairs count toward accuracy and time but not the gap mean.
-        f_o = instance.evaluate(pair.b, pair.x)
-        if abs(f_o) > 1e-12:
-            rels.append(rel_qubo(instance, pair.b, pair.x, x_p))
-        times.append(ms)
+    b = dataset.b_matrix(split)
+    x_ref = dataset.x_matrix(split)
+    if method == "bpgnn":
+        t0 = time.perf_counter()
+        x_pred = model.predict(b)
+        times = [(time.perf_counter() - t0) * 1000.0 / len(b)]
+    else:
+        runs = [_PER_EXAMPLE[method](instance, row, model) for row in b]
+        x_pred = np.array([r.x_best for r in runs])
+        times = [r.elapsed_ms for r in runs]
+    gaps = rel_gaps(instance, b, x_ref, x_pred)
     return EvalRecord(
         method=method,
-        accuracy=float(np.mean(accs)),
-        rel_qubo=float(np.mean(rels)) if rels else float("nan"),
+        accuracy=float(np.mean(np.mean(x_pred == x_ref, axis=1))),
+        rel_qubo=float(np.mean(gaps)) if gaps.size else float("nan"),
         elapsed_ms=float(np.mean(times)),
         instance_ref=repr(instance),
         dataset_ref=dataset.instance_ref,

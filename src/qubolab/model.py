@@ -20,10 +20,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .autodiff import (AdamState, SparseMatrix, Tape, Tensor, adam_step,
-                       backward, bce_with_logits, zero_grad)
+from .autodiff import (AdamState, Tape, Tensor, adam_step, backward,
+                       bce_with_logits, zero_grad)
 from .datagen import Dataset
-from .qubo import QuboInstance, as_observed_vector
+from .qubo import QuboInstance, as_observed_vector, rel_gaps
 
 # Raw value whose softplus is exactly 1, so diffusion starts at unit rate.
 _SIGMA_RAW_INIT = math.log(math.expm1(1.0))
@@ -81,6 +81,11 @@ def build_laplacian(instance: QuboInstance) -> sp.csr_matrix:
 class BpgnnModel:
     """Network bound to one instance (its A and Laplacian are cached).
 
+    A batch of n examples runs as one (k*n, d) activation in node-major
+    order: row i*n + j holds node i of example j.  Dense layers are then
+    plain GEMMs, and a graph product is one k x k operator applied to all
+    examples at once (ad.const_matmul).
+
     Parameters live in a flat name -> Tensor dict:
       enc.*                encoder MLP 1 -> d (relu hidden)
       layer{i}.g.*         residual-feature MLP d -> d (relu hidden, linear out)
@@ -93,7 +98,6 @@ class BpgnnModel:
         self.config = config
         self.instance = instance
         self.laplacian = build_laplacian(instance)
-        self._graph_cache: dict[int, tuple[SparseMatrix, SparseMatrix]] = {}
         self.params = self._init_params()
 
     def _init_params(self) -> dict[str, Tensor]:
@@ -128,19 +132,6 @@ class BpgnnModel:
 
     # -- forward --------------------------------------------------------
 
-    def _blocks(self, batch: int) -> tuple[SparseMatrix, SparseMatrix]:
-        """Block-diagonal A and Laplacian for a batch of stacked copies."""
-        cached = self._graph_cache.get(batch)
-        if cached is None:
-            if batch == 1:
-                a, lap = self.instance.a_csr, self.laplacian
-            else:
-                a = sp.block_diag([self.instance.a_csr] * batch, format="csr")
-                lap = sp.block_diag([self.laplacian] * batch, format="csr")
-            cached = (SparseMatrix(a), SparseMatrix(lap))
-            self._graph_cache[batch] = cached
-        return cached
-
     def _mlp(self, x: Tensor, prefix: str, out_tanh: bool) -> Tensor:
         p = self.params
         hidden = ad.relu(ad.broadcast_add_row(ad.matmul(x, p[f"{prefix}.w1"]),
@@ -149,9 +140,9 @@ class BpgnnModel:
                                    p[f"{prefix}.b2"])
         return ad.tanh(out) if out_tanh else out
 
-    def _forward_stacked(self, a_sp: SparseMatrix, l_sp: SparseMatrix,
-                         b_col: np.ndarray, training: bool, dropout_p: float,
-                         rng: np.random.Generator | None) -> Tensor:
+    def _logits(self, b_mat: np.ndarray, training: bool, dropout_p: float,
+                rng: np.random.Generator | None) -> Tensor:
+        """Node-major logits, shape (k*n, 1), for n observed vectors (n, k)."""
         cfg = self.config
         p = self.params
 
@@ -161,16 +152,17 @@ class BpgnnModel:
                 return ad.dropout(t, dropout_p, True, seed)
             return t
 
-        b_t = Tensor(b_col)
+        b_t = Tensor(_node_major(b_mat))
         h = drop(self._mlp(b_t, "enc", out_tanh=False))
         for layer in range(cfg.layers):
             if cfg.use_qubo_features:
-                r = ad.hadamard(h, ad.broadcast_add_col(ad.spmm(a_sp, h), b_t))
+                a_h = ad.const_matmul(self.instance.a_csr, h)
+                r = ad.hadamard(h, ad.broadcast_add_col(a_h, b_t))
                 u = ad.add(h, self._mlp(r, f"layer{layer}.g", out_tanh=False))
             else:
                 u = h
             sig = ad.softplus(p[f"layer{layer}.sigma_raw"])
-            diffused = ad.scale_columns(ad.spmm(l_sp, u), sig)
+            diffused = ad.scale_columns(ad.const_matmul(self.laplacian, u), sig)
             h_half = ad.add(h, ad.scale(diffused, -cfg.eps_step))
             reaction = self._mlp(h_half, f"layer{layer}.f", out_tanh=True)
             h = drop(ad.add(h_half, ad.scale(reaction, cfg.eps_step)))
@@ -180,18 +172,33 @@ class BpgnnModel:
                 rng: np.random.Generator | None = None) -> Tensor:
         """Logits, shape (k, 1), for one observed vector."""
         b = as_observed_vector(b, self.instance.k)
-        a_sp, l_sp = self._blocks(1)
         dropout_p = self.config.dropout if training else 0.0
         if training and dropout_p > 0 and rng is None:
             raise ValueError("training-mode forward with dropout needs an rng")
-        return self._forward_stacked(a_sp, l_sp, b.reshape(-1, 1), training,
-                                     dropout_p, rng)
+        return self._logits(b[None, :], training, dropout_p, rng)
 
     def predict(self, b, threshold: float = 0.5) -> np.ndarray:
-        """Binary assignment: bit i is 1 iff sigmoid(logit_i) > threshold."""
-        logits = self.forward(b).data.ravel()
-        probs = ad._sigmoid(logits)
-        return (probs > threshold).astype(np.int8)
+        """Binary assignment: bit i is 1 iff sigmoid(logit_i) > threshold.
+
+        b is one observed vector (k,) or a stack of them (n, k); the
+        result has the same shape.
+        """
+        b = np.asarray(b, dtype=np.float64)
+        b_mat = np.array([as_observed_vector(row, self.instance.k)
+                          for row in np.atleast_2d(b)])
+        logits = self._logits(b_mat, False, 0.0, None).data
+        x = _example_major(ad._sigmoid(logits) > threshold, len(b_mat))
+        return (x if b.ndim == 2 else x[0]).astype(np.int8)
+
+
+def _node_major(m: np.ndarray) -> np.ndarray:
+    """(n, k) per-example rows -> (k*n, 1) column with row i*n + j = m[j, i]."""
+    return m.T.reshape(-1, 1)
+
+
+def _example_major(col: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of _node_major: (k*n, 1) column -> (n, k) rows."""
+    return col.reshape(-1, n).T
 
 
 def forward(model: BpgnnModel, instance: QuboInstance, b) -> Tensor:
@@ -252,8 +259,8 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
           history_path: str | os.PathLike | None = None):
     """Mini-batch Adam on the training split.
 
-    Batches stack examples that share A, so one tape drives the whole
-    batch through block-diagonal graph operators.  Returns the model with
+    Every example shares A, so one tape drives a whole batch through the
+    model's single copy of its graph operators.  Returns the model with
     the parameters that achieved the best validation BCE, plus a
     per-epoch history of train/val BCE, val accuracy and val relative
     QUBO objective.
@@ -275,9 +282,6 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
     if val_idx:
         b_val = dataset.b_matrix("val")
         y_val = dataset.x_matrix("val")
-        f_ref = np.array([
-            inst.evaluate(dataset.pairs[i].b, dataset.pairs[i].x) for i in val_idx
-        ])
 
     state = AdamState(lr=config.lr, weight_decay=config.weight_decay)
     best_bce = np.inf
@@ -289,13 +293,9 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
         total = 0.0
         for lo in range(0, n_train, config.batch_size):
             rows = perm[lo:lo + config.batch_size]
-            b_col = b_train[rows].reshape(-1, 1)
-            y_col = y_train[rows].reshape(-1, 1)
-            a_sp, l_sp = model._blocks(len(rows))
             with Tape():
-                logits = model._forward_stacked(a_sp, l_sp, b_col, True,
-                                                dropout_p, rng)
-                loss = bce_with_logits(logits, y_col)
+                logits = model._logits(b_train[rows], True, dropout_p, rng)
+                loss = bce_with_logits(logits, _node_major(y_train[rows]))
                 backward(loss)
             grads = {name: t.grad for name, t in model.params.items()}
             adam_step(model.params, grads, state)
@@ -306,7 +306,7 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
                   "val_relqubo": math.nan}
 
         if val_idx:
-            val_bce, val_acc, val_rel = _validate(model, b_val, y_val, f_ref)
+            val_bce, val_acc, val_rel = _validate(model, b_val, y_val)
             record.update(val_bce=val_bce, val_acc=val_acc, val_relqubo=val_rel)
             if val_bce < best_bce:
                 best_bce = val_bce
@@ -330,24 +330,15 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
     return model, history
 
 
-def _validate(model: BpgnnModel, b_val: np.ndarray, y_val: np.ndarray,
-              f_ref: np.ndarray) -> tuple[float, float, float]:
-    n_val, k = b_val.shape
-    a_sp, l_sp = model._blocks(n_val)
-    logits = model._forward_stacked(a_sp, l_sp, b_val.reshape(-1, 1), False,
-                                    0.0, None)
-    loss = bce_with_logits(logits, y_val.reshape(-1, 1).astype(np.float64))
-    preds = (ad._sigmoid(logits.data) > 0.5).astype(np.int8).reshape(n_val, k)
+def _validate(model: BpgnnModel, b_val: np.ndarray,
+              y_val: np.ndarray) -> tuple[float, float, float]:
+    """Validation BCE, bit accuracy and mean relative objective gap."""
+    logits = model._logits(b_val, False, 0.0, None)
+    loss = bce_with_logits(logits, _node_major(y_val).astype(np.float64))
+    preds = _example_major(ad._sigmoid(logits.data) > 0.5, len(b_val))
     acc = float(np.mean(preds == y_val))
-    # The relative gap is undefined when the reference objective is ~0
-    # (e.g. an all-zeros optimum); those pairs are left out of the mean.
-    rels = []
-    for i in range(n_val):
-        if abs(f_ref[i]) <= 1e-12:
-            continue
-        f_p = model.instance.evaluate(b_val[i], preds[i])
-        rels.append((f_p - f_ref[i]) / abs(f_ref[i]))
-    rel = float(np.mean(rels)) if rels else math.nan
+    gaps = rel_gaps(model.instance, b_val, y_val, preds)
+    rel = float(np.mean(gaps)) if gaps.size else math.nan
     return float(loss.data), acc, rel
 
 
@@ -382,39 +373,51 @@ def save_checkpoint(model: BpgnnModel, path: str | os.PathLike) -> None:
 
 
 def load_checkpoint(path: str | os.PathLike, instance: QuboInstance) -> BpgnnModel:
+    """Rebuild a saved model; a malformed file raises ValueError naming
+    the line where the offending key starts (line 1 if it is absent)."""
     path = os.fspath(path)
     with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: invalid checkpoint JSON: {err}") from err
-    if not isinstance(doc, dict) or "config" not in doc or "params" not in doc:
-        raise ValueError(f"{path}: checkpoint must contain 'config' and 'params'")
+        text = fh.read()
+
+    def fail(why: str, key: str | None = None):
+        at = text.find(json.dumps(key)) if key is not None else -1
+        line = text.count("\n", 0, at) + 1 if at > 0 else 1
+        raise ValueError(f"{path}:{line}: {why}")
+
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(
+            f"{path}:{err.lineno}: invalid checkpoint JSON: {err}") from err
+    if (not isinstance(doc, dict) or "config" not in doc
+            or not isinstance(doc.get("params"), dict)):
+        fail("checkpoint must contain 'config' and 'params' objects")
     try:
         config = BpgnnConfig(**doc["config"])
-    except TypeError as err:
-        raise ValueError(f"{path}: bad config block: {err}") from err
+    except (TypeError, ValueError) as err:
+        fail(f"bad config block: {err}", "config")
     model = BpgnnModel(config, instance)
     saved = doc["params"]
     missing = sorted(set(model.params) - set(saved))
     extra = sorted(set(saved) - set(model.params))
     if missing:
-        raise ValueError(f"{path}: checkpoint is missing parameter {missing[0]!r}")
+        fail(f"checkpoint is missing parameter {missing[0]!r}", "params")
     if extra:
-        raise ValueError(f"{path}: checkpoint has unknown parameter {extra[0]!r}")
+        fail(f"checkpoint has unknown parameter {extra[0]!r}", extra[0])
     for name, t in model.params.items():
         entry = saved[name]
-        shape = tuple(entry["shape"])
+        if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
+            fail(f"parameter {name!r} needs 'shape' and 'data'", name)
+        try:
+            shape = tuple(entry["shape"])
+            data = np.asarray(entry["data"], dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            fail(f"parameter {name!r}: {err}", name)
         if shape != t.data.shape:
-            raise ValueError(
-                f"{path}: parameter {name!r} has shape {shape}, "
-                f"expected {t.data.shape}"
-            )
-        data = np.asarray(entry["data"], dtype=np.float64)
+            fail(f"parameter {name!r} has shape {shape}, expected {t.data.shape}",
+                 name)
         if data.size != t.data.size:
-            raise ValueError(
-                f"{path}: parameter {name!r} has {data.size} values, "
-                f"expected {t.data.size}"
-            )
-        t.data = data.reshape(shape)
+            fail(f"parameter {name!r} has {data.size} values, expected "
+                 f"{t.data.size}", name)
+        t.data = data.reshape(t.data.shape)
     return model

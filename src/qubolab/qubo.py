@@ -183,6 +183,20 @@ class QuboInstance:
         return f"QuboInstance(k={self.k}, nnz={self.nnz}, generator={gen!r})"
 
 
+def rel_gaps(instance: QuboInstance, b, x_ref, x_pred) -> np.ndarray:
+    """Relative objective gaps (f_pred - f_ref) / |f_ref|, one per row of
+    b, x_ref and x_pred (each (n, k)).  The gap is undefined when |f_ref|
+    <= 1e-12 (e.g. an all-zeros optimum); those rows are left out."""
+
+    def objectives(x) -> np.ndarray:
+        return np.sum(x * (instance.a_csr @ x.T).T + x * b, axis=1)
+
+    f_ref = objectives(x_ref)
+    defined = np.abs(f_ref) > 1e-12
+    f_ref = f_ref[defined]
+    return (objectives(x_pred)[defined] - f_ref) / np.abs(f_ref)
+
+
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .qubo import QuboInstance, as_binary_assignment, as_observed_vector, qubo_to_ising
+
+
+# Largest k exhaustive_solve enumerates by default (2^26 states).
+EXHAUSTIVE_CAP = 26
 
 
 class IntractableSizeError(ValueError):
@@ -55,7 +58,7 @@ class SolverResult:
 # ---------------------------------------------------------------------------
 
 
-def exhaustive_solve(instance: QuboInstance, b, cap: int = 26) -> SolverResult:
+def exhaustive_solve(instance: QuboInstance, b, cap: int = EXHAUSTIVE_CAP) -> SolverResult:
     """Exact global minimizer by Gray-code enumeration.
 
     Walks all 2^k assignments in reflected-Gray order so each visit costs
@@ -120,14 +123,12 @@ class TabuParams:
     """Tabu search knobs.
 
     The tabu list remembers the last tabu_tenure full assignments; a move
-    producing a remembered assignment is forbidden unless aspiration is on
-    and the move would beat the best seen.  patience stops the search after
-    that many consecutive non-improving steps (None disables).
+    producing a remembered assignment is forbidden.  patience stops the
+    search after that many consecutive non-improving steps (None disables).
     """
 
     max_steps: int = 1000
     tabu_tenure: int = 10
-    aspiration: bool = False
     start: np.ndarray | None = None  # None means all zeros
     patience: int | None = 50
 
@@ -191,9 +192,6 @@ def tabu_solve(instance: QuboInstance, b, params: TabuParams | None = None) -> S
             key = x.tobytes()
             x[i] ^= 1
             if key not in tabu:
-                chosen = int(i)
-                break
-            if params.aspiration and f + deltas[i] < best_f:
                 chosen = int(i)
                 break
         if chosen < 0:
@@ -275,7 +273,6 @@ class SabParams:
     dt: float = 0.5
     a0: float = 1.0
     c0: float | None = None
-    schedule: str = "linear"
     seed: int = 0
 
     def __post_init__(self):
@@ -287,8 +284,6 @@ class SabParams:
             raise ValueError(f"a0 must be positive, got {self.a0}")
         if self.c0 is not None and self.c0 <= 0:
             raise ValueError(f"c0 must be positive, got {self.c0}")
-        if self.schedule != "linear":
-            raise ValueError(f"unsupported schedule {self.schedule!r}")
 
 
 def sab_solve(instance: QuboInstance, b, params: SabParams | None = None) -> SolverResult:

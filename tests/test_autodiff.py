@@ -3,15 +3,19 @@ differences, tape lifecycle rules, and the Adam update."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qubolab import AdamState, SparseMatrix, Tape, Tensor, adam_step, backward
+from qubolab import AdamState, Tape, Tensor, adam_step, backward
 from qubolab.autodiff import (add, bce_with_logits, broadcast_add_col,
-                              broadcast_add_row, dropout, hadamard, matmul,
-                              relu, scale, scale_columns, sigmoid, softplus,
-                              spmm, sum_all, tanh, zero_grad, _sigmoid)
+                              broadcast_add_row, const_matmul, dropout,
+                              hadamard, matmul, relu, scale, scale_columns,
+                              sigmoid, softplus, sum_all, tanh, zero_grad,
+                              _sigmoid)
 
 
 def fd_gradient(fn, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -62,12 +66,23 @@ class TestForwardValues:
     def test_spmm_matches_dense_product(self):
         m = sp.csr_matrix(np.array([[0.0, 2.0], [1.0, 0.0]]))
         x = Tensor([[3.0, 1.0], [4.0, 1.0]])
-        out = spmm(SparseMatrix(m), x)
+        out = const_matmul(m, x)
         assert out.data.tolist() == [[8.0, 2.0], [3.0, 1.0]]
 
-    def test_sparse_matrix_rejects_dense_input(self):
-        with pytest.raises(ValueError, match="sparse"):
-            SparseMatrix(np.eye(2))
+    def test_const_matmul_acts_on_every_row_block(self):
+        # node-major rows i*n + j: the product equals the block-diagonal
+        # operator kron(m, I_n), for dense and sparse m alike
+        rng = np.random.default_rng(30)
+        m = rng.standard_normal((3, 3))
+        x = rng.standard_normal((3 * 4, 2))
+        expected = np.kron(m, np.eye(4)) @ x
+        for op in (m, sp.csr_matrix(m)):
+            got = const_matmul(op, Tensor(x)).data
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_const_matmul_rejects_misaligned_rows(self):
+        with pytest.raises(ValueError, match="do not align"):
+            const_matmul(np.eye(3), Tensor(np.ones((4, 2))))
 
     def test_add_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="differ"):
@@ -126,9 +141,18 @@ class TestGradients:
                           np.random.default_rng(4).standard_normal((4, 3)))
 
     def test_spmm(self):
-        m = SparseMatrix(sp.random(5, 4, density=0.5, random_state=0))
-        check_op_gradient(lambda x: spmm(m, x),
+        m = sp.random(5, 4, density=0.5, random_state=0, format="csr")
+        check_op_gradient(lambda x: const_matmul(m, x),
                           np.random.default_rng(5).standard_normal((4, 3)))
+
+    def test_const_matmul_non_symmetric_batched(self):
+        # a non-symmetric m, so a VJP using m instead of m.T would fail,
+        # over n = 3 row blocks
+        m = np.random.default_rng(31).standard_normal((4, 4))
+        assert not np.allclose(m, m.T)
+        x0 = np.random.default_rng(32).standard_normal((4 * 3, 2))
+        for op in (m, sp.csr_matrix(m)):
+            check_op_gradient(lambda x: const_matmul(op, x), x0)
 
     def test_add_and_hadamard(self):
         c = Tensor(np.random.default_rng(6).standard_normal((3, 3)))
@@ -256,6 +280,23 @@ class TestTapeLifecycle:
             backward(loss)
             with pytest.raises(RuntimeError, match="already called"):
                 backward(loss)
+
+    def test_backward_frees_intermediates_without_the_cyclic_gc(self):
+        gc.disable()
+        try:
+            x = Tensor(np.ones((2, 2)), requires_grad=True)
+            with Tape() as tape:
+                mid = tanh(matmul(x, x))
+                ref = weakref.ref(mid)
+                loss = sum_all(mid)
+                del mid
+                backward(loss)
+            assert ref() is None
+            assert len(tape) == 3
+            with pytest.raises(RuntimeError, match="already called"):
+                backward(loss)
+        finally:
+            gc.enable()
 
     def test_loss_must_be_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

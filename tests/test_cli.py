@@ -196,6 +196,39 @@ class TestEval:
         assert rc == 2
         assert "require --model" in capsys.readouterr().err
 
+    def eval_fails_at(self, ws, tmp_path, capsys, data=None, model=None):
+        rc = main(["eval", "--instance", str(ws["inst"]),
+                   "--data", str(data or ws["data"]),
+                   "--model", str(model or ws["model"]),
+                   "--methods", "bpgnn", "--out", str(tmp_path / "e.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: .+:\d+: .+\n", err), err
+        return err
+
+    def test_checkpoint_parameter_without_shape(self, ws, tmp_path, capsys):
+        doc = json.loads(ws["model"].read_text())
+        del doc["params"]["dec.w"]["shape"]
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc, indent=1))
+        err = self.eval_fails_at(ws, tmp_path, capsys, model=bad)
+        line = next(i for i, text in enumerate(bad.read_text().split("\n"), 1)
+                    if '"dec.w"' in text)
+        assert line > 1
+        assert err.startswith(f"error: {bad}:{line}: parameter 'dec.w' needs")
+
+    @pytest.mark.parametrize("record,why", [
+        ("5", "record must be a JSON object"),
+        ('{"b": 3, "x": [0, 0, 0, 0], "split": "val"}', "b must be a list"),
+    ])
+    def test_malformed_dataset_record(self, ws, tmp_path, capsys, record, why):
+        lines = ws["data"].read_text().splitlines()
+        lines[3] = record
+        bad = tmp_path / "data.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        err = self.eval_fails_at(ws, tmp_path, capsys, data=bad)
+        assert err.startswith(f"error: {bad}:4: {why}")
+
 
 class TestProbe:
     def test_grid_csv(self, ws, tmp_path, capsys):

@@ -9,9 +9,9 @@ import pytest
 
 from qubolab import (BpgnnConfig, BpgnnModel, DataGenParams, DataPair, Dataset,
                      HISTORY_COLUMNS, QuboInstance, TrainConfig,
-                     build_laplacian, forward, gen_random_dense,
-                     generate_dataset, load_checkpoint, save_checkpoint, train,
-                     write_history)
+                     build_laplacian, forward, gen_lattice_laplacian,
+                     gen_random_dense, generate_dataset, load_checkpoint,
+                     save_checkpoint, train, write_history)
 from qubolab.autodiff import _sigmoid
 from qubolab.model import _SIGMA_RAW_INIT, _validate
 
@@ -111,17 +111,17 @@ class TestForward:
         assert np.array_equal(out1, out2)
 
     def test_batched_forward_matches_single(self):
-        inst = gen_random_dense(5, seed=9)
-        model = BpgnnModel(BpgnnConfig(d=8, layers=3), inst)
-        rng = np.random.default_rng(1)
-        b1, b2 = rng.normal(size=5), rng.normal(size=5)
-        a_sp, l_sp = model._blocks(2)
-        stacked = model._forward_stacked(
-            a_sp, l_sp, np.concatenate([b1, b2]).reshape(-1, 1),
-            training=False, dropout_p=0.0, rng=None).data
-        single = np.concatenate([model.forward(b1).data,
-                                 model.forward(b2).data])
-        assert stacked == pytest.approx(single, rel=1e-12, abs=1e-12)
+        # random-dense A is not symmetric; the lattice's A is sparse
+        dense = gen_random_dense(5, seed=9)
+        assert (dense.a_csr != dense.a_csr.T).nnz
+        for inst in (dense, gen_lattice_laplacian(3)):
+            model = BpgnnModel(BpgnnConfig(d=8, layers=3), inst)
+            b = np.random.default_rng(1).normal(size=(4, inst.k))
+            batched = model._logits(b, False, 0.0, None).data
+            # node-major rows: row i*n + j is node i of example j
+            batched = batched.reshape(inst.k, 4).T
+            single = np.stack([model.forward(row).data.ravel() for row in b])
+            assert np.abs(batched - single).max() <= 1e-12
 
     def test_feature_switch_controls_dependence_on_couplings(self):
         # same sparsity pattern, different coupling values: without the
@@ -158,6 +158,22 @@ class TestForward:
         probs = _sigmoid(model.forward(b).data.ravel())
         assert x.dtype == np.int8
         assert np.array_equal(x, (probs > 0.5).astype(np.int8))
+
+    def test_predict_accepts_a_stack_of_vectors(self):
+        inst = gen_random_dense(6, seed=12)
+        model = BpgnnModel(BpgnnConfig(d=8, layers=2), inst)
+        b = np.random.default_rng(3).normal(size=(5, 6))
+        x = model.predict(b)
+        assert x.shape == (5, 6) and x.dtype == np.int8
+        assert np.array_equal(x, np.stack([model.predict(row) for row in b]))
+
+    @pytest.mark.parametrize("b", [np.zeros(5), np.zeros((2, 5)),
+                                   np.full((2, 6), np.nan),
+                                   np.zeros((1, 2, 6))])
+    def test_predict_rejects_bad_vectors(self, b):
+        model = BpgnnModel(BpgnnConfig(d=4, layers=1), gen_random_dense(6, 1))
+        with pytest.raises(ValueError):
+            model.predict(b)
 
     def test_training_dropout_needs_rng(self):
         model = BpgnnModel(BpgnnConfig(d=4, layers=1, dropout=0.5), chain3())
@@ -225,11 +241,8 @@ class TestTrain:
         model, history = train(model, data,
                                TrainConfig(lr=5e-2, epochs=8, batch_size=8,
                                            seed=1))
-        val_idx = data.indices("val")
-        f_ref = np.array([inst.evaluate(data.pairs[i].b, data.pairs[i].x)
-                          for i in val_idx])
         val_bce, _, _ = _validate(model, data.b_matrix("val"),
-                                  data.x_matrix("val"), f_ref)
+                                  data.x_matrix("val"))
         assert val_bce == pytest.approx(min(h["val_bce"] for h in history),
                                         rel=1e-12)
 

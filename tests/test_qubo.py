@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qubolab import (QuboInstance, gen_ising, gen_lattice_laplacian,
                      gen_random_dense, ising_energy, lattice_adjacency,
                      qubo_to_ising)
-from qubolab.qubo import as_binary_assignment, as_observed_vector
+from qubolab.qubo import as_binary_assignment, as_observed_vector, rel_gaps
 
 from conftest import tiny_instance
 
@@ -155,6 +155,25 @@ class TestObjective:
         batch = inst.all_flip_deltas(b, x)
         singles = [inst.flip_delta(b, x, i) for i in range(k)]
         assert batch == pytest.approx(singles, rel=1e-9, abs=1e-12)
+
+
+class TestRelGaps:
+    def test_matches_per_row_evaluation_and_skips_zero_references(self):
+        inst = gen_random_dense(7, 3)
+        rng = np.random.default_rng(4)
+        b = rng.normal(size=(6, 7))
+        x_ref = rng.integers(0, 2, size=(6, 7)).astype(np.int8)
+        x_pred = rng.integers(0, 2, size=(6, 7)).astype(np.int8)
+        x_ref[2] = 0  # f_ref = 0: no defined gap
+        expected = []
+        for row_b, row_ref, row_pred in zip(b, x_ref, x_pred):
+            f_ref = inst.evaluate(row_b, row_ref)
+            if abs(f_ref) > 1e-12:
+                f_pred = inst.evaluate(row_b, row_pred)
+                expected.append((f_pred - f_ref) / abs(f_ref))
+        got = rel_gaps(inst, b, x_ref, x_pred)
+        assert len(got) == 5
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestGenerators:

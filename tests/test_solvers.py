@@ -139,19 +139,6 @@ class TestTabu:
         assert got.x_best.tolist() == [1, 0]
         assert got.f_best == -1.0
 
-    def test_aspiration_flag_changes_nothing_with_visited_memory(self):
-        # The memory stores visited assignments and f_best tracks every
-        # visit, so a remembered assignment can never beat f_best; the
-        # aspiration override is therefore inert and results coincide.
-        inst = QuboInstance(k=1, rows=[0], cols=[0], vals=[0.0])
-        plain = tabu_solve(inst, [1.0], TabuParams(
-            max_steps=4, tabu_tenure=2, patience=None))
-        aspiring = tabu_solve(inst, [1.0], TabuParams(
-            max_steps=4, tabu_tenure=2, patience=None, aspiration=True))
-        assert plain.termination == aspiring.termination == "all_tabu"
-        assert plain.iterations == aspiring.iterations
-        assert plain.f_best == aspiring.f_best == 0.0
-
     def test_zero_tenure_disables_memory(self, k2_instance):
         got = tabu_solve(k2_instance, [0.5, 0.5],
                          TabuParams(max_steps=6, tabu_tenure=0, patience=None))
@@ -202,10 +189,6 @@ class TestSabParams:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError, match="dt"):
             SabParams(dt=0.0)
-
-    def test_rejects_bad_schedule(self):
-        with pytest.raises(ValueError, match="schedule"):
-            SabParams(schedule="cosine")
 
     def test_rejects_nonpositive_c0(self):
         with pytest.raises(ValueError, match="c0"):
