@@ -19,7 +19,8 @@ from .qubo import (GraphView, QuboInstance, gen_ising, gen_lattice_laplacian,
                    gen_random_dense, ising_energy, lattice_adjacency,
                    qubo_to_ising)
 from .solvers import (IntractableSizeError, SabParams, SolverResult, TabuParams,
-                      exhaustive_solve, refine_with_tabu, sab_solve, tabu_solve)
+                      exhaustive_argmins, exhaustive_solve, refine_with_tabu,
+                      sab_solve, tabu_solve)
 
 __version__ = "0.1.0"
 
@@ -38,6 +39,6 @@ __all__ = [
     "GraphView", "QuboInstance", "gen_ising", "gen_lattice_laplacian",
     "gen_random_dense", "ising_energy", "lattice_adjacency", "qubo_to_ising",
     "IntractableSizeError", "SabParams", "SolverResult", "TabuParams",
-    "exhaustive_solve", "refine_with_tabu", "sab_solve", "tabu_solve",
-    "__version__",
+    "exhaustive_argmins", "exhaustive_solve", "refine_with_tabu", "sab_solve",
+    "tabu_solve", "__version__",
 ]

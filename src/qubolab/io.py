@@ -10,6 +10,7 @@ size, the generator name, the seed and any generator tags.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -96,6 +97,8 @@ def read_instance(path: str | os.PathLike) -> QuboInstance:
             v = float(parts[2])
         except ValueError:
             fail(entry_lineno, f"malformed entry {entry!r}")
+        if not math.isfinite(v):
+            fail(entry_lineno, f"non-finite value {parts[2]!r}")
         if not (1 <= r <= n_rows and 1 <= c <= n_cols):
             fail(entry_lineno, f"index ({r}, {c}) outside 1..{n_rows}")
         rows[idx], cols[idx], vals[idx] = r - 1, c - 1, v
@@ -140,7 +143,10 @@ def read_vector(path: str | os.PathLike) -> np.ndarray:
             if not stripped:
                 continue
             try:
-                out.append(float(stripped))
+                v = float(stripped)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed number {stripped!r}")
+            if not math.isfinite(v):
+                raise ValueError(f"{path}:{lineno}: non-finite value {stripped!r}")
+            out.append(v)
     return np.array(out, dtype=np.float64)

@@ -1,6 +1,12 @@
 """Classical QUBO solvers: exact enumeration, Tabu search, and a
 ballistic simulated-bifurcation annealer.
 
+Exact enumeration scores all 2^k assignments as block matrix products:
+the high bits of x are walked in chunks, each chunk is scored against a
+table of every low-bit assignment with one product, and a whole group of
+observed vectors is scored in the same product.  Ties go to the first
+minimum in lexicographic order (x_0 most significant).
+
 All solvers return a SolverResult whose f_best is recomputed from x_best
 at return time, so the invariant f_best == evaluate(x_best) holds exactly.
 """
@@ -18,6 +24,10 @@ from .qubo import QuboInstance, as_binary_assignment, as_observed_vector, qubo_t
 
 # Largest k exhaustive_solve enumerates by default (2^26 states).
 EXHAUSTIVE_CAP = 26
+# Bits of x tabulated once per exhaustive enumeration (2^12 assignments).
+LOW_BITS = 12
+# Scores held by one exhaustive score block: 2^20 float64, 8 MB.
+BLOCK_STATES = 1 << 20
 
 
 class IntractableSizeError(ValueError):
@@ -58,50 +68,99 @@ class SolverResult:
 # ---------------------------------------------------------------------------
 
 
-def exhaustive_solve(instance: QuboInstance, b, cap: int = EXHAUSTIVE_CAP) -> SolverResult:
-    """Exact global minimizer by Gray-code enumeration.
+def _bit_rows(n_bits: int, codes: np.ndarray) -> np.ndarray:
+    """The n_bits-bit binary expansion of each code, most significant bit
+    first, as float64 rows."""
+    shifts = np.arange(n_bits - 1, -1, -1, dtype=np.int64)
+    return ((codes[:, None] >> shifts) & 1).astype(np.float64)
 
-    Walks all 2^k assignments in reflected-Gray order so each visit costs
-    one single-bit delta update.  Ties on the objective are broken toward
-    the lexicographically smallest bit vector (x_0 most significant).
+
+def exhaustive_argmins(instance: QuboInstance, b_mat,
+                       cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
+    """Exact minimizer of x^T A x + b^T x for every row b of b_mat (n, k).
+
+    x splits into its first h = k - m high bits and its last m =
+    min(k, LOW_BITS) low bits.  With H a chunk of high assignments and L
+    all 2^m low assignments, each in lexicographic order,
+
+        f = (H S + b_low^T) L^T + q_low^T + q_high + H b_high
+
+    where S = A_hl + A_lh^T and q_low, q_high are the quadratic parts of
+    the low and high halves alone.  L, q_low, S and each chunk's H S and
+    q_high depend on A only; a field only shifts the rows of H S and adds
+    a constant per row.  So a chunk is scored for a whole group of fields
+    with one matrix product of [H S + b_low^T, 1, q_high + H b_high]
+    (stacked over the group) and the fixed table [L, q_low, 1].
+
+    A field's scores in a chunk are row-major in (high, low), which is
+    lexicographic order, so their first argmin is the lexicographically
+    smallest of the chunk's minimizers; a later chunk replaces the best
+    only when strictly lower.  The result is the first minimum in
+    lexicographic order (x_0 most significant).  The score block never
+    exceeds BLOCK_STATES entries, whatever k <= cap and the number of
+    fields.
+
+    Returns the (n, k) int8 minimizers.
     """
-    if instance.k > cap:
+    k = instance.k
+    if k > cap:
         raise IntractableSizeError(
-            f"intractable size: k={instance.k} exceeds the exhaustive cap {cap}"
+            f"intractable size: k={k} exceeds the exhaustive cap {cap}"
         )
+    b_mat = np.asarray(b_mat, dtype=np.float64)
+    if b_mat.ndim != 2 or b_mat.shape[1] != k:
+        raise ValueError(f"field matrix has shape {b_mat.shape}, expected (n, {k})")
+    if not np.all(np.isfinite(b_mat)):
+        raise ValueError("field matrix contains NaN or Inf entries")
+    n_fields = b_mat.shape[0]
+    m = min(k, LOW_BITS)
+    h = k - m
+    a = instance.a_csr.toarray()
+    a_hh, a_ll = a[:h, :h], a[h:, h:]
+    s = a[:h, h:] + a[h:, :h].T
+    low = _bit_rows(m, np.arange(1 << m))
+    table_t = np.column_stack([low, np.einsum("ij,ij->i", low @ a_ll, low),
+                               np.ones(1 << m)]).T
+    rows = min(1 << h, max(1, BLOCK_STATES >> m))  # high assignments per chunk
+    group = max(1, BLOCK_STATES // (rows << m))  # fields scored per product
+    scores = np.empty((min(group, n_fields) * rows, 1 << m))
+    best_f = np.full(n_fields, np.inf)
+    best_code = np.zeros(n_fields, dtype=np.int64)
+    for first in range(0, 1 << h, rows):
+        high = _bit_rows(h, np.arange(first, first + rows))
+        hs = high @ s
+        q_high = np.einsum("ij,ij->i", high @ a_hh, high)
+        for f0 in range(0, n_fields, group):
+            fields = b_mat[f0:f0 + group]
+            g = len(fields)
+            coef = np.empty((g, rows, m + 2))
+            coef[:, :, :m] = hs + fields[:, None, h:]
+            coef[:, :, m] = 1.0
+            coef[:, :, m + 1] = q_high + fields[:, :h] @ high.T
+            flat = np.matmul(coef.reshape(g * rows, m + 2), table_t,
+                             out=scores[:g * rows]).reshape(g, -1)
+            idx = flat.argmin(axis=1)
+            val = flat[np.arange(g), idx]
+            better = val < best_f[f0:f0 + g]
+            best_f[f0:f0 + g][better] = val[better]
+            best_code[f0:f0 + g][better] = (first << m) + idx[better]
+    return _bit_rows(k, best_code).astype(np.int8)
+
+
+def exhaustive_solve(instance: QuboInstance, b, cap: int = EXHAUSTIVE_CAP) -> SolverResult:
+    """Exact global minimizer by block enumeration of all 2^k assignments.
+
+    One row of exhaustive_argmins: the high bits of x are walked in chunks
+    and each chunk is scored against every low-bit assignment with one
+    matrix product.  Ties on the objective go to the first minimum in
+    lexicographic order (x_0 most significant), i.e. the lexicographically
+    smallest minimizer.
+    """
     b = as_observed_vector(b, instance.k)
     t0 = time.perf_counter()
-    k = instance.k
-    s_pos = instance.a_sym_csr.toarray()
-    s_neg = -s_pos
-    d = np.array(instance.a_diag)
-    x = np.zeros(k)
-    g = np.zeros(k)
-    f = 0.0
-    # State at n=0 is all zeros, whose lexicographic key (the Gray integer
-    # with x_0 as most significant bit) is 0, the smallest possible.
-    best_f = 0.0
-    best_key = 0
-    n_states = 1 << k
-    for n in range(1, n_states):
-        i = k - (n & -n).bit_length()
-        if x[i] == 0.0:
-            f += b[i] + d[i] + g[i]
-            x[i] = 1.0
-            np.add(g, s_pos[i], out=g)
-        else:
-            f -= b[i] + d[i] + g[i] - 2.0 * d[i]
-            x[i] = 0.0
-            np.add(g, s_neg[i], out=g)
-        if f < best_f:
-            best_f = f
-            best_key = n ^ (n >> 1)
-        elif f == best_f and (n ^ (n >> 1)) < best_key:
-            best_key = n ^ (n >> 1)
-    x_best = np.zeros(k, dtype=np.int8)
-    for p in range(k):
-        x_best[k - 1 - p] = (best_key >> p) & 1
+    x_best = exhaustive_argmins(instance, b[None, :], cap)[0]
     elapsed = (time.perf_counter() - t0) * 1000.0
+    n_states = 1 << instance.k
     return SolverResult(
         solver="exhaustive",
         x_best=x_best,

@@ -2,7 +2,7 @@
 acceptance-criteria reporter.
 
 The oracle builds its own dense matrix and scores every assignment with
-plain numpy, so it shares no code path with the Gray-code solver it is
+plain numpy, so it shares no code path with the block-product solver it is
 used to check.
 """
 

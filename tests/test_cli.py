@@ -141,6 +141,27 @@ class TestSolve:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def solve_fails_with(self, tiny, capsys, instance, b):
+        rc = main(["solve", "--instance", str(instance), "--b", str(b),
+                   "--method", "exhaustive", "--out", str(tiny / "x.json")])
+        assert rc == 2
+        return capsys.readouterr().err
+
+    def test_non_finite_matrix_entry_names_its_line(self, tiny, capsys):
+        bad = tiny / "bad.mtx"
+        lines = (tiny / "t.mtx").read_text().splitlines()
+        assert lines[2] == "1 2 1.0"
+        lines[2] = "1 2 nan"
+        bad.write_text("\n".join(lines) + "\n")
+        err = self.solve_fails_with(tiny, capsys, bad, tiny / "t.b.txt")
+        assert err == f"error: {bad}:3: non-finite value 'nan'\n"
+
+    def test_non_finite_vector_line_names_its_line(self, tiny, capsys):
+        bad = tiny / "bad.b.txt"
+        bad.write_text("1.0\n\n-inf\n")
+        err = self.solve_fails_with(tiny, capsys, tiny / "t.mtx", bad)
+        assert err == f"error: {bad}:3: non-finite value '-inf'\n"
+
     def test_unknown_method_is_an_argparse_error(self, tiny):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--instance", str(tiny / "t.mtx"),

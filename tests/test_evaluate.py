@@ -11,11 +11,13 @@ import pytest
 from conftest import naive_minimize
 from qubolab import (BpgnnConfig, BpgnnModel, DataGenParams, DataPair, Dataset,
                      EvalRecord, QuboInstance, accuracy, benchmark,
-                     evaluate_method, gen_ising, gen_random_dense,
-                     generate_dataset, homophily, hybrid_infer, ising_sweep,
+                     evaluate_method, exhaustive_solve, gen_ising,
+                     gen_random_dense, generate_dataset, homophily,
+                     hybrid_infer, ising_sweep, lattice_adjacency,
                      plateau_fraction, probe_landscape, rel_qubo,
                      write_eval_records, write_landscape, write_sweep)
 from qubolab.evaluate import BENCH_COLUMNS
+from qubolab.qubo import rel_gaps
 
 
 class TestAccuracy:
@@ -90,6 +92,18 @@ class TestLandscapeProbe:
                 d = int(np.sum((x_cell.astype(int) - x_base.astype(int)) ** 2))
                 assert grid.phi[i, j] == d
 
+    def test_one_enumeration_matches_a_per_cell_loop(self):
+        inst = gen_random_dense(12, 31, scale=0.3)
+        b = np.random.default_rng(15).normal(size=12)
+        grid = probe_landscape(inst, b, seed=21, s_range=(-3.0, 1.0),
+                               t_range=(-1.0, 3.0), resolution=9)
+        x_base = exhaustive_solve(inst, b).x_best
+        phi = np.array([[np.count_nonzero(
+            exhaustive_solve(inst, b + t * grid.b1 + s * grid.b2).x_best != x_base)
+            for t in grid.t_values] for s in grid.s_values])
+        assert np.array_equal(grid.phi, phi)
+        assert len(np.unique(grid.phi)) > 1
+
     def test_center_cell_is_zero_for_odd_resolution(self):
         inst = gen_random_dense(5, seed=8)
         b = np.random.default_rng(9).normal(size=5)
@@ -152,6 +166,14 @@ class TestIsingSweep:
             changed = not np.array_equal(sweep.assignments[idx],
                                          sweep.assignments[idx - 1])
             assert (idx in sweep.change_points) == changed
+
+    def test_lattice_sweep_changes_once(self):
+        # on the 4x4 lattice the minimizer is all zeros at beta <= -0.8 and
+        # the first checkerboard at beta >= 0.8: one change, at sample 3
+        inst, _ = gen_ising(lattice_adjacency(4), 0.0)
+        sweep = ising_sweep(inst, (-4.0, 4.0), 6)
+        assert sweep.change_points.tolist() == [3]
+        assert not sweep.assignments[:3].any()
 
     def test_write_sweep_csv(self, tmp_path):
         sweep = ising_sweep(self.pair_instance(), (-1.0, 4.0), 11)
@@ -217,6 +239,15 @@ class TestEvaluateMethod:
         assert 0.0 <= rec.accuracy <= 1.0
         # refinement never leaves the prediction above the label objective
         assert rec.rel_qubo <= 1e-12 or math.isnan(rec.rel_qubo)
+
+    def test_batched_hybrid_matches_per_example_hybrid_infer(self, eval_problem):
+        inst, data, model = eval_problem
+        rec = evaluate_method("bpgnn+ts", inst, data, model=model, split="train")
+        b, x_ref = data.b_matrix("train"), data.x_matrix("train")
+        x_loop = np.array([hybrid_infer(model, inst, row).x_best for row in b])
+        assert rec.accuracy == float(np.mean(np.mean(x_loop == x_ref, axis=1)))
+        assert rec.rel_qubo == float(np.mean(rel_gaps(inst, b, x_ref, x_loop)))
+        assert rec.elapsed_ms > 0.0
 
     def test_unknown_method_is_rejected(self, eval_problem):
         inst, data, _ = eval_problem

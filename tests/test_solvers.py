@@ -4,13 +4,17 @@ annealer."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qubolab import (IntractableSizeError, QuboInstance, SabParams,
-                     SolverResult, TabuParams, exhaustive_solve,
-                     gen_random_dense, lattice_adjacency, refine_with_tabu,
-                     sab_solve, tabu_solve)
+                     SolverResult, TabuParams, exhaustive_argmins,
+                     exhaustive_solve, gen_ising, gen_random_dense,
+                     lattice_adjacency, refine_with_tabu, sab_solve,
+                     tabu_solve)
+from qubolab import solvers
 
 from conftest import naive_minimize, tiny_instance
 
@@ -41,6 +45,15 @@ class TestExhaustive:
         assert np.array_equal(got.x_best, x_ref)
         assert got.f_best == f_ref == -1.0
 
+    def test_tie_rule_holds_along_an_ising_field_sweep(self):
+        # x^T A x - beta * sum(x) on the 4x4 lattice has many exactly tied
+        # minimizers; each must be the first minimum in lexicographic order
+        inst, _ = gen_ising(lattice_adjacency(4), 0.0)
+        for beta in np.linspace(-4, 4, 41):
+            b = -beta * np.ones(16)
+            x_ref, _ = naive_minimize(inst, b)
+            assert np.array_equal(exhaustive_solve(inst, b).x_best, x_ref), beta
+
     def test_counts_every_state(self, k2_instance):
         got = exhaustive_solve(k2_instance, [0.0, 0.0])
         assert got.evaluations == 4
@@ -70,6 +83,73 @@ class TestExhaustive:
         assert doc["f_best"] == -1.0
         assert set(doc) == {"solver", "x_best", "f_best", "iterations",
                             "evaluations", "elapsed_ms", "termination"}
+
+
+class TestBlockEngine:
+    """exhaustive_argmins: chunk edges, field groups, ties across chunks
+    and bounded memory."""
+
+    @pytest.mark.parametrize("k", [1, solvers.LOW_BITS, solvers.LOW_BITS + 1])
+    def test_low_block_edges_match_the_oracle(self, k):
+        inst = gen_random_dense(k, 40 + k)
+        b_mat = np.random.default_rng(k).normal(size=(3, k))
+        got = exhaustive_argmins(inst, b_mat)
+        assert got.dtype == np.int8 and got.shape == (3, k)
+        for row, b in zip(got, b_mat):
+            assert np.array_equal(row, naive_minimize(inst, b)[0])
+
+    @pytest.mark.parametrize("k", [13, 14, 20])
+    def test_many_high_chunks_match_the_oracle(self, k, monkeypatch):
+        # one high assignment per chunk: 2, 4 and 256 chunks
+        monkeypatch.setattr(solvers, "BLOCK_STATES", 1 << solvers.LOW_BITS)
+        inst = gen_random_dense(k, 60 + k, scale=0.3)
+        b = np.random.default_rng(70 + k).normal(size=k)
+        x_ref, f_ref = naive_minimize(inst, b)
+        got = exhaustive_solve(inst, b)
+        assert np.array_equal(got.x_best, x_ref)
+        assert got.f_best == pytest.approx(f_ref, abs=1e-9)
+
+    def test_a_tie_across_chunks_keeps_the_earlier_chunk(self, monkeypatch):
+        # x_0 is free, so the minimizers sit in both high chunks of k=13
+        monkeypatch.setattr(solvers, "BLOCK_STATES", 1 << solvers.LOW_BITS)
+        inst = QuboInstance(k=13, rows=[], cols=[], vals=[])
+        b = np.r_[0.0, -np.ones(12)]
+        assert exhaustive_argmins(inst, b[None, :])[0].tolist() == [0] + [1] * 12
+
+    def test_field_groups_agree_with_one_row_calls(self, monkeypatch):
+        # four fields per product: groups of 4, 4 and 2
+        monkeypatch.setattr(solvers, "BLOCK_STATES", 4 << solvers.LOW_BITS)
+        inst = gen_random_dense(12, 5, scale=0.3)
+        b_mat = np.random.default_rng(6).normal(size=(10, 12))
+        got = exhaustive_argmins(inst, b_mat)
+        for row, b in zip(got, b_mat):
+            assert np.array_equal(row, exhaustive_solve(inst, b).x_best)
+            assert np.array_equal(row, naive_minimize(inst, b)[0])
+
+    def test_rejects_a_malformed_field_matrix(self):
+        inst = gen_random_dense(3, 1)
+        with pytest.raises(ValueError, match="expected \\(n, 3\\)"):
+            exhaustive_argmins(inst, np.zeros(3))
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            exhaustive_argmins(inst, [[0.0, np.nan, 0.0]])
+        with pytest.raises(IntractableSizeError):
+            exhaustive_argmins(inst, np.zeros((1, 3)), cap=2)
+
+    def test_separable_k26_solves_in_bounded_memory(self):
+        # diagonal A: each bit is set exactly when A_ii + b_i < 0
+        k = 26
+        rng = np.random.default_rng(26)
+        d, b = rng.normal(size=k), rng.normal(size=k)
+        inst = QuboInstance(k=k, rows=np.arange(k), cols=np.arange(k), vals=d)
+        tracemalloc.start()
+        try:
+            got = exhaustive_solve(inst, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.x_best.tolist() == (d + b < 0).astype(int).tolist()
+        assert got.evaluations == 1 << k and got.iterations == (1 << k) - 1
+        assert peak <= 16 * 2 ** 20
 
 
 class TestTabuParams:
