@@ -37,7 +37,7 @@ class Tensor:
 class _Record:
     out: Tensor
     inputs: tuple[Tensor, ...]
-    vjp: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
+    vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]]
 
 
 class Tape:
@@ -99,7 +99,8 @@ def backward(loss: Tensor) -> None:
     }
     # Popping each record drops the references an output holds back to its
     # tape, so the activations are freed by reference counting, not left
-    # for the cyclic garbage collector.
+    # for the cyclic garbage collector.  Gradients are summed out of place,
+    # never modified, so one array may safely flow to several inputs.
     records = tape._records
     while records:
         rec = records.pop()
@@ -108,14 +109,8 @@ def backward(loss: Tensor) -> None:
             continue
         g_out = entry[1]
         for t, g in zip(rec.inputs, rec.vjp(g_out)):
-            if g is None:
-                continue
             prev = flowing.get(id(t))
-            if prev is None:
-                flowing[id(t)] = (t, np.array(g, dtype=np.float64))
-            else:
-                acc = prev[1]
-                acc += g
+            flowing[id(t)] = (t, g if prev is None else prev[1] + g)
     for t, g in flowing.values():
         if t.requires_grad:
             t.grad = g if t.grad is None else t.grad + g
@@ -169,71 +164,44 @@ def const_matmul(m, x: Tensor) -> Tensor:
     return _emit((m @ x.data.reshape(c, n * d)).reshape(k * n, d), (x,), vjp)
 
 
+def _check_broadcast(name: str, a: Tensor, b: Tensor):
+    if a.data.shape == b.data.shape:
+        return
+    shape = a.data.shape
+    if len(shape) != 2 or b.data.shape not in ((1, shape[1]), (shape[0], 1)):
+        raise ValueError(
+            f"{name}: shape {b.data.shape} does not broadcast against {shape}; "
+            f"expected the same shape, a row (1, d) or a column (n, 1)"
+        )
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum g over the axis that broadcasting repeated a tensor of shape."""
+    if g.shape == shape:
+        return g
+    return g.sum(axis=0 if shape[0] != g.shape[0] else 1, keepdims=True)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"add shapes {a.data.shape} and {b.data.shape} differ")
+    """a + b; b has a's shape or is a row (1, d) or column (n, 1) vector
+    repeated across the rows or columns of a 2-d a."""
+    _check_broadcast("add", a, b)
+    shape = b.data.shape
 
     def vjp(g):
-        return g, g
+        return g, _unbroadcast(g, shape)
 
     return _emit(a.data + b.data, (a, b), vjp)
 
 
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(
-            f"hadamard shapes {a.data.shape} and {b.data.shape} differ"
-        )
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise a * b, with b broadcast as in add."""
+    _check_broadcast("mul", a, b)
 
     def vjp(g):
-        return g * b.data, g * a.data
+        return g * b.data, _unbroadcast(g * a.data, b.data.shape)
 
     return _emit(a.data * b.data, (a, b), vjp)
-
-
-def broadcast_add_col(x: Tensor, v: Tensor) -> Tensor:
-    """Add a per-row value (column vector, shape (n, 1)) to every column."""
-    _check_2d("broadcast_add_col", x)
-    if v.data.shape != (x.data.shape[0], 1):
-        raise ValueError(
-            f"broadcast_add_col expects vector shape ({x.data.shape[0]}, 1), "
-            f"got {v.data.shape}"
-        )
-
-    def vjp(g):
-        return g, g.sum(axis=1, keepdims=True)
-
-    return _emit(x.data + v.data, (x, v), vjp)
-
-
-def broadcast_add_row(x: Tensor, v: Tensor) -> Tensor:
-    """Add a per-column value (row vector, shape (1, d)) to every row."""
-    _check_2d("broadcast_add_row", x)
-    if v.data.shape != (1, x.data.shape[1]):
-        raise ValueError(
-            f"broadcast_add_row expects vector shape (1, {x.data.shape[1]}), "
-            f"got {v.data.shape}"
-        )
-
-    def vjp(g):
-        return g, g.sum(axis=0, keepdims=True)
-
-    return _emit(x.data + v.data, (x, v), vjp)
-
-
-def scale_columns(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply column j of x by s[0, j]."""
-    _check_2d("scale_columns", x)
-    if s.data.shape != (1, x.data.shape[1]):
-        raise ValueError(
-            f"scale_columns expects scale shape (1, {x.data.shape[1]}), "
-            f"got {s.data.shape}"
-        )
-
-    def vjp(g):
-        return g * s.data, (g * x.data).sum(axis=0, keepdims=True)
-
-    return _emit(x.data * s.data, (x, s), vjp)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -264,15 +232,6 @@ def tanh(x: Tensor) -> Tensor:
     return _emit(out, (x,), vjp)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out = _sigmoid(x.data)
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
-    return _emit(out, (x,), vjp)
-
-
 def softplus(x: Tensor) -> Tensor:
     out = np.logaddexp(0.0, x.data)
 
@@ -282,15 +241,15 @@ def softplus(x: Tensor) -> Tensor:
     return _emit(out, (x,), vjp)
 
 
-def dropout(x: Tensor, p: float, training: bool, seed: int) -> Tensor:
+def dropout(x: Tensor, p: float, seed: int) -> Tensor:
     """Zero entries with probability p and rescale survivors by 1/(1-p).
 
-    Identity when not training or p == 0.  The mask is a pure function of
-    the seed, so runs are reproducible.
+    Identity when p == 0.  The mask is a pure function of the seed, so
+    runs are reproducible.
     """
     if not 0 <= p < 1:
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
-    if not training or p == 0:
+    if p == 0:
         return x
     keep = np.random.default_rng(seed).random(x.data.shape) >= p
     factor = keep / (1.0 - p)

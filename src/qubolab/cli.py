@@ -132,7 +132,7 @@ def _cmd_train(args) -> None:
     )
     net = model_mod.BpgnnModel(config, inst)
     train_config = model_mod.TrainConfig(
-        lr=args.lr, weight_decay=args.weight_decay, dropout=args.dropout,
+        lr=args.lr, weight_decay=args.weight_decay,
         epochs=args.epochs, batch_size=args.batch, seed=args.train_seed,
     )
     out = _resolve_out(args.out)

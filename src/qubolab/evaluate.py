@@ -75,7 +75,7 @@ class LandscapeGrid:
     phi[i, j] is the squared Hamming distance between the minimizer at
     (s_values[i], t_values[j]) and the minimizer at the base point; the
     perturbed vector is b + t*b1 + s*b2 with b1 orthogonal to b2, both
-    unit length.  method[i, j] records which solver produced each cell.
+    unit length.  method names the solver that produced every cell.
     """
 
     s_values: np.ndarray
@@ -84,7 +84,7 @@ class LandscapeGrid:
     b1: np.ndarray
     b2: np.ndarray
     base_b: np.ndarray
-    method: np.ndarray
+    method: str
 
 
 def _orthonormal_pair(rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,9 +125,8 @@ def probe_landscape(instance: QuboInstance, b, seed: int,
     x, name = _minimizers(instance, np.vstack([b, cells]), cap)
     phi = np.count_nonzero(x[1:] != x[0], axis=1).astype(np.int64)
     phi = phi.reshape(resolution, resolution)
-    method = np.full((resolution, resolution), name, dtype=object)
     return LandscapeGrid(s_values=s_values, t_values=t_values, phi=phi,
-                         b1=b1, b2=b2, base_b=b, method=method)
+                         b1=b1, b2=b2, base_b=b, method=name)
 
 
 def plateau_fraction(phi: np.ndarray) -> float:

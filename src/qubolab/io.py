@@ -82,6 +82,8 @@ def read_instance(path: str | os.PathLike) -> QuboInstance:
         fail(size_lineno, f"non-integer size line {size_line!r}")
     if n_rows != n_cols:
         fail(size_lineno, f"matrix must be square, got {n_rows} x {n_cols}")
+    if n_rows < 1:
+        fail(size_lineno, f"matrix size must be positive, got {n_rows}")
     if len(body) - 1 != nnz:
         fail(size_lineno, f"size line promises {nnz} entries, found {len(body) - 1}")
 
@@ -118,7 +120,18 @@ def read_instance(path: str | os.PathLike) -> QuboInstance:
                 f"{sidecar}: metadata says k={loaded['k']}, matrix is {n_rows}"
             )
         meta = {key: loaded.get(key) for key in ("generator", "seed", "tags")}
-    return QuboInstance(k=n_rows, rows=rows, cols=cols, vals=vals, meta=meta)
+    try:
+        return QuboInstance(k=n_rows, rows=rows, cols=cols, vals=vals, meta=meta)
+    except ValueError:
+        # Every entry passed the checks above, so a repeated coordinate is
+        # what the instance refused; find the first one only now.
+        seen: dict[tuple[int, int], int] = {}
+        for idx, key in enumerate(zip(rows.tolist(), cols.tolist())):
+            first = seen.setdefault(key, idx)
+            if first != idx:
+                fail(body[idx + 1][0], f"duplicate entry ({key[0] + 1}, {key[1] + 1}), "
+                     f"first given on line {body[first + 1][0]}")
+        raise
 
 
 def _sidecar_path(path: str) -> str:

@@ -134,22 +134,20 @@ class BpgnnModel:
 
     def _mlp(self, x: Tensor, prefix: str, out_tanh: bool) -> Tensor:
         p = self.params
-        hidden = ad.relu(ad.broadcast_add_row(ad.matmul(x, p[f"{prefix}.w1"]),
-                                              p[f"{prefix}.b1"]))
-        out = ad.broadcast_add_row(ad.matmul(hidden, p[f"{prefix}.w2"]),
-                                   p[f"{prefix}.b2"])
+        hidden = ad.relu(ad.add(ad.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
+        out = ad.add(ad.matmul(hidden, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
         return ad.tanh(out) if out_tanh else out
 
-    def _logits(self, b_mat: np.ndarray, training: bool, dropout_p: float,
+    def _logits(self, b_mat: np.ndarray, training: bool,
                 rng: np.random.Generator | None) -> Tensor:
         """Node-major logits, shape (k*n, 1), for n observed vectors (n, k)."""
         cfg = self.config
         p = self.params
 
         def drop(t: Tensor) -> Tensor:
-            if training and dropout_p > 0:
+            if training and cfg.dropout > 0:
                 seed = int(rng.integers(0, 2 ** 63))
-                return ad.dropout(t, dropout_p, True, seed)
+                return ad.dropout(t, cfg.dropout, seed)
             return t
 
         b_t = Tensor(_node_major(b_mat))
@@ -157,25 +155,24 @@ class BpgnnModel:
         for layer in range(cfg.layers):
             if cfg.use_qubo_features:
                 a_h = ad.const_matmul(self.instance.a_csr, h)
-                r = ad.hadamard(h, ad.broadcast_add_col(a_h, b_t))
+                r = ad.mul(h, ad.add(a_h, b_t))
                 u = ad.add(h, self._mlp(r, f"layer{layer}.g", out_tanh=False))
             else:
                 u = h
             sig = ad.softplus(p[f"layer{layer}.sigma_raw"])
-            diffused = ad.scale_columns(ad.const_matmul(self.laplacian, u), sig)
+            diffused = ad.mul(ad.const_matmul(self.laplacian, u), sig)
             h_half = ad.add(h, ad.scale(diffused, -cfg.eps_step))
             reaction = self._mlp(h_half, f"layer{layer}.f", out_tanh=True)
             h = drop(ad.add(h_half, ad.scale(reaction, cfg.eps_step)))
-        return ad.broadcast_add_row(ad.matmul(h, p["dec.w"]), p["dec.b"])
+        return ad.add(ad.matmul(h, p["dec.w"]), p["dec.b"])
 
     def forward(self, b, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
         """Logits, shape (k, 1), for one observed vector."""
         b = as_observed_vector(b, self.instance.k)
-        dropout_p = self.config.dropout if training else 0.0
-        if training and dropout_p > 0 and rng is None:
+        if training and self.config.dropout > 0 and rng is None:
             raise ValueError("training-mode forward with dropout needs an rng")
-        return self._logits(b[None, :], training, dropout_p, rng)
+        return self._logits(b[None, :], training, rng)
 
     def predict(self, b, threshold: float = 0.5) -> np.ndarray:
         """Binary assignment: bit i is 1 iff sigmoid(logit_i) > threshold.
@@ -186,7 +183,7 @@ class BpgnnModel:
         b = np.asarray(b, dtype=np.float64)
         b_mat = np.array([as_observed_vector(row, self.instance.k)
                           for row in np.atleast_2d(b)])
-        logits = self._logits(b_mat, False, 0.0, None).data
+        logits = self._logits(b_mat, False, None).data
         x = _example_major(ad._sigmoid(logits) > threshold, len(b_mat))
         return (x if b.ndim == 2 else x[0]).astype(np.int8)
 
@@ -225,17 +222,17 @@ def forward(model: BpgnnModel, instance: QuboInstance, b) -> Tensor:
 class TrainConfig:
     """Optimization knobs.
 
-    The intended search grids are lr in {1e-5, 1e-4, 1e-3}, weight_decay
-    in {1e-5, 1e-4, 0} and dropout in {0, 0.1, 0.5}, with at most 200
-    epochs; values outside the grids are accepted (lr=0 is useful for
-    no-op training checks).  dropout None falls back to the model's own
-    rate.  When both targets are set, training stops once the validation
-    accuracy and relative objective both meet them.
+    The intended search grids are lr in {1e-5, 1e-4, 1e-3} and
+    weight_decay in {1e-5, 1e-4, 0}, with at most 200 epochs; values
+    outside the grids are accepted (lr=0 is useful for no-op training
+    checks).  Dropout is the model's own rate, BpgnnConfig.dropout, with
+    the intended grid {0, 0.1, 0.5}.  When both targets are set, training
+    stops once the validation accuracy and relative objective both meet
+    them.
     """
 
     lr: float = 1e-3
     weight_decay: float = 0.0
-    dropout: float | None = None
     epochs: int = 200
     batch_size: int = 32
     seed: int = 0
@@ -247,8 +244,6 @@ class TrainConfig:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.dropout is not None and not 0 <= self.dropout < 1:
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -274,7 +269,6 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
     val_idx = dataset.indices("val")
 
     rng = np.random.default_rng(config.seed)
-    dropout_p = config.dropout if config.dropout is not None else model.config.dropout
 
     b_train = dataset.b_matrix("train")
     y_train = dataset.x_matrix("train").astype(np.float64)
@@ -294,7 +288,7 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
         for lo in range(0, n_train, config.batch_size):
             rows = perm[lo:lo + config.batch_size]
             with Tape():
-                logits = model._logits(b_train[rows], True, dropout_p, rng)
+                logits = model._logits(b_train[rows], True, rng)
                 loss = bce_with_logits(logits, _node_major(y_train[rows]))
                 backward(loss)
             grads = {name: t.grad for name, t in model.params.items()}
@@ -333,7 +327,7 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
 def _validate(model: BpgnnModel, b_val: np.ndarray,
               y_val: np.ndarray) -> tuple[float, float, float]:
     """Validation BCE, bit accuracy and mean relative objective gap."""
-    logits = model._logits(b_val, False, 0.0, None)
+    logits = model._logits(b_val, False, None)
     loss = bce_with_logits(logits, _node_major(y_val).astype(np.float64))
     preds = _example_major(ad._sigmoid(logits.data) > 0.5, len(b_val))
     acc = float(np.mean(preds == y_val))
@@ -419,5 +413,7 @@ def load_checkpoint(path: str | os.PathLike, instance: QuboInstance) -> BpgnnMod
         if data.size != t.data.size:
             fail(f"parameter {name!r} has {data.size} values, expected "
                  f"{t.data.size}", name)
+        if not np.all(np.isfinite(data)):
+            fail(f"parameter {name!r} has non-finite values", name)
         t.data = data.reshape(t.data.shape)
     return model

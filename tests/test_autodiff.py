@@ -11,11 +11,9 @@ import pytest
 import scipy.sparse as sp
 
 from qubolab import AdamState, Tape, Tensor, adam_step, backward
-from qubolab.autodiff import (add, bce_with_logits, broadcast_add_col,
-                              broadcast_add_row, const_matmul, dropout,
-                              hadamard, matmul, relu, scale, scale_columns,
-                              sigmoid, softplus, sum_all, tanh, zero_grad,
-                              _sigmoid)
+from qubolab.autodiff import (add, bce_with_logits, const_matmul, dropout,
+                              matmul, mul, relu, scale, softplus, sum_all,
+                              tanh, zero_grad, _sigmoid)
 
 
 def fd_gradient(fn, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -40,7 +38,7 @@ def check_op_gradient(build, x0: np.ndarray, rtol: float = 1e-6):
     with Tape():
         out = build(x)
         w = np.random.default_rng(0).standard_normal(out.data.shape)
-        backward(sum_all(hadamard(out, Tensor(w))))
+        backward(sum_all(mul(out, Tensor(w))))
 
     def value(x_data):
         return float((build(Tensor(x_data)).data * w).sum())
@@ -85,29 +83,40 @@ class TestForwardValues:
             const_matmul(np.eye(3), Tensor(np.ones((4, 2))))
 
     def test_add_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="differ"):
+        with pytest.raises(ValueError, match="does not broadcast"):
             add(Tensor([[1.0]]), Tensor([[1.0, 2.0]]))
 
     def test_broadcast_add_col_adds_per_row(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])
         v = Tensor([[10.0], [20.0]])
-        assert broadcast_add_col(x, v).data.tolist() == [[11.0, 12.0],
-                                                         [23.0, 24.0]]
+        assert add(x, v).data.tolist() == [[11.0, 12.0], [23.0, 24.0]]
 
-    def test_broadcast_add_col_rejects_row_vector(self):
-        with pytest.raises(ValueError, match="expects vector shape"):
-            broadcast_add_col(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0]]))
+    def test_add_and_mul_reject_non_broadcastable_b(self):
+        # only a's own shape, a (1, 2) row or a (3, 1) column broadcasts
+        # against a (3, 2) a, and only a 2-d a takes a vector
+        cases = [((3, 2), b_shape) for b_shape in
+                 ((1, 3), (2, 1), (2, 3), (3, 3), (1, 1), (6,))] + [((3,), (1, 3))]
+        for op in (add, mul):
+            for a_shape, b_shape in cases:
+                with pytest.raises(ValueError, match="does not broadcast"):
+                    op(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
     def test_broadcast_add_row_adds_per_column(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])
         v = Tensor([[10.0, 20.0]])
-        assert broadcast_add_row(x, v).data.tolist() == [[11.0, 22.0],
-                                                         [13.0, 24.0]]
+        assert add(x, v).data.tolist() == [[11.0, 22.0], [13.0, 24.0]]
 
     def test_scale_columns_multiplies_per_column(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])
         s = Tensor([[2.0, 0.5]])
-        assert scale_columns(x, s).data.tolist() == [[2.0, 1.0], [6.0, 2.0]]
+        assert mul(x, s).data.tolist() == [[2.0, 1.0], [6.0, 2.0]]
+
+    def test_mul_elementwise_and_per_row(self):
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        assert mul(x, Tensor([[2.0, 3.0], [0.5, -1.0]])).data.tolist() == [
+            [2.0, 6.0], [1.5, -4.0]]
+        assert mul(x, Tensor([[2.0], [-1.0]])).data.tolist() == [
+            [2.0, 4.0], [-3.0, -4.0]]
 
     def test_scale_by_constant(self):
         assert scale(Tensor([[3.0]]), -2.0).data.tolist() == [[-6.0]]
@@ -123,9 +132,9 @@ class TestForwardValues:
         assert out.data[0, 2] == pytest.approx(0.0, abs=1e-30)
 
     def test_sigmoid_is_stable_at_extremes(self):
-        out = sigmoid(Tensor([[-800.0, 800.0]]))
-        assert np.all(np.isfinite(out.data))
-        assert out.data == pytest.approx(np.array([[0.0, 1.0]]), abs=1e-12)
+        out = _sigmoid(np.array([[-800.0, 800.0]]))
+        assert np.all(np.isfinite(out))
+        assert out == pytest.approx(np.array([[0.0, 1.0]]), abs=1e-12)
 
     def test_sum_all_returns_scalar(self):
         assert sum_all(Tensor([[1.0, 2.0], [3.0, 4.0]])).data == 10.0
@@ -155,39 +164,47 @@ class TestGradients:
             check_op_gradient(lambda x: const_matmul(op, x), x0)
 
     def test_add_and_hadamard(self):
+        # same-shape operands, differentiated with respect to a and to b
         c = Tensor(np.random.default_rng(6).standard_normal((3, 3)))
-        check_op_gradient(lambda x: add(x, c),
-                          np.random.default_rng(7).standard_normal((3, 3)))
-        check_op_gradient(lambda x: hadamard(x, c),
-                          np.random.default_rng(8).standard_normal((3, 3)))
+        x0 = np.random.default_rng(7).standard_normal((3, 3))
+        for op in (add, mul):
+            check_op_gradient(lambda x: op(x, c), x0)
+            check_op_gradient(lambda x: op(c, x), x0)
 
     def test_broadcasts(self):
-        v = Tensor(np.random.default_rng(9).standard_normal((4, 1)))
-        check_op_gradient(lambda x: broadcast_add_col(x, v),
-                          np.random.default_rng(10).standard_normal((4, 2)))
-        r = Tensor(np.random.default_rng(11).standard_normal((1, 2)))
-        check_op_gradient(lambda x: broadcast_add_row(x, r),
-                          np.random.default_rng(12).standard_normal((4, 2)))
+        # with respect to a, for a column and a row b
+        x0 = np.random.default_rng(10).standard_normal((4, 2))
+        for b_shape in ((4, 1), (1, 2)):
+            v = Tensor(np.random.default_rng(9).standard_normal(b_shape))
+            for op in (add, mul):
+                check_op_gradient(lambda x: op(x, v), x0)
 
     def test_broadcast_vector_sides(self):
+        # with respect to the broadcast b, which sums over the repeats
         x = Tensor(np.random.default_rng(13).standard_normal((4, 2)))
-        check_op_gradient(lambda v: broadcast_add_col(x, v),
-                          np.random.default_rng(14).standard_normal((4, 1)))
-        check_op_gradient(lambda s: scale_columns(x, s),
-                          np.random.default_rng(15).standard_normal((1, 2)))
+        for b_shape in ((4, 1), (1, 2)):
+            v0 = np.random.default_rng(14).standard_normal(b_shape)
+            for op in (add, mul):
+                check_op_gradient(lambda v: op(x, v), v0)
+
+    @pytest.mark.parametrize("a_shape", [(1, 3), (3, 1)])
+    def test_broadcast_of_a_single_value(self, a_shape):
+        # a (1, 1) b is a column of a (1, d) a and a row of an (n, 1) a
+        a = Tensor(np.random.default_rng(17).standard_normal(a_shape))
+        for op in (add, mul):
+            check_op_gradient(lambda v: op(a, v), np.array([[0.7]]))
 
     def test_pointwise_nonlinearities(self):
         x0 = np.random.default_rng(16).standard_normal((3, 4))
         check_op_gradient(relu, x0 + 0.05)  # keep clear of the kink
         check_op_gradient(tanh, x0)
-        check_op_gradient(sigmoid, x0)
         check_op_gradient(softplus, x0)
         check_op_gradient(lambda x: scale(x, 1.7), x0)
 
     def test_reuse_accumulates(self):
         x = Tensor(np.array([[2.0]]), requires_grad=True)
         with Tape():
-            loss = sum_all(add(hadamard(x, x), x))  # x^2 + x
+            loss = sum_all(add(mul(x, x), x))  # x^2 + x
             backward(loss)
         assert x.grad == pytest.approx(np.array([[5.0]]))
 
@@ -195,9 +212,22 @@ class TestGradients:
         x = Tensor(np.array([[1.0]]), requires_grad=True)
         c = Tensor(np.array([[3.0]]))
         with Tape():
-            backward(sum_all(hadamard(x, c)))
+            backward(sum_all(mul(x, c)))
         assert c.grad is None
         assert x.grad == pytest.approx(np.array([[3.0]]))
+
+    def test_inputs_sharing_a_gradient_accumulate_apart(self):
+        # add hands one array to both a and b; each later receives its own
+        # further gradient, which must not leak into the other
+        a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        b = Tensor(np.array([[3.0, 4.0]]), requires_grad=True)
+        with Tape():
+            pa = scale(a, 2.0)  # recorded before add, so reached after it
+            pb = scale(b, 5.0)
+            both = add(a, b)
+            backward(sum_all(add(both, add(pa, pb))))
+        assert a.grad == pytest.approx(np.full((1, 2), 3.0))
+        assert b.grad == pytest.approx(np.full((1, 2), 6.0))
 
     def test_grad_accumulates_across_backwards(self):
         x = Tensor(np.array([[1.0]]), requires_grad=True)
@@ -208,34 +238,33 @@ class TestGradients:
 
 
 class TestDropout:
-    def test_identity_when_not_training(self):
+    def test_identity_at_zero_probability(self):
         x = Tensor(np.ones((3, 3)))
-        assert dropout(x, 0.5, training=False, seed=0) is x
-        assert dropout(x, 0.0, training=True, seed=0) is x
+        assert dropout(x, 0.0, seed=0) is x
 
     def test_mask_is_seed_deterministic(self):
         x = Tensor(np.ones((10, 10)))
-        a = dropout(x, 0.5, training=True, seed=4).data
-        b = dropout(x, 0.5, training=True, seed=4).data
-        c = dropout(x, 0.5, training=True, seed=5).data
+        a = dropout(x, 0.5, seed=4).data
+        b = dropout(x, 0.5, seed=4).data
+        c = dropout(x, 0.5, seed=5).data
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_survivors_are_rescaled(self):
         x = Tensor(np.ones((20, 20)))
-        out = dropout(x, 0.25, training=True, seed=1).data
+        out = dropout(x, 0.25, seed=1).data
         assert set(np.unique(out)) <= {0.0, 1.0 / 0.75}
 
     def test_gradient_uses_the_same_mask(self):
         x = Tensor(np.ones((5, 5)), requires_grad=True)
         with Tape():
-            out = dropout(x, 0.5, training=True, seed=2)
+            out = dropout(x, 0.5, seed=2)
             backward(sum_all(out))
         assert np.array_equal(x.grad, (out.data != 0) / 0.5)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError, match="probability"):
-            dropout(Tensor(np.ones((2, 2))), 1.0, training=True, seed=0)
+            dropout(Tensor(np.ones((2, 2))), 1.0, seed=0)
 
 
 class TestBce:

@@ -162,6 +162,22 @@ class TestSolve:
         err = self.solve_fails_with(tiny, capsys, tiny / "t.mtx", bad)
         assert err == f"error: {bad}:3: non-finite value '-inf'\n"
 
+    def test_duplicate_coordinate_names_its_line(self, tiny, capsys):
+        bad = tiny / "dup.mtx"
+        lines = (tiny / "t.mtx").read_text().splitlines()
+        assert lines[1:] == ["2 2 1", "1 2 1.0"]
+        bad.write_text("\n".join([lines[0], "2 2 2", "1 2 1.0", "1 2 0.5"]) + "\n")
+        err = self.solve_fails_with(tiny, capsys, bad, tiny / "t.b.txt")
+        assert err == (f"error: {bad}:4: duplicate entry (1, 2), "
+                       f"first given on line 3\n")
+
+    def test_zero_size_line_names_its_line(self, tiny, capsys):
+        bad = tiny / "empty.mtx"
+        lines = (tiny / "t.mtx").read_text().splitlines()
+        bad.write_text("\n".join([lines[0], "0 0 0"]) + "\n")
+        err = self.solve_fails_with(tiny, capsys, bad, tiny / "t.b.txt")
+        assert err == f"error: {bad}:2: matrix size must be positive, got 0\n"
+
     def test_unknown_method_is_an_argparse_error(self, tiny):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--instance", str(tiny / "t.mtx"),
@@ -237,6 +253,17 @@ class TestEval:
                     if '"dec.w"' in text)
         assert line > 1
         assert err.startswith(f"error: {bad}:{line}: parameter 'dec.w' needs")
+
+    def test_checkpoint_non_finite_parameter(self, ws, tmp_path, capsys):
+        doc = json.loads(ws["model"].read_text())
+        doc["params"]["dec.b"]["data"] = [float("nan")]
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc, indent=1))
+        err = self.eval_fails_at(ws, tmp_path, capsys, model=bad)
+        line = next(i for i, text in enumerate(bad.read_text().split("\n"), 1)
+                    if '"dec.b"' in text)
+        assert line > 1
+        assert err == f"error: {bad}:{line}: parameter 'dec.b' has non-finite values\n"
 
     @pytest.mark.parametrize("record,why", [
         ("5", "record must be a JSON object"),

@@ -79,7 +79,7 @@ class TestLandscapeProbe:
         b = np.random.default_rng(6).normal(size=4)
         grid = probe_landscape(inst, b, seed=7, resolution=5)
         assert grid.phi.shape == (5, 5)
-        assert np.all(grid.method == "exhaustive")
+        assert grid.method == "exhaustive"
         # directions form an orthonormal pair
         assert np.linalg.norm(grid.b1) == pytest.approx(1.0)
         assert np.linalg.norm(grid.b2) == pytest.approx(1.0)
@@ -114,7 +114,7 @@ class TestLandscapeProbe:
     def test_low_cap_switches_to_tabu(self):
         inst = gen_random_dense(4, seed=5)
         grid = probe_landscape(inst, np.zeros(4), seed=0, resolution=3, cap=3)
-        assert np.all(grid.method == "tabu")
+        assert grid.method == "tabu"
         assert grid.phi[1, 1] == 0  # center still coincides with the base
 
     def test_write_landscape_csv(self, tmp_path):

@@ -117,7 +117,7 @@ class TestForward:
         for inst in (dense, gen_lattice_laplacian(3)):
             model = BpgnnModel(BpgnnConfig(d=8, layers=3), inst)
             b = np.random.default_rng(1).normal(size=(4, inst.k))
-            batched = model._logits(b, False, 0.0, None).data
+            batched = model._logits(b, False, None).data
             # node-major rows: row i*n + j is node i of example j
             batched = batched.reshape(inst.k, 4).T
             single = np.stack([model.forward(row).data.ravel() for row in b])
@@ -195,7 +195,6 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs,msg", [
         (dict(lr=-1.0), "lr must be"),
         (dict(weight_decay=-0.1), "weight_decay must be"),
-        (dict(dropout=1.5), "dropout must lie"),
         (dict(epochs=0), "epochs must be"),
         (dict(batch_size=0), "batch_size must be"),
     ])
@@ -254,6 +253,19 @@ class TestTrain:
                                        target_val_acc=0.0,
                                        target_val_relqubo=1e18))
         assert len(history) == 1
+
+    def test_training_uses_the_model_dropout_rate(self, small_problem):
+        inst, data = small_problem
+
+        def first_train_bce(rate: float) -> float:
+            model = BpgnnModel(BpgnnConfig(d=4, layers=1, dropout=rate, seed=0),
+                               inst)
+            _, history = train(model, data,
+                               TrainConfig(lr=1e-2, epochs=1, batch_size=8))
+            return history[0]["train_bce"]
+
+        assert first_train_bce(0.5) == first_train_bce(0.5)
+        assert first_train_bce(0.5) != first_train_bce(0.0)
 
     def test_dataset_k_must_match(self, small_problem):
         inst, _ = small_problem
