@@ -3,9 +3,9 @@
 Eight subcommands cover the full workflow: generate instances and
 datasets, run solvers, train and evaluate the network, probe objective
 landscapes, sweep constant fields, and benchmark methods side by side.
-Every run writes a resolved-config JSON next to its primary output so
-results can be reproduced from the artifacts alone.  Relative output
-paths land in $QUBOLAB_OUTDIR when that variable is set.
+Every successful run writes a resolved-config JSON next to its primary
+output so results can be reproduced from the artifacts alone.  Relative
+output paths land in $QUBOLAB_OUTDIR when that variable is set.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def _paths_list(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gen_instance(args) -> None:
+def _cmd_gen_instance(args, out: str) -> None:
     if args.kind == "random-dense":
         if args.k is None:
             raise ValueError("--kind random-dense requires --k")
@@ -69,15 +69,13 @@ def _cmd_gen_instance(args) -> None:
             raise ValueError("--kind ising requires --side")
         adjacency = qubo.lattice_adjacency(args.side)
         inst, b = qubo.gen_ising(adjacency, args.b_scalar)
-    out = _resolve_out(args.out)
     io.write_instance(out, inst)
     if b is not None:
         io.write_vector(os.path.splitext(out)[0] + ".b.txt", b)
-    _write_config(args, out)
     print(f"wrote {out} (k={inst.k}, nnz={inst.nnz})")
 
 
-def _cmd_gen_data(args) -> None:
+def _cmd_gen_data(args, out: str) -> None:
     inst = io.read_instance(args.instance)
     params = datagen.DataGenParams(
         sigma=args.sigma, mu=args.mu, eps_bin=args.eps,
@@ -87,16 +85,14 @@ def _cmd_gen_data(args) -> None:
         inst, args.n, params, split=args.split,
         instance_ref=os.path.basename(args.instance),
     )
-    out = _resolve_out(args.out)
     datagen.write_dataset(dataset, out)
-    _write_config(args, out)
     n_train = len(dataset.indices("train"))
     print(f"wrote {out} ({len(dataset)} pairs, {n_train} train)")
 
 
-def _cmd_solve(args) -> None:
+def _cmd_solve(args, out: str) -> None:
     inst = io.read_instance(args.instance)
-    b = io.read_vector(args.b)
+    b = io.read_vector(args.b, inst.k)
     if args.method == "exhaustive":
         result = solvers.exhaustive_solve(inst, b, cap=args.cap)
     elif args.method == "tabu":
@@ -115,16 +111,14 @@ def _cmd_solve(args) -> None:
     print(f"x={bits} f={result.f_best!r} "
           f"({result.solver}, {result.iterations} iterations, "
           f"{result.elapsed_ms:.2f} ms, {result.termination})")
-    out = _resolve_out(args.out)
     with open(out, "w") as fh:
         json.dump(result.to_json(), fh, indent=2)
         fh.write("\n")
-    _write_config(args, out)
 
 
-def _cmd_train(args) -> None:
+def _cmd_train(args, out: str) -> None:
     inst = io.read_instance(args.instance)
-    dataset = datagen.read_dataset(args.data, instance=inst)
+    dataset = datagen.read_dataset(args.data, instance=inst, split="train")
     config = model_mod.BpgnnConfig(
         d=args.width, layers=args.layers, eps_step=args.eps_step,
         dropout=args.dropout, use_qubo_features=not args.no_qubo_features,
@@ -135,21 +129,19 @@ def _cmd_train(args) -> None:
         lr=args.lr, weight_decay=args.weight_decay,
         epochs=args.epochs, batch_size=args.batch, seed=args.train_seed,
     )
-    out = _resolve_out(args.out)
     history_path = _resolve_out(args.history) if args.history else \
         os.path.splitext(out)[0] + ".history.csv"
     net, history = model_mod.train(net, dataset, train_config,
                                    history_path=history_path)
     model_mod.save_checkpoint(net, out)
-    _write_config(args, out)
     last = history[-1]
     print(f"wrote {out} ({len(history)} epochs, "
           f"val_acc={last['val_acc']:.4f}, val_relqubo={last['val_relqubo']:.4g})")
 
 
-def _cmd_eval(args) -> None:
+def _cmd_eval(args, out: str) -> None:
     inst = io.read_instance(args.instance)
-    dataset = datagen.read_dataset(args.data, instance=inst)
+    dataset = datagen.read_dataset(args.data, instance=inst, split=args.split)
     methods = args.methods.split(",")
     net = None
     if any(m in ("bpgnn", "bpgnn+ts") for m in methods):
@@ -160,43 +152,37 @@ def _cmd_eval(args) -> None:
         evaluate.evaluate_method(m, inst, dataset, net, split=args.split)
         for m in methods
     ]
-    out = _resolve_out(args.out)
     evaluate.write_eval_records(records, out)
-    _write_config(args, out)
     for rec in records:
         print(f"{rec.method}: acc={rec.accuracy:.4f} "
               f"rel_qubo={rec.rel_qubo:.4g} time={rec.elapsed_ms:.2f} ms")
 
 
-def _cmd_probe(args) -> None:
+def _cmd_probe(args, out: str) -> None:
     inst = io.read_instance(args.instance)
-    b = io.read_vector(args.b) if args.b else np.zeros(inst.k)
+    b = io.read_vector(args.b, inst.k) if args.b else np.zeros(inst.k)
     grid = evaluate.probe_landscape(
         inst, b, args.seed, s_range=args.s_range, t_range=args.t_range,
         resolution=args.resolution, cap=args.cap,
     )
-    out = _resolve_out(args.out)
     evaluate.write_landscape(grid, out)
-    _write_config(args, out)
     print(f"wrote {out} ({args.resolution}x{args.resolution} cells, "
           f"{len(np.unique(grid.phi))} distinct phi values)")
 
 
-def _cmd_sweep(args) -> None:
+def _cmd_sweep(args, out: str) -> None:
     inst = io.read_instance(args.instance)
     sweep = evaluate.ising_sweep(inst, (args.b_min, args.b_max), args.samples,
                                  cap=args.cap)
-    out = _resolve_out(args.out)
     evaluate.write_sweep(sweep, out)
-    _write_config(args, out)
     print(f"wrote {out} ({args.samples} samples, "
           f"{len(sweep.change_points)} change points)")
 
 
-def _cmd_bench(args) -> None:
+def _cmd_bench(args, out: str) -> None:
     instances = [io.read_instance(p) for p in args.instances]
     datasets = [
-        datagen.read_dataset(p, instance=inst)
+        datagen.read_dataset(p, instance=inst, split="val")
         for p, inst in zip(args.datasets, instances)
     ]
     methods = args.methods.split(",")
@@ -206,9 +192,7 @@ def _cmd_bench(args) -> None:
             model_mod.load_checkpoint(p, inst)
             for p, inst in zip(args.models, instances)
         ]
-    out = _resolve_out(args.out)
     rows = evaluate.benchmark(instances, datasets, methods, out, models=models)
-    _write_config(args, out)
     for row in rows:
         print(f"{row['method']}: acc={row['acc_mean']:.4f}±{row['acc_std']:.4f} "
               f"rel_qubo={row['relqubo_mean']:.4g}")
@@ -327,8 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = _resolve_out(args.out)
     try:
-        args.func(args)
+        args.func(args, out)
+        _write_config(args, out)
     except (ValueError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -216,11 +216,13 @@ def write_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None) -> Dataset:
+def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
+                 split: str | None = None) -> Dataset:
     """Read a JSONL dataset, validating every record.
 
     Malformed lines are reported with their line number.  When an instance
-    is supplied its size must match the header.
+    is supplied its size must match the header; when a split is named the
+    file must hold at least one pair of it.
     """
     path = os.fspath(path)
 
@@ -241,9 +243,7 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None) 
     if not isinstance(k, int) or k < 1:
         fail(1, f"header k must be a positive integer, got {k!r}")
     if instance is not None and instance.k != k:
-        raise ValueError(
-            f"{path}: dataset k={k} does not match instance k={instance.k}"
-        )
+        fail(1, f"dataset k={k} does not match instance k={instance.k}")
 
     pairs: list[DataPair] = []
     splits: list[str] = []
@@ -273,6 +273,8 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None) 
             fail(lineno, f"split must be 'train' or 'val', got {rec['split']!r}")
         pairs.append(DataPair(b=b, x=x, provenance=rec.get("provenance", {})))
         splits.append(rec["split"])
+    if split is not None and split not in splits:
+        fail(len(lines), f"no {split!r} pairs in the file")
     return Dataset(
         instance_ref=header.get("instance", ""),
         k=k,

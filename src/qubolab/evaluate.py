@@ -4,20 +4,20 @@ objective-landscape probes, and multi-method benchmarks.
 
 from __future__ import annotations
 
-import csv
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .datagen import Dataset
+from .io import write_csv
 from .model import BpgnnModel
 from .qubo import (QuboInstance, as_binary_assignment, as_observed_vector,
                    rel_gaps)
 from .solvers import (EXHAUSTIVE_CAP, SabParams, SolverResult, TabuParams,
-                      exhaustive_argmins, exhaustive_solve, refine_with_tabu,
-                      sab_solve, tabu_solve)
+                      exhaustive_argmins, refine_with_tabu, sab_solve,
+                      tabu_solve)
 
 
 @dataclass
@@ -140,13 +140,10 @@ def plateau_fraction(phi: np.ndarray) -> float:
 
 
 def write_landscape(grid: LandscapeGrid, path: str | os.PathLike) -> None:
-    with open(os.fspath(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "t", "phi"])
-        for i, s in enumerate(grid.s_values):
-            for j, t in enumerate(grid.t_values):
-                writer.writerow([repr(float(s)), repr(float(t)),
-                                 int(grid.phi[i, j])])
+    write_csv(path, ("s", "t", "phi"),
+              ([s, t, int(grid.phi[i, j])]
+               for i, s in enumerate(grid.s_values)
+               for j, t in enumerate(grid.t_values)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +175,32 @@ def ising_sweep(instance: QuboInstance, b_range: tuple[float, float],
 
 
 def write_sweep(sweep: IsingSweep, path: str | os.PathLike) -> None:
-    with open(os.fspath(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["b", "changed"])
-        changed = set(int(i) for i in sweep.change_points)
-        for idx, beta in enumerate(sweep.b_values):
-            writer.writerow([repr(float(beta)), 1 if idx in changed else 0])
+    changed = set(int(i) for i in sweep.change_points)
+    write_csv(path, ("b", "changed"),
+              ([beta, int(idx in changed)] for idx, beta in enumerate(sweep.b_values)))
 
 
 # ---------------------------------------------------------------------------
 # Hybrid inference and benchmarks
 # ---------------------------------------------------------------------------
+
+
+def _hybrid_rows(model: BpgnnModel, instance: QuboInstance, b_mat: np.ndarray,
+                 max_steps: int = 10) -> list[SolverResult]:
+    """hybrid_infer for every row of b_mat (n, k): one batched prediction,
+    then refine_with_tabu per row.  Each result is charged the prediction
+    time divided by n plus its own refinement time."""
+    t0 = time.perf_counter()
+    x_pred = model.predict(b_mat)
+    predict_ms = (time.perf_counter() - t0) * 1000.0 / len(b_mat)
+    results = []
+    for b, x in zip(b_mat, x_pred):
+        t0 = time.perf_counter()
+        refined = refine_with_tabu(instance, b, x, max_steps=max_steps)
+        results.append(replace(
+            refined, solver="bpgnn+ts",
+            elapsed_ms=predict_ms + (time.perf_counter() - t0) * 1000.0))
+    return results
 
 
 def hybrid_infer(model: BpgnnModel, instance: QuboInstance, b,
@@ -199,20 +211,8 @@ def hybrid_infer(model: BpgnnModel, instance: QuboInstance, b,
     unrefined and refined values are available; f_best is never worse
     than the pure prediction because the search keeps its start point.
     """
-    t0 = time.perf_counter()
-    x_p = model.predict(b)
-    refined = refine_with_tabu(instance, b, x_p, max_steps=max_steps)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return SolverResult(
-        solver="bpgnn+ts",
-        x_best=refined.x_best,
-        f_best=refined.f_best,
-        iterations=refined.iterations,
-        evaluations=refined.evaluations,
-        elapsed_ms=elapsed,
-        termination=refined.termination,
-        trace=refined.trace,
-    )
+    return _hybrid_rows(model, instance,
+                        as_observed_vector(b, instance.k)[None, :], max_steps)[0]
 
 
 BENCH_METHODS = ("exhaustive", "tabu", "sab", "bpgnn", "bpgnn+ts")
@@ -220,22 +220,15 @@ BENCH_COLUMNS = ("method", "k", "acc_mean", "acc_std", "relqubo_mean",
                  "relqubo_std", "time_ms_mean")
 
 
-# Methods that solve one example per call: (instance, b) -> SolverResult.
-_PER_EXAMPLE = {
-    "exhaustive": lambda instance, b: exhaustive_solve(instance, b),
-    "tabu": lambda instance, b: tabu_solve(instance, b, TabuParams()),
-    "sab": lambda instance, b: sab_solve(instance, b, SabParams()),
-}
-
-
 def evaluate_method(method: str, instance: QuboInstance, dataset: Dataset,
                     model: BpgnnModel | None = None,
                     split: str = "val") -> EvalRecord:
     """Mean accuracy/objective-gap/time of one method over a dataset split,
-    referenced against the stored labels.  "bpgnn" and "bpgnn+ts" predict
-    the whole split in one batch and charge each example that batch's time
-    divided by n; "bpgnn+ts" then polishes each prediction with
-    refine_with_tabu and adds that row's refinement time."""
+    referenced against the stored labels.  "exhaustive" and "bpgnn" solve
+    the whole split in one batched call and charge each example that
+    call's time divided by n; "bpgnn+ts" is hybrid_infer over the split
+    (one batched prediction, a refinement per row); "tabu" and "sab" run
+    once per row."""
     if method not in BENCH_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {BENCH_METHODS}")
     if method in ("bpgnn", "bpgnn+ts") and model is None:
@@ -244,28 +237,26 @@ def evaluate_method(method: str, instance: QuboInstance, dataset: Dataset,
         raise ValueError(f"dataset has no {split!r} pairs")
     b = dataset.b_matrix(split)
     x_ref = dataset.x_matrix(split)
-    if method in ("bpgnn", "bpgnn+ts"):
+    if method in ("exhaustive", "bpgnn"):
         t0 = time.perf_counter()
-        x_pred = model.predict(b)
-        predict_ms = (time.perf_counter() - t0) * 1000.0 / len(b)
-        times = [predict_ms]
-        if method == "bpgnn+ts":
-            refined, times = [], []
-            for b_row, x_row in zip(b, x_pred):
-                t0 = time.perf_counter()
-                refined.append(refine_with_tabu(instance, b_row, x_row).x_best)
-                times.append(predict_ms + (time.perf_counter() - t0) * 1000.0)
-            x_pred = np.array(refined)
+        x_pred = (exhaustive_argmins(instance, b) if method == "exhaustive"
+                  else model.predict(b))
+        elapsed_ms = (time.perf_counter() - t0) * 1000.0 / len(b)
     else:
-        runs = [_PER_EXAMPLE[method](instance, row) for row in b]
+        if method == "bpgnn+ts":
+            runs = _hybrid_rows(model, instance, b)
+        elif method == "tabu":
+            runs = [tabu_solve(instance, row, TabuParams()) for row in b]
+        else:
+            runs = [sab_solve(instance, row, SabParams()) for row in b]
         x_pred = np.array([r.x_best for r in runs])
-        times = [r.elapsed_ms for r in runs]
+        elapsed_ms = float(np.mean([r.elapsed_ms for r in runs]))
     gaps = rel_gaps(instance, b, x_ref, x_pred)
     return EvalRecord(
         method=method,
         accuracy=float(np.mean(np.mean(x_pred == x_ref, axis=1))),
         rel_qubo=float(np.mean(gaps)) if gaps.size else float("nan"),
-        elapsed_ms=float(np.mean(times)),
+        elapsed_ms=elapsed_ms,
         instance_ref=repr(instance),
         dataset_ref=dataset.instance_ref,
     )
@@ -319,25 +310,13 @@ def benchmark(instances: list[QuboInstance], datasets: list[Dataset],
             "time_ms_mean": float(ms.mean()),
         })
 
-    with open(os.fspath(output_path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BENCH_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row["method"], row["k"],
-                repr(row["acc_mean"]), repr(row["acc_std"]),
-                repr(row["relqubo_mean"]), repr(row["relqubo_std"]),
-                repr(row["time_ms_mean"]),
-            ])
+    write_csv(output_path, BENCH_COLUMNS,
+              ([row[c] for c in BENCH_COLUMNS] for row in rows))
     return rows
 
 
 def write_eval_records(records: list[EvalRecord], path: str | os.PathLike) -> None:
-    with open(os.fspath(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "accuracy", "rel_qubo", "elapsed_ms",
-                         "instance", "dataset"])
-        for rec in records:
-            writer.writerow([rec.method, repr(rec.accuracy), repr(rec.rel_qubo),
-                             repr(rec.elapsed_ms), rec.instance_ref,
-                             rec.dataset_ref])
+    write_csv(path, ("method", "accuracy", "rel_qubo", "elapsed_ms", "instance",
+                     "dataset"),
+              ([r.method, r.accuracy, r.rel_qubo, r.elapsed_ms, r.instance_ref,
+                r.dataset_ref] for r in records))

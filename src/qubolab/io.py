@@ -1,5 +1,5 @@
 """On-disk formats: Matrix Market instance files with a JSON metadata
-sidecar, and plain-text observed vectors.
+sidecar, plain-text observed vectors, and CSV tables.
 
 The matrix file is coordinate-format Matrix Market ("matrix coordinate
 real general", 1-indexed) so instances can be inspected and exchanged
@@ -9,6 +9,7 @@ size, the generator name, the seed and any generator tags.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -109,15 +110,17 @@ def read_instance(path: str | os.PathLike) -> QuboInstance:
     sidecar = _sidecar_path(path)
     if os.path.exists(sidecar):
         with open(sidecar) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{sidecar}: invalid JSON: {err}") from err
+            text = fh.read()
+        try:
+            loaded = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{sidecar}:{err.lineno}: invalid JSON: {err}") from err
         if not isinstance(loaded, dict):
-            raise ValueError(f"{sidecar}: expected a JSON object")
+            raise ValueError(f"{sidecar}:1: expected a JSON object")
         if "k" in loaded and loaded["k"] != n_rows:
+            line = text.count("\n", 0, max(text.find('"k"'), 0)) + 1
             raise ValueError(
-                f"{sidecar}: metadata says k={loaded['k']}, matrix is {n_rows}"
+                f"{sidecar}:{line}: metadata says k={loaded['k']}, matrix is {n_rows}"
             )
         meta = {key: loaded.get(key) for key in ("generator", "seed", "tags")}
     try:
@@ -146,10 +149,12 @@ def write_vector(path: str | os.PathLike, b: np.ndarray) -> None:
             fh.write(f"{float(v)!r}\n")
 
 
-def read_vector(path: str | os.PathLike) -> np.ndarray:
-    """Read a one-number-per-line vector; blank lines are ignored."""
+def read_vector(path: str | os.PathLike, k: int | None = None) -> np.ndarray:
+    """Read a one-number-per-line vector; blank lines are ignored.  When k
+    is given the file must hold exactly k numbers."""
     path = os.fspath(path)
     out = []
+    lineno = 0
     with open(path) as fh:
         for lineno, text in enumerate(fh, start=1):
             stripped = text.strip()
@@ -161,5 +166,20 @@ def read_vector(path: str | os.PathLike) -> np.ndarray:
                 raise ValueError(f"{path}:{lineno}: malformed number {stripped!r}")
             if not math.isfinite(v):
                 raise ValueError(f"{path}:{lineno}: non-finite value {stripped!r}")
+            if len(out) == k:
+                raise ValueError(f"{path}:{lineno}: more than the {k} numbers expected")
             out.append(v)
+    if k is not None and len(out) < k:
+        raise ValueError(f"{path}:{max(lineno, 1)}: {len(out)} numbers, expected {k}")
     return np.array(out, dtype=np.float64)
+
+
+def write_csv(path: str | os.PathLike, header, rows) -> None:
+    """Write a header and rows as CSV.  Floats (np.float64 included) are
+    written as repr(float(v)), which round-trips exactly and gives 'nan'
+    for NaN; every other cell, ints and strings, as str(v)."""
+    with open(os.fspath(path), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                         for row in rows)

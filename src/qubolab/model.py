@@ -10,7 +10,6 @@ one logit per node.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -23,6 +22,7 @@ from . import autodiff as ad
 from .autodiff import (AdamState, Tape, Tensor, adam_step, backward,
                        bce_with_logits, zero_grad)
 from .datagen import Dataset
+from .io import write_csv
 from .qubo import QuboInstance, as_observed_vector, rel_gaps
 
 # Raw value whose softplus is exactly 1, so diffusion starts at unit rate.
@@ -340,12 +340,8 @@ HISTORY_COLUMNS = ("epoch", "train_bce", "val_bce", "val_acc", "val_relqubo")
 
 
 def write_history(history: list[dict], path: str | os.PathLike) -> None:
-    with open(os.fspath(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
-        for rec in history:
-            writer.writerow([rec["epoch"]] + [repr(float(rec[c]))
-                                              for c in HISTORY_COLUMNS[1:]])
+    write_csv(path, HISTORY_COLUMNS,
+              ([rec[c] for c in HISTORY_COLUMNS] for rec in history))
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +383,9 @@ def load_checkpoint(path: str | os.PathLike, instance: QuboInstance) -> BpgnnMod
             or not isinstance(doc.get("params"), dict)):
         fail("checkpoint must contain 'config' and 'params' objects")
     try:
-        config = BpgnnConfig(**doc["config"])
+        model = BpgnnModel(BpgnnConfig(**doc["config"]), instance)
     except (TypeError, ValueError) as err:
         fail(f"bad config block: {err}", "config")
-    model = BpgnnModel(config, instance)
     saved = doc["params"]
     missing = sorted(set(model.params) - set(saved))
     extra = sorted(set(saved) - set(model.params))

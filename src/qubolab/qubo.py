@@ -88,8 +88,8 @@ class QuboInstance:
                 raise ValueError(f"row index out of range [0, {self.k})")
             if self.cols.min() < 0 or self.cols.max() >= self.k:
                 raise ValueError(f"col index out of range [0, {self.k})")
-            flat = self.rows * self.k + self.cols
-            if np.unique(flat).size != flat.size:
+            flat = np.sort(self.rows * self.k + self.cols)
+            if np.any(flat[1:] == flat[:-1]):
                 raise ValueError("duplicate (row, col) coordinates are not allowed")
         if not np.all(np.isfinite(self.vals)):
             raise ValueError("matrix values must be finite")
@@ -217,53 +217,42 @@ def gen_random_dense(k: int, seed: int, scale: float = 1.0) -> QuboInstance:
     return QuboInstance(k=k, rows=rows, cols=cols, vals=a.ravel(), meta=meta)
 
 
-def gen_lattice_laplacian(n: int) -> QuboInstance:
-    """Graph Laplacian of the n x n 4-neighbor grid (k = n^2).
-
-    A_ii = degree(i), A_ij = -1 for grid neighbors; symmetric with zero
-    row sums.
-    """
+def _grid_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both directions (src, dst) of every edge of the n x n 4-neighbor
+    grid, node r * n + c at row r and column c."""
     if n < 2:
         raise ValueError(f"side length must be at least 2, got {n}")
+    node = np.arange(n * n, dtype=np.int64).reshape(n, n)
+    lo = np.concatenate([node[:, :-1].ravel(), node[:-1, :].ravel()])
+    hi = np.concatenate([node[:, 1:].ravel(), node[1:, :].ravel()])
+    return np.concatenate([lo, hi]), np.concatenate([hi, lo])
+
+
+def gen_lattice_laplacian(n: int) -> QuboInstance:
+    """Graph Laplacian diag(degree) - adjacency of the n x n 4-neighbor
+    grid (k = n^2); symmetric with zero row sums.
+
+    Entries are stored row by row, each row's diagonal first and then its
+    neighbors in ascending order.
+    """
+    src, dst = _grid_edges(n)
     k = n * n
-    rows, cols, vals = [], [], []
-    for r in range(n):
-        for c in range(n):
-            i = r * n + c
-            nbrs = []
-            if r > 0:
-                nbrs.append(i - n)
-            if r < n - 1:
-                nbrs.append(i + n)
-            if c > 0:
-                nbrs.append(i - 1)
-            if c < n - 1:
-                nbrs.append(i + 1)
-            rows.append(i)
-            cols.append(i)
-            vals.append(float(len(nbrs)))
-            for j in sorted(nbrs):
-                rows.append(i)
-                cols.append(j)
-                vals.append(-1.0)
+    diag = np.arange(k, dtype=np.int64)
+    rows = np.concatenate([diag, src])
+    cols = np.concatenate([diag, dst])
+    vals = np.concatenate([np.bincount(src, minlength=k).astype(np.float64),
+                           np.full(src.size, -1.0)])
+    order = np.lexsort((np.where(rows == cols, -1, cols), rows))
     meta = {"generator": "lattice_laplacian", "seed": None, "tags": {"side": n}}
-    return QuboInstance(k=k, rows=np.array(rows), cols=np.array(cols),
-                        vals=np.array(vals), meta=meta)
+    return QuboInstance(k=k, rows=rows[order], cols=cols[order],
+                        vals=vals[order], meta=meta)
 
 
 def lattice_adjacency(n: int) -> np.ndarray:
     """Binary adjacency matrix of the n x n 4-neighbor grid."""
-    if n < 2:
-        raise ValueError(f"side length must be at least 2, got {n}")
-    k = n * n
-    a = np.zeros((k, k), dtype=np.float64)
-    for r in range(n):
-        for c in range(n):
-            i = r * n + c
-            if r < n - 1:
-                a[i, i + n] = a[i + n, i] = 1.0
-            if c < n - 1:
-                a[i, i + 1] = a[i + 1, i] = 1.0
+    src, dst = _grid_edges(n)
+    a = np.zeros((n * n, n * n), dtype=np.float64)
+    a[src, dst] = 1.0
     return a
 
 

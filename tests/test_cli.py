@@ -178,6 +178,29 @@ class TestSolve:
         err = self.solve_fails_with(tiny, capsys, bad, tiny / "t.b.txt")
         assert err == f"error: {bad}:2: matrix size must be positive, got 0\n"
 
+    @pytest.mark.parametrize("text,where", [
+        ("1.0\n\n", "2: 1 numbers, expected 2"),
+        ("1.0\n-1.0\n0.5\n", "3: more than the 2 numbers expected"),
+    ], ids=["short", "long"])
+    def test_vector_length_must_match_the_instance(self, tiny, capsys, text,
+                                                   where):
+        bad = tiny / "bad.b.txt"
+        bad.write_text(text)
+        err = self.solve_fails_with(tiny, capsys, tiny / "t.mtx", bad)
+        assert err == f"error: {bad}:{where}\n"
+
+    @pytest.mark.parametrize("text,where", [
+        ('{"k": 2,\n  "seed": }\n', "2: invalid JSON: "),
+        ("[2]\n", "1: expected a JSON object"),
+        ('{\n  "generator": null,\n  "k": 3\n}\n',
+         "3: metadata says k=3, matrix is 2"),
+    ], ids=["invalid-json", "not-an-object", "k-mismatch"])
+    def test_sidecar_errors_name_their_line(self, tiny, capsys, text, where):
+        sidecar = tiny / "t.meta.json"
+        sidecar.write_text(text)
+        err = self.solve_fails_with(tiny, capsys, tiny / "t.mtx", tiny / "t.b.txt")
+        assert err.startswith(f"error: {sidecar}:{where}")
+
     def test_unknown_method_is_an_argparse_error(self, tiny):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--instance", str(tiny / "t.mtx"),
@@ -264,6 +287,35 @@ class TestEval:
                     if '"dec.b"' in text)
         assert line > 1
         assert err == f"error: {bad}:{line}: parameter 'dec.b' has non-finite values\n"
+
+    @pytest.mark.parametrize("key,value", [("d", 1.5), ("layers", 1.5),
+                                           ("seed", -1)])
+    def test_checkpoint_config_the_model_cannot_take(self, ws, tmp_path, capsys,
+                                                      key, value):
+        doc = json.loads(ws["model"].read_text())
+        doc["config"][key] = value
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc, indent=1))
+        err = self.eval_fails_at(ws, tmp_path, capsys, model=bad)
+        assert err.startswith(f"error: {bad}:2: bad config block: ")
+
+    def test_dataset_size_mismatch_names_the_header(self, ws, tmp_path, capsys):
+        lines = ws["data"].read_text().splitlines()
+        header = json.loads(lines[0])
+        header["k"] = 5
+        bad = tmp_path / "data.jsonl"
+        bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        err = self.eval_fails_at(ws, tmp_path, capsys, data=bad)
+        assert err == f"error: {bad}:1: dataset k=5 does not match instance k=4\n"
+
+    def test_dataset_without_the_split_names_its_last_line(self, ws, tmp_path,
+                                                          capsys):
+        lines = [line for line in ws["data"].read_text().splitlines()
+                 if '"split": "val"' not in line]
+        bad = tmp_path / "data.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        err = self.eval_fails_at(ws, tmp_path, capsys, data=bad)
+        assert err == f"error: {bad}:{len(lines)}: no 'val' pairs in the file\n"
 
     @pytest.mark.parametrize("record,why", [
         ("5", "record must be a JSON object"),
@@ -354,6 +406,27 @@ class TestOutdirResolution:
         capsys.readouterr()
         assert (tmp_path / "rel.mtx").exists()
         assert (tmp_path / "rel.config.json").exists()
+
+    def test_manifest_keeps_out_as_given_and_history_resolves(
+            self, ws, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QUBOLAB_OUTDIR", str(tmp_path))
+        assert main(["train", "--instance", str(ws["inst"]),
+                     "--data", str(ws["data"]), "--width", "4", "--layers", "1",
+                     "--epochs", "1", "--batch", "8", "--history", "h.csv",
+                     "--out", "m.json"]) == 0
+        capsys.readouterr()
+        config = json.loads((tmp_path / "m.config.json").read_text())
+        assert config["out"] == "m.json" and config["history"] == "h.csv"
+        assert (tmp_path / "m.json").exists() and (tmp_path / "h.csv").exists()
+
+    def test_no_manifest_when_the_command_fails(self, ws, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.setenv("QUBOLAB_OUTDIR", str(tmp_path))
+        assert main(["eval", "--instance", str(ws["inst"]),
+                     "--data", str(ws["data"]), "--methods", "bpgnn",
+                     "--out", "e.csv"]) == 2
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []
 
     def test_absolute_paths_ignore_outdir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QUBOLAB_OUTDIR", str(tmp_path / "elsewhere"))

@@ -1,0 +1,121 @@
+"""Mutated input files through the CLI: every run either succeeds or ends
+with exit status 2 and `error: <file>:<line>: <why>`, never a traceback.
+
+Small valid files (a k=4 instance with its sidecar, an observed vector, a
+dataset and a width-2 checkpoint) are mutated by deleting, duplicating or
+swapping lines and tokens, or by replacing a token from a fixed pool.  No
+mutation scales a number up, so no run can ask for a large allocation.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+import shutil
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qubolab import write_vector
+from qubolab.cli import main
+
+FILES = {"mtx": "inst.mtx", "meta": "inst.meta.json", "vector": "b.txt",
+         "dataset": "data.jsonl", "checkpoint": "model.json"}
+POOL = ("", "x", "nan", "inf", "-1", "0", "1.5", "[]", "{}", "null", "true")
+# Whitespace, a JSON string, JSON punctuation, or any other run of text.
+PIECE = re.compile(r'\s+|"(?:[^"\\]|\\.)*"|[\[\]{}:,]|[^\s\[\]{}:,"]+')
+
+INDEX = st.integers(0, 1000)
+MUTATION = st.one_of(
+    st.tuples(st.sampled_from(["del_line", "dup_line", "del_token", "dup_token"]),
+              INDEX),
+    st.tuples(st.sampled_from(["swap_lines", "swap_tokens"]), INDEX, INDEX),
+    st.tuples(st.just("replace_token"), INDEX, st.sampled_from(POOL)),
+)
+
+
+def mutate(text: str, mutations) -> str:
+    """Apply each mutation in turn; indices wrap around the current file."""
+    lines = [PIECE.findall(line) for line in text.split("\n")]
+    for op, *args in mutations:
+        if op.endswith("_line"):
+            i = args[0] % len(lines)
+            if op == "del_line":
+                del lines[i]
+            else:
+                lines.insert(i, list(lines[i]))
+        elif op == "swap_lines":
+            i, j = args[0] % len(lines), args[1] % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = [(li, pi) for li, line in enumerate(lines)
+                      for pi, piece in enumerate(line) if not piece.isspace()]
+            if not tokens:
+                continue
+            li, pi = tokens[args[0] % len(tokens)]
+            if op == "del_token":
+                del lines[li][pi]
+            elif op == "dup_token":
+                lines[li][pi + 1:pi + 1] = [" ", lines[li][pi]]
+            elif op == "replace_token":
+                lines[li][pi] = args[1]
+            else:
+                lj, pj = tokens[args[1] % len(tokens)]
+                lines[li][pi], lines[lj][pj] = lines[lj][pj], lines[li][pi]
+        if not lines:
+            lines = [[]]
+    return "\n".join("".join(line) for line in lines)
+
+
+@pytest.fixture(scope="module")
+def originals(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-instance", "--kind", "random-dense", "--k", "4",
+                     "--seed", "3", "--scale", "0.5",
+                     "--out", str(root / FILES["mtx"])]) == 0
+        write_vector(root / FILES["vector"], np.random.default_rng(1).normal(size=4))
+        assert main(["gen-data", "--instance", str(root / FILES["mtx"]),
+                     "--n", "6", "--sigma", "0.3", "--split", "0.5,0.5",
+                     "--out", str(root / FILES["dataset"])]) == 0
+        assert main(["train", "--instance", str(root / FILES["mtx"]),
+                     "--data", str(root / FILES["dataset"]), "--width", "2",
+                     "--layers", "1", "--epochs", "1", "--batch", "4",
+                     "--out", str(root / FILES["checkpoint"])]) == 0
+    return root
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, err.getvalue()
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(mutations=st.lists(MUTATION, min_size=1, max_size=3))
+def test_mutated_input_fails_with_a_location(originals, kind, mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        paths = {key: work / name for key, name in FILES.items()}
+        for key, name in FILES.items():
+            shutil.copy(originals / name, paths[key])
+        paths[kind].write_text(mutate(paths[kind].read_text(), mutations))
+        where = "|".join(re.escape(str(p)) for p in paths.values())
+        for argv in (
+            ["solve", "--instance", str(paths["mtx"]), "--b", str(paths["vector"]),
+             "--method", "exhaustive", "--out", str(work / "solve.json")],
+            ["eval", "--instance", str(paths["mtx"]), "--data", str(paths["dataset"]),
+             "--model", str(paths["checkpoint"]), "--methods", "exhaustive,bpgnn+ts",
+             "--out", str(work / "eval.csv")],
+        ):
+            status, err = run_cli(argv)
+            assert status == 0 or (
+                status == 2 and re.fullmatch(rf"error: ({where}):\d+: \S.*\n", err)
+            ), (argv[0], status, err)

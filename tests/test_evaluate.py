@@ -12,11 +12,13 @@ from conftest import naive_minimize
 from qubolab import (BpgnnConfig, BpgnnModel, DataGenParams, DataPair, Dataset,
                      EvalRecord, QuboInstance, accuracy, benchmark,
                      evaluate_method, exhaustive_solve, gen_ising,
-                     gen_random_dense, generate_dataset, homophily,
+                     gen_lattice_laplacian, gen_random_dense,
+                     generate_dataset, homophily,
                      hybrid_infer, ising_sweep, lattice_adjacency,
                      plateau_fraction, probe_landscape, rel_qubo,
                      write_eval_records, write_landscape, write_sweep)
-from qubolab.evaluate import BENCH_COLUMNS
+from qubolab import evaluate
+from qubolab.evaluate import BENCH_COLUMNS, _hybrid_rows
 from qubolab.qubo import rel_gaps
 
 
@@ -209,6 +211,21 @@ class TestHybridInfer:
         assert result.f_best <= f_neural + 1e-12
         assert result.f_best == pytest.approx(inst.evaluate(b, result.x_best))
 
+    def test_one_row_of_the_stack_form(self, eval_problem):
+        inst, data, model = eval_problem
+        b = data.b_matrix("train")
+        stack = _hybrid_rows(model, inst, b, max_steps=3)
+        assert len(stack) == len(b)
+        for j in range(len(b)):
+            one = hybrid_infer(model, inst, b[j], max_steps=3)
+            assert np.array_equal(one.x_best, stack[j].x_best)
+            assert one.trace == stack[j].trace
+            assert (one.solver, one.f_best, one.iterations, one.evaluations,
+                    one.termination) == (
+                "bpgnn+ts", stack[j].f_best, stack[j].iterations,
+                stack[j].evaluations, stack[j].termination)
+            assert stack[j].elapsed_ms > 0.0
+
     def test_zero_refinement_returns_pure_prediction(self, eval_problem):
         inst, _, model = eval_problem
         b = np.random.default_rng(4).normal(size=4)
@@ -227,6 +244,35 @@ class TestEvaluateMethod:
         assert rec.elapsed_ms >= 0.0
         assert rec.instance_ref.startswith("QuboInstance(")
         assert rec.dataset_ref == data.instance_ref
+
+    def test_exhaustive_is_one_batched_call_equal_to_a_per_row_loop(self, monkeypatch):
+        # The lattice Laplacian with b = 0 has tied optima: all-zeros and
+        # all-ones both give f = 0, and the first in lexicographic order
+        # (all-zeros) must win.  The labels of the b = 0 rows are one of each.
+        inst = gen_lattice_laplacian(3)
+        rng = np.random.default_rng(8)
+        fields = [np.zeros(9), np.zeros(9)] + list(rng.normal(size=(4, 9)))
+        labels = [np.zeros(9), np.ones(9)] + [naive_minimize(inst, b)[0]
+                                               for b in fields[2:]]
+        pairs = [DataPair(b, np.asarray(x, dtype=np.int8))
+                 for b, x in zip(fields, labels)]
+        data = Dataset("lattice", 9, {}, pairs, ["val"] * len(pairs))
+        calls = []
+        engine = evaluate.exhaustive_argmins
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "exhaustive_argmins", counted)
+        rec = evaluate_method("exhaustive", inst, data)
+        assert calls == [(6, 9)]
+        b, x_ref = data.b_matrix("val"), data.x_matrix("val")
+        x_loop = np.array([exhaustive_solve(inst, row).x_best for row in b])
+        assert not x_loop[0].any() and not x_loop[1].any()
+        assert rec.accuracy == float(np.mean(np.mean(x_loop == x_ref, axis=1)))
+        assert rec.accuracy == (1.0 + 0.0 + 4.0) / 6.0
+        assert rec.rel_qubo == float(np.mean(rel_gaps(inst, b, x_ref, x_loop)))
 
     def test_train_split_selectable(self, eval_problem):
         inst, data, _ = eval_problem

@@ -1,8 +1,9 @@
-"""On-disk formats: Matrix Market round-trips, metadata sidecars, and
-line-numbered failure reporting."""
+"""On-disk formats: Matrix Market round-trips, metadata sidecars, CSV
+tables, and line-numbered failure reporting."""
 
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from qubolab import (gen_random_dense, read_instance, read_vector,
                      write_instance, write_vector)
-from qubolab.io import MM_HEADER, _sidecar_path
+from qubolab.io import MM_HEADER, _sidecar_path, write_csv
 
 from conftest import tiny_instance
 
@@ -111,7 +112,7 @@ class TestInstanceReadFailures:
         sidecar = _sidecar_path(str(path))
         with open(sidecar, "w") as fh:
             json.dump({"k": 5}, fh)
-        with pytest.raises(ValueError, match="k=5"):
+        with pytest.raises(ValueError, match=r"meta\.json:1: metadata says k=5"):
             read_instance(path)
 
     def test_sidecar_invalid_json(self, tmp_path):
@@ -140,3 +141,29 @@ class TestVectors:
         path.write_text("1.0\nbogus\n")
         with pytest.raises(ValueError, match=r"b\.txt:2"):
             read_vector(path)
+
+    @pytest.mark.parametrize("text,where", [
+        ("1.0\n\n2.0\n\n", r"b\.txt:4: 2 numbers, expected 3"),
+        ("", r"b\.txt:1: 0 numbers, expected 3"),
+        ("1.0\n2.0\n3.0\n\n4.0\n", r"b\.txt:5: more than the 3 numbers expected"),
+    ])
+    def test_expected_length_names_a_line(self, tmp_path, text, where):
+        path = tmp_path / "b.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=where):
+            read_vector(path, 3)
+        path.write_text("1.0\n\n2.0\n3.0\n")
+        assert read_vector(path, 3).tolist() == [1.0, 2.0, 3.0]
+
+
+class TestCsv:
+    def test_floats_nan_and_ints_round_trip(self, tmp_path):
+        path = tmp_path / "t.csv"
+        third = np.float64(1.0) / 3.0
+        write_csv(path, ("name", "n", "x"),
+                  [["a", 3, third], ["b", np.int64(-2), float("nan")],
+                   ["c", 0, 0.1]])
+        rows = list(csv.reader(path.open(newline="")))
+        assert rows == [["name", "n", "x"], ["a", "3", repr(float(third))],
+                        ["b", "-2", "nan"], ["c", "0", "0.1"]]
+        assert float(rows[1][2]) == third

@@ -70,6 +70,12 @@ class TestQuboInstance:
         with pytest.raises(ValueError, match="duplicate"):
             QuboInstance(k=2, rows=[0, 0], cols=[1, 1], vals=[1.0, 2.0])
 
+    def test_rejects_repeats_apart_in_input_order(self):
+        # (0, 1) and (2, 2) each appear twice, never next to each other
+        with pytest.raises(ValueError, match="duplicate"):
+            QuboInstance(k=3, rows=[0, 2, 1, 0, 2], cols=[1, 2, 0, 1, 2],
+                         vals=[1.0, 2.0, 3.0, 4.0, 5.0])
+
     def test_rejects_non_finite_values(self):
         with pytest.raises(ValueError, match="finite"):
             QuboInstance(k=1, rows=[0], cols=[0], vals=[np.inf])
@@ -210,6 +216,23 @@ class TestGenerators:
         ])
         assert np.array_equal(dense, expected)
 
+    def test_lattice_laplacian_3x3_coordinates(self):
+        # row-major, each row's diagonal first, then its neighbors ascending
+        inst = gen_lattice_laplacian(3)
+        assert inst.rows.tolist() == [0, 0, 0, 1, 1, 1, 1, 2, 2, 2,
+                                      3, 3, 3, 3, 4, 4, 4, 4, 4, 5, 5, 5, 5,
+                                      6, 6, 6, 7, 7, 7, 7, 8, 8, 8]
+        assert inst.cols.tolist() == [0, 1, 3, 1, 0, 2, 4, 2, 1, 5,
+                                      3, 0, 4, 6, 4, 1, 3, 5, 7, 5, 2, 4, 8,
+                                      6, 3, 7, 7, 4, 6, 8, 8, 5, 7]
+        degree = {0: 2.0, 1: 3.0, 2: 2.0, 3: 3.0, 4: 4.0, 5: 3.0, 6: 2.0,
+                  7: 3.0, 8: 2.0}
+        assert inst.vals.tolist() == [degree[r] if r == c else -1.0
+                                      for r, c in zip(inst.rows.tolist(),
+                                                      inst.cols.tolist())]
+        assert inst.rows.dtype == inst.cols.dtype == np.int64
+        assert inst.vals.dtype == np.float64
+
     def test_lattice_laplacian_rows_sum_to_zero(self):
         dense = gen_lattice_laplacian(4).a_csr.toarray()
         assert np.allclose(dense.sum(axis=1), 0.0)
@@ -226,6 +249,8 @@ class TestGenerators:
         assert set(np.unique(adj)) == {0.0, 1.0}
         # 2 * n * (n - 1) undirected edges, each stored twice
         assert np.count_nonzero(adj) == 2 * 2 * 3 * 2
+        lap = gen_lattice_laplacian(3).a_csr.toarray()
+        assert np.array_equal(adj, np.diag(np.diag(lap)) - lap)
 
     def test_gen_ising_builds_negated_constant_field(self):
         inst, b = gen_ising(lattice_adjacency(2), 1.5)
