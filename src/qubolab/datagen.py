@@ -87,17 +87,6 @@ class Dataset:
             if s not in ("train", "val"):
                 raise ValueError(f"split tag must be 'train' or 'val', got {s!r}")
 
-    def __eq__(self, other):
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.instance_ref == other.instance_ref
-            and self.k == other.k
-            and self.params == other.params
-            and self.splits == other.splits
-            and self.pairs == other.pairs
-        )
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -264,10 +253,14 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
                 fail(lineno, f"{key} must be a list of {k} numbers, got {rec[key]!r}")
             if len(rec[key]) != k:
                 fail(lineno, f"{key} has length {len(rec[key])}, expected {k}")
+            for v in rec[key]:
+                # bool is an int subclass, but JSON true/false is not a number.
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    fail(lineno, f"{key} entries must be JSON numbers, got {v!r}")
         try:
             b = as_observed_vector([float(v) for v in rec["b"]], k)
             x = as_binary_assignment(rec["x"], k)
-        except (TypeError, ValueError) as err:
+        except (OverflowError, ValueError) as err:
             fail(lineno, str(err))
         if rec["split"] not in ("train", "val"):
             fail(lineno, f"split must be 'train' or 'val', got {rec['split']!r}")

@@ -29,8 +29,9 @@ def write_instance(path: str | os.PathLike, instance: QuboInstance) -> None:
     """
     path = os.fspath(path)
     lines = [MM_HEADER, f"{instance.k} {instance.k} {instance.nnz}"]
-    for r, c, v in zip(instance.rows, instance.cols, instance.vals):
-        lines.append(f"{r + 1} {c + 1} {float(v)!r}")
+    for r, c, v in zip(instance.rows.tolist(), instance.cols.tolist(),
+                       instance.vals.tolist()):
+        lines.append(f"{r + 1} {c + 1} {v!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     meta = {

@@ -174,8 +174,8 @@ class BpgnnModel:
             raise ValueError("training-mode forward with dropout needs an rng")
         return self._logits(b[None, :], training, rng)
 
-    def predict(self, b, threshold: float = 0.5) -> np.ndarray:
-        """Binary assignment: bit i is 1 iff sigmoid(logit_i) > threshold.
+    def predict(self, b) -> np.ndarray:
+        """Binary assignment: bit i is 1 iff sigmoid(logit_i) > 0.5.
 
         b is one observed vector (k,) or a stack of them (n, k); the
         result has the same shape.
@@ -184,7 +184,7 @@ class BpgnnModel:
         b_mat = np.array([as_observed_vector(row, self.instance.k)
                           for row in np.atleast_2d(b)])
         logits = self._logits(b_mat, False, None).data
-        x = _example_major(ad._sigmoid(logits) > threshold, len(b_mat))
+        x = _example_major(ad._sigmoid(logits) > 0.5, len(b_mat))
         return (x if b.ndim == 2 else x[0]).astype(np.int8)
 
 

@@ -139,32 +139,24 @@ class QuboInstance:
     def evaluate(self, b, x) -> float:
         """QUBO objective x^T A x + x^T b, accumulated in double precision."""
         b = as_observed_vector(b, self.k)
-        x = as_binary_assignment(x, self.k).astype(np.float64)
+        x = as_binary_assignment(x, self.k)
         quad = float(np.dot(self.vals, x[self.rows] * x[self.cols]))
         return quad + float(np.dot(b, x))
 
     def flip_delta(self, b, x, i: int) -> float:
         """Objective change from flipping bit i: f(flip(x, i)) - f(x).
 
-        Computed from the nonzeros of row/column i only, so cost is
-        proportional to the local degree rather than to k.
+        Entry i of all_flip_deltas.
         """
         if not 0 <= i < self.k:
             raise IndexError(f"node index {i} out of range [0, {self.k})")
-        b = as_observed_vector(b, self.k)
-        x = as_binary_assignment(x, self.k).astype(np.float64)
-        s = self.a_sym_csr
-        row = s.getrow(i)
-        coupling = float(row.data @ x[row.indices]) - 2.0 * self.a_diag[i] * x[i]
-        delta = 1.0 - 2.0 * x[i]
-        return delta * (b[i] + self.a_diag[i] + coupling)
+        return float(self.all_flip_deltas(b, x)[i])
 
     def all_flip_deltas(self, b, x) -> np.ndarray:
         """Vector of flip_delta(b, x, i) for every i, via one (A+A^T) product."""
         b = as_observed_vector(b, self.k)
         x = as_binary_assignment(x, self.k).astype(np.float64)
-        g = self.a_sym_csr @ x
-        return (1.0 - 2.0 * x) * (b + self.a_diag + g - 2.0 * self.a_diag * x)
+        return _flip_deltas(b, self.a_diag, self.a_sym_csr @ x, x)
 
     def residual(self, b, x_like) -> np.ndarray:
         """Nodal residual x * (A x + b), elementwise.
@@ -181,6 +173,12 @@ class QuboInstance:
     def __repr__(self) -> str:
         gen = self.meta.get("generator", "?")
         return f"QuboInstance(k={self.k}, nnz={self.nnz}, generator={gen!r})"
+
+
+def _flip_deltas(b, d, g, x) -> np.ndarray:
+    """f(flip(x, i)) - f(x) for every i, given d = diag(A) and g = (A + A^T) x
+    with x as float64; unvalidated, for the solvers' inner loops."""
+    return (1.0 - 2.0 * x) * (b + d + g - 2.0 * d * x)
 
 
 def rel_gaps(instance: QuboInstance, b, x_ref, x_pred) -> np.ndarray:

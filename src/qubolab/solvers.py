@@ -14,12 +14,12 @@ at return time, so the invariant f_best == evaluate(x_best) holds exactly.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import QuboInstance, as_binary_assignment, as_observed_vector, qubo_to_ising
+from .qubo import (QuboInstance, _flip_deltas, as_binary_assignment, as_observed_vector,
+                   qubo_to_ising)
 
 
 # Largest k exhaustive_solve enumerates by default (2^26 states).
@@ -228,22 +228,17 @@ def tabu_solve(instance: QuboInstance, b, params: TabuParams | None = None) -> S
     best_x = x.copy()
     best_f = f
     trace = [f]
-    tabu: OrderedDict[bytes, None] = OrderedDict()
-
-    def remember(key: bytes):
-        if params.tabu_tenure == 0:
-            return
-        tabu[key] = None
-        tabu.move_to_end(key)
-        while len(tabu) > params.tabu_tenure:
-            tabu.popitem(last=False)
-
-    remember(x.tobytes())
+    # The last tabu_tenure points visited, the current one included, oldest
+    # first.  A move never lands on a remembered point, so no key repeats.
+    tabu: dict[bytes, None] = {}
     steps = 0
     stalled = 0
     termination = "max_steps"
     for _ in range(params.max_steps):
-        deltas = (1.0 - 2.0 * xf) * (b + d + g - 2.0 * d * xf)
+        tabu[x.tobytes()] = None
+        if len(tabu) > params.tabu_tenure:
+            del tabu[next(iter(tabu))]
+        deltas = _flip_deltas(b, d, g, xf)
         evaluations += k
         chosen = -1
         for i in np.argsort(deltas, kind="stable"):
@@ -262,7 +257,6 @@ def tabu_solve(instance: QuboInstance, b, params: TabuParams | None = None) -> S
         g[indices[lo:hi]] += sign * data[lo:hi]
         x[chosen] ^= 1
         xf[chosen] = x[chosen]
-        remember(x.tobytes())
         steps += 1
         if f < best_f:
             best_f = f
@@ -355,9 +349,10 @@ def sab_solve(instance: QuboInstance, b, params: SabParams | None = None) -> Sol
         y <- y + dt * a0 * p
 
     with y clamped to [-1, 1] and the matching momentum zeroed on contact.
-    The c0 term is the downhill direction of the spin energy, so the
-    dynamics settle toward low objective values; each step costs one
-    sparse matrix-vector product.  Rounded candidates are scored every 10
+    J + J^T = (A + A^T) / 4 is taken from the instance's A + A^T.  The c0
+    term is the downhill direction of the spin energy, so the dynamics
+    settle toward low objective values; each step costs one sparse
+    matrix-vector product.  Rounded candidates are scored every 10
     steps and the best of those and the final point is returned.
     """
     params = params or SabParams()
@@ -365,12 +360,11 @@ def sab_solve(instance: QuboInstance, b, params: SabParams | None = None) -> Sol
     k = instance.k
     t0 = time.perf_counter()
 
-    j, h, _ = qubo_to_ising(instance, b)
-    grad_op = (j + j.T).tocsr()
+    _, h, _ = qubo_to_ising(instance, b)
     if params.c0 is not None:
         c0 = params.c0
     else:
-        fro = float(np.sqrt((j.data ** 2).sum())) if j.nnz else 0.0
+        fro = 0.25 * float(np.sqrt((instance.a_csr.data ** 2).sum()))  # ||J||_F
         c0 = 0.5 / (fro / np.sqrt(k)) if fro > 0 else 0.5
 
     rng = np.random.default_rng(params.seed)
@@ -383,7 +377,7 @@ def sab_solve(instance: QuboInstance, b, params: SabParams | None = None) -> Sol
     evaluations = 0
     trace = []
     for step, a_t in enumerate(amplitudes):
-        p -= params.dt * ((params.a0 - a_t) * y + c0 * (grad_op @ y + h))
+        p -= params.dt * ((params.a0 - a_t) * y + c0 * (0.25 * (instance.a_sym_csr @ y) + h))
         y += params.dt * params.a0 * p
         escaped = np.abs(y) > 1.0
         if escaped.any():

@@ -329,6 +329,24 @@ class TestEval:
         err = self.eval_fails_at(ws, tmp_path, capsys, data=bad)
         assert err.startswith(f"error: {bad}:4: {why}")
 
+    @pytest.mark.parametrize("key,values,why", [
+        ("b", ["-0.5", "1", "2", "0.25"], "b entries must be JSON numbers, got '-0.5'"),
+        ("b", [True, False, 1.0, 0.5], "b entries must be JSON numbers, got True"),
+        ("x", [True, False, True, False], "x entries must be JSON numbers, got True"),
+        ("b", [10 ** 400, 1.0, 2.0, 0.5], "int too large to convert to float"),
+        ("x", [10 ** 400, 0, 1, 0], ""),  # numpy's overflow message
+    ], ids=["quoted-b", "bool-b", "bool-x", "huge-int-b", "huge-int-x"])
+    def test_dataset_entries_must_be_numbers(self, ws, tmp_path, capsys, key,
+                                             values, why):
+        lines = ws["data"].read_text().splitlines()
+        record = json.loads(lines[3])
+        record[key] = values
+        lines[3] = json.dumps(record)
+        bad = tmp_path / "data.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        err = self.eval_fails_at(ws, tmp_path, capsys, data=bad)
+        assert err.startswith(f"error: {bad}:4: {why}")
+
 
 class TestProbe:
     def test_grid_csv(self, ws, tmp_path, capsys):

@@ -26,7 +26,7 @@ from qubolab.cli import main
 
 FILES = {"mtx": "inst.mtx", "meta": "inst.meta.json", "vector": "b.txt",
          "dataset": "data.jsonl", "checkpoint": "model.json"}
-POOL = ("", "x", "nan", "inf", "-1", "0", "1.5", "[]", "{}", "null", "true")
+POOL = ("", "x", "nan", "inf", "-1", "0", "1.5", '"1.5"', "[]", "{}", "null", "true")
 # Whitespace, a JSON string, JSON punctuation, or any other run of text.
 PIECE = re.compile(r'\s+|"(?:[^"\\]|\\.)*"|[\[\]{}:,]|[^\s\[\]{}:,"]+')
 

@@ -338,3 +338,38 @@ class TestSolverResult:
                            elapsed_ms=0.1)
         assert res.termination == "completed"
         assert res.trace is None
+
+
+
+class TestGolden:
+    """Exact outputs on one random-dense k=60 instance, pinned bit for bit.
+    Tenures 1 and 2 give different answers here, so a tabu memory one entry
+    too long or too short shows up."""
+
+    @pytest.mark.parametrize("solve,params,bits,f_best,termination", [
+        (tabu_solve, TabuParams(tabu_tenure=0, patience=None),
+         "101101111111111001100001000101100110100011010001100111011011",
+         "-156.72701124785743", "max_steps"),
+        (tabu_solve, TabuParams(tabu_tenure=1, patience=None),
+         "101101111111111001100001000101100110100011010001100111011011",
+         "-156.72701124785743", "max_steps"),
+        (tabu_solve, TabuParams(tabu_tenure=2, patience=None),
+         "101101011110111000100001000011101010000111001000101111011011",
+         "-163.69182931039254", "max_steps"),
+        (tabu_solve, TabuParams(tabu_tenure=10, patience=None),
+         "101101011110111001100001000111101111000111000000101111011011",
+         "-164.66991330059258", "max_steps"),
+        (sab_solve, None,
+         "101101011110111001100001000111101111000111000000101111011011",
+         "-164.66991330059258", "annealed"),
+        (sab_solve, SabParams(c0=1.0),
+         "101101111110111000100001000101101111000111100011101110011011",
+         "-159.38482656623404", "annealed"),
+    ], ids=["tabu-tenure-0", "tabu-tenure-1", "tabu-tenure-2", "tabu-tenure-10", "sab-default-c0", "sab-c0-1"])
+    def test_pinned_result(self, solve, params, bits, f_best, termination):
+        inst = gen_random_dense(60, seed=61)
+        b = np.random.default_rng(62).normal(size=60)
+        got = solve(inst, b, params)
+        assert "".join(str(v) for v in got.x_best) == bits
+        assert repr(got.f_best) == f_best
+        assert (got.iterations, got.termination) == (1000, termination)
