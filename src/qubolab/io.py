@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 
@@ -48,12 +49,52 @@ def write_instance(path: str | os.PathLike, instance: QuboInstance) -> None:
 def read_instance(path: str | os.PathLike) -> QuboInstance:
     """Read a Matrix Market instance and its sidecar metadata.
 
-    Malformed input raises ValueError naming the file and line.  A missing
-    sidecar is tolerated (meta stays empty); a malformed one is not.
+    The entries are parsed in bulk by one np.loadtxt call and checked as
+    whole arrays.  Only a file the bulk parse refuses is read again line by
+    line, so malformed input raises ValueError naming the file and line.  A
+    missing sidecar is tolerated (meta stays empty); a malformed one is not.
     """
     path = os.fspath(path)
     with open(path) as fh:
-        raw = fh.read().splitlines()
+        text = fh.read()
+    try:
+        k, rows, cols, vals = _bulk_entries(text)
+        return QuboInstance(k=k, rows=rows, cols=cols, vals=vals,
+                            meta=_read_meta(path, k))
+    except (ValueError, Warning):
+        return _read_instance_located(path, text)
+
+
+_ENTRY = np.dtype([("r", np.int64), ("c", np.int64), ("v", np.float64)])
+
+
+def _bulk_entries(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """k and the 0-based entries of a file whose first two lines are the
+    header and the size line and whose every other line is an entry or
+    blank.  Raises ValueError or a Warning for any other file, and for
+    out-of-range or non-finite entries leaves the refusal to QuboInstance."""
+    # Non-ASCII text (Unicode digits and spaces) goes to the line reader.
+    if not text.isascii():
+        raise ValueError("non-ASCII text")
+    header, size, *body = text.splitlines()
+    k, n_cols, nnz = map(int, size.split())
+    if header.strip() != MM_HEADER or n_cols != k:
+        raise ValueError("not a plain square Matrix Market file")
+    # A warning is a refusal: numpy warns on a body with no entries, and
+    # where it reads `1.0` as an index.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        entries = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1)
+    if entries.size != nnz:
+        raise ValueError(f"{entries.size} entries, size line promises {nnz}")
+    # Arithmetic and copy() give contiguous arrays that own their data.
+    return k, entries["r"] - 1, entries["c"] - 1, entries["v"].copy()
+
+
+def _read_instance_located(path: str, text: str) -> QuboInstance:
+    """read_instance one line at a time: the reader that names the line of
+    the first error it finds."""
+    raw = text.splitlines()
 
     def fail(lineno: int, why: str):
         raise ValueError(f"{path}:{lineno}: {why}")
@@ -65,9 +106,9 @@ def read_instance(path: str | os.PathLike) -> QuboInstance:
 
     lineno = 1
     body = []
-    for text in raw[1:]:
+    for line in raw[1:]:
         lineno += 1
-        stripped = text.strip()
+        stripped = line.strip()
         if not stripped or stripped.startswith("%"):
             continue
         body.append((lineno, stripped))
@@ -107,23 +148,7 @@ def read_instance(path: str | os.PathLike) -> QuboInstance:
             fail(entry_lineno, f"index ({r}, {c}) outside 1..{n_rows}")
         rows[idx], cols[idx], vals[idx] = r - 1, c - 1, v
 
-    meta = {}
-    sidecar = _sidecar_path(path)
-    if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            text = fh.read()
-        try:
-            loaded = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{sidecar}:{err.lineno}: invalid JSON: {err}") from err
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{sidecar}:1: expected a JSON object")
-        if "k" in loaded and loaded["k"] != n_rows:
-            line = text.count("\n", 0, max(text.find('"k"'), 0)) + 1
-            raise ValueError(
-                f"{sidecar}:{line}: metadata says k={loaded['k']}, matrix is {n_rows}"
-            )
-        meta = {key: loaded.get(key) for key in ("generator", "seed", "tags")}
+    meta = _read_meta(path, n_rows)
     try:
         return QuboInstance(k=n_rows, rows=rows, cols=cols, vals=vals, meta=meta)
     except ValueError:
@@ -136,6 +161,27 @@ def read_instance(path: str | os.PathLike) -> QuboInstance:
                 fail(body[idx + 1][0], f"duplicate entry ({key[0] + 1}, {key[1] + 1}), "
                      f"first given on line {body[first + 1][0]}")
         raise
+
+
+def _read_meta(path: str, k: int) -> dict:
+    """The sidecar's lineage fields, or {} when there is no sidecar."""
+    sidecar = _sidecar_path(path)
+    if not os.path.exists(sidecar):
+        return {}
+    with open(sidecar) as fh:
+        text = fh.read()
+    try:
+        loaded = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{sidecar}:{err.lineno}: invalid JSON: {err}") from err
+    if not isinstance(loaded, dict):
+        raise ValueError(f"{sidecar}:1: expected a JSON object")
+    if "k" in loaded and loaded["k"] != k:
+        line = text.count("\n", 0, max(text.find('"k"'), 0)) + 1
+        raise ValueError(
+            f"{sidecar}:{line}: metadata says k={loaded['k']}, matrix is {k}"
+        )
+    return {key: loaded.get(key) for key in ("generator", "seed", "tags")}
 
 
 def _sidecar_path(path: str) -> str:

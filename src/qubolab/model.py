@@ -397,10 +397,14 @@ def load_checkpoint(path: str | os.PathLike, instance: QuboInstance) -> BpgnnMod
         entry = saved[name]
         if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
             fail(f"parameter {name!r} needs 'shape' and 'data'", name)
+        # JSON numbers load as int or float; bool is an int subclass, not a number.
+        if not (isinstance(entry["data"], list)
+                and set(map(type, entry["data"])) <= {int, float}):
+            fail(f"parameter {name!r} data must be a list of JSON numbers", name)
         try:
             shape = tuple(entry["shape"])
             data = np.asarray(entry["data"], dtype=np.float64)
-        except (TypeError, ValueError) as err:
+        except (OverflowError, TypeError, ValueError) as err:
             fail(f"parameter {name!r}: {err}", name)
         if shape != t.data.shape:
             fail(f"parameter {name!r} has shape {shape}, expected {t.data.shape}",

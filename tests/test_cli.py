@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,17 @@ class TestSolve:
         err = self.solve_fails_with(tiny, capsys, bad, tiny / "t.b.txt")
         assert err == f"error: {bad}:2: matrix size must be positive, got 0\n"
 
+    @pytest.mark.parametrize("body", ["", "\n \n\n"], ids=["no-lines", "blank-lines"])
+    def test_truncated_instance_names_its_size_line(self, tiny, capsys, body):
+        bad = tiny / "cut.mtx"
+        header = (tiny / "t.mtx").read_text().splitlines()[0]
+        bad.write_text(f"{header}\n2 2 4\n{body}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.solve_fails_with(tiny, capsys, bad, tiny / "t.b.txt")
+        assert err == f"error: {bad}:2: size line promises 4 entries, found 0\n"
+        assert [str(w.message) for w in caught] == []
+
     @pytest.mark.parametrize("text,where", [
         ("1.0\n\n", "2: 1 numbers, expected 2"),
         ("1.0\n-1.0\n0.5\n", "3: more than the 2 numbers expected"),
@@ -287,6 +299,25 @@ class TestEval:
                     if '"dec.b"' in text)
         assert line > 1
         assert err == f"error: {bad}:{line}: parameter 'dec.b' has non-finite values\n"
+
+    @pytest.mark.parametrize("value,why", [
+        ("0.5", "data must be a list of JSON numbers"),
+        (True, "data must be a list of JSON numbers"),
+        (None, "data must be a list of JSON numbers"),
+        (10 ** 400, "int too large to convert to float"),
+    ], ids=["quoted", "bool", "null", "huge-int"])
+    def test_checkpoint_parameter_entries_must_be_numbers(self, ws, tmp_path,
+                                                           capsys, value, why):
+        doc = json.loads(ws["model"].read_text())
+        doc["params"]["dec.b"]["data"] = [value]
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc, indent=1))
+        err = self.eval_fails_at(ws, tmp_path, capsys, model=bad)
+        line = next(i for i, text in enumerate(bad.read_text().split("\n"), 1)
+                    if '"dec.b"' in text)
+        assert line > 1
+        assert err.startswith(f"error: {bad}:{line}: parameter 'dec.b'")
+        assert why in err
 
     @pytest.mark.parametrize("key,value", [("d", 1.5), ("layers", 1.5),
                                            ("seed", -1)])

@@ -1,10 +1,14 @@
 """Mutated input files through the CLI: every run either succeeds or ends
 with exit status 2 and `error: <file>:<line>: <why>`, never a traceback.
+The instance reader parses in bulk and falls back to a located
+line-by-line reader; on every mutated `.mtx` file the two must agree.
 
 Small valid files (a k=4 instance with its sidecar, an observed vector, a
 dataset and a width-2 checkpoint) are mutated by deleting, duplicating or
-swapping lines and tokens, or by replacing a token from a fixed pool.  No
-mutation scales a number up, so no run can ask for a large allocation.
+swapping lines and tokens, or by replacing a token or a run of whitespace
+with a piece of text from a fixed pool.  No pool piece reads as a large
+integer (`1_0` is 10, `1e400` a float), so no run can ask for a large
+allocation.
 """
 
 from __future__ import annotations
@@ -15,27 +19,33 @@ import re
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubolab import write_vector
+from qubolab import read_instance, write_vector
+from qubolab import io as qio
 from qubolab.cli import main
 
 FILES = {"mtx": "inst.mtx", "meta": "inst.meta.json", "vector": "b.txt",
          "dataset": "data.jsonl", "checkpoint": "model.json"}
-POOL = ("", "x", "nan", "inf", "-1", "0", "1.5", '"1.5"', "[]", "{}", "null", "true")
+POOL = ("", "x", "nan", "inf", "-1", "0", "1.5", '"1.5"', "[]", "{}", "null", "true",
+        # Pieces that np.loadtxt and the per-line readers could read differently.
+        "1_0", "0x10", "1.0", "1e400", "% c", "\x0c", "\x0b", "\u2028", "\r")
 # Whitespace, a JSON string, JSON punctuation, or any other run of text.
 PIECE = re.compile(r'\s+|"(?:[^"\\]|\\.)*"|[\[\]{}:,]|[^\s\[\]{}:,"]+')
 
 INDEX = st.integers(0, 1000)
+REPLACE = st.tuples(st.sampled_from(["replace_token", "replace_space"]), INDEX,
+                    st.sampled_from(POOL))
 MUTATION = st.one_of(
     st.tuples(st.sampled_from(["del_line", "dup_line", "del_token", "dup_token"]),
               INDEX),
     st.tuples(st.sampled_from(["swap_lines", "swap_tokens"]), INDEX, INDEX),
-    st.tuples(st.just("replace_token"), INDEX, st.sampled_from(POOL)),
+    REPLACE,
 )
 
 
@@ -53,8 +63,9 @@ def mutate(text: str, mutations) -> str:
             i, j = args[0] % len(lines), args[1] % len(lines)
             lines[i], lines[j] = lines[j], lines[i]
         else:
+            spaces = op == "replace_space"
             tokens = [(li, pi) for li, line in enumerate(lines)
-                      for pi, piece in enumerate(line) if not piece.isspace()]
+                      for pi, piece in enumerate(line) if piece.isspace() == spaces]
             if not tokens:
                 continue
             li, pi = tokens[args[0] % len(tokens)]
@@ -62,7 +73,7 @@ def mutate(text: str, mutations) -> str:
                 del lines[li][pi]
             elif op == "dup_token":
                 lines[li][pi + 1:pi + 1] = [" ", lines[li][pi]]
-            elif op == "replace_token":
+            elif op.startswith("replace"):
                 lines[li][pi] = args[1]
             else:
                 lj, pj = tokens[args[1] % len(tokens)]
@@ -119,3 +130,49 @@ def test_mutated_input_fails_with_a_location(originals, kind, mutations):
             assert status == 0 or (
                 status == 2 and re.fullmatch(rf"error: ({where}):\d+: \S.*\n", err)
             ), (argv[0], status, err)
+
+
+def outcome(path):
+    """What read_instance(path) returns, reduced to bytes and dtypes, or the
+    message of the ValueError it raises."""
+    try:
+        got = read_instance(path)
+    except ValueError as err:
+        return f"ValueError: {err}"
+    return (got.k, repr(got.meta),
+            [(a.dtype, a.tobytes()) for a in (got.rows, got.cols, got.vals)])
+
+
+@pytest.fixture(scope="module")
+def differential(originals, tmp_path_factory):
+    """The `.mtx` file's original text, and a check that read_instance and
+    the located loop agree on a given text."""
+    tmp_path = tmp_path_factory.mktemp("differential")
+    shutil.copy(originals / FILES["meta"], tmp_path / FILES["meta"])
+    path = tmp_path / FILES["mtx"]
+
+    def check(text: str):
+        path.write_text(text)
+        public = outcome(path)
+        with mock.patch.object(qio, "_bulk_entries", side_effect=ValueError):
+            assert outcome(path) == public, text
+
+    return (originals / FILES["mtx"]).read_text(), check
+
+
+def test_bulk_reader_agrees_on_every_single_replacement(differential):
+    text, check = differential
+    pieces = [piece for line in text.split("\n") for piece in PIECE.findall(line)]
+    n_spaces = sum(piece.isspace() for piece in pieces)
+    for op, count in (("replace_token", len(pieces) - n_spaces),
+                      ("replace_space", n_spaces)):
+        for index in range(count):
+            for new in POOL:
+                check(mutate(text, [(op, index, new)]))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mutations=st.lists(st.one_of(REPLACE, MUTATION), min_size=1, max_size=3))
+def test_bulk_reader_agrees_with_the_located_loop(differential, mutations):
+    text, check = differential
+    check(mutate(text, mutations))

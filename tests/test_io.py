@@ -9,8 +9,10 @@ import json
 import numpy as np
 import pytest
 
-from qubolab import (gen_random_dense, read_instance, read_vector,
+from qubolab import (gen_ising, gen_lattice_laplacian, gen_random_dense,
+                     lattice_adjacency, read_instance, read_vector,
                      write_instance, write_vector)
+from qubolab import io as qio
 from qubolab.io import MM_HEADER, _sidecar_path, write_csv
 
 from conftest import tiny_instance
@@ -67,6 +69,44 @@ class TestInstanceRoundTrip:
         )
         back = read_instance(path)
         assert back.vals.tolist() == [3.5]
+
+
+FAMILY = {
+    "dense-k30": lambda: gen_random_dense(30, 11, scale=0.5),
+    "lattice-side5": lambda: gen_lattice_laplacian(5),
+    "ising-side4": lambda: gen_ising(lattice_adjacency(4), 0.3)[0],
+}
+
+
+class TestBulkRead:
+    """Writer output reads back through the bulk parse, bit for bit."""
+
+    @pytest.mark.parametrize("make", FAMILY.values(), ids=FAMILY)
+    def test_family_round_trip_is_bit_exact(self, tmp_path, make):
+        inst = make()
+        write_instance(tmp_path / "i.mtx", inst)
+        back = read_instance(tmp_path / "i.mtx")
+        assert back.k == inst.k
+        assert back.meta == inst.meta
+        for name, dtype in (("rows", np.int64), ("cols", np.int64),
+                            ("vals", np.float64)):
+            got = getattr(back, name)
+            assert got.dtype == dtype
+            assert got.tobytes() == getattr(inst, name).tobytes()
+            assert got.flags.c_contiguous and got.flags.owndata
+            assert not got.flags.writeable
+
+    def test_writer_output_never_needs_the_located_loop(self, tmp_path,
+                                                        monkeypatch):
+        def located(*args):
+            raise AssertionError("a valid file was read line by line")
+
+        monkeypatch.setattr(qio, "_read_instance_located", located)
+        for name, make in FAMILY.items():
+            inst = make()
+            write_instance(tmp_path / f"{name}.mtx", inst)
+            assert read_instance(tmp_path / f"{name}.mtx").vals.tobytes() == \
+                inst.vals.tobytes()
 
 
 class TestInstanceReadFailures:
