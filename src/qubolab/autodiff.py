@@ -4,6 +4,10 @@ Forward operations append (output, inputs, vector-Jacobian product)
 records to the active tape in execution order; backward walks the records
 once in reverse, so the engine is a plain Wengert list.  Only the
 operations the network needs exist, and all data is double precision.
+Each compound step of the network is one record whose hand-written VJP
+does the arithmetic of the one-operation-per-record composition in the
+same order (a tensor that takes two gradient terms is listed twice in
+the inputs), so results are bitwise those of that composition.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 class Tensor:
     """A dense float64 array with an optional gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_key", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -25,18 +29,16 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._tape: Tape | None = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 @dataclass
 class _Record:
-    out: Tensor
-    inputs: tuple[Tensor, ...]
+    """Output key; per input, its key if recorded on this tape, else itself."""
+
+    out: int
+    inputs: tuple[int | Tensor, ...]
     vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]]
 
 
@@ -69,16 +71,14 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 
-def _active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def _emit(out_data, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(out_data)
-    tape = _active_tape()
+    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     if tape is not None:
-        out._tape = tape
-        tape._records.append(_Record(out=out, inputs=inputs, vjp=vjp))
+        # Keys, not references: an intermediate that no VJP reads dies early.
+        out._tape, out._key = tape, tape._recorded
+        keys = tuple(t._key if t._tape is tape else t for t in inputs)
+        tape._records.append(_Record(out=out._key, inputs=keys, vjp=vjp))
         tape._recorded += 1
     return out
 
@@ -94,24 +94,21 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
 
-    flowing: dict[int, tuple[Tensor, np.ndarray]] = {
-        id(loss): (loss, np.ones_like(loss.data))
-    }
-    # Popping each record drops the references an output holds back to its
-    # tape, so the activations are freed by reference counting, not left
-    # for the cyclic garbage collector.  Gradients are summed out of place,
-    # never modified, so one array may safely flow to several inputs.
+    flowing: dict[int | Tensor, np.ndarray] = {loss._key: np.ones_like(loss.data)}
+    # Popping a record frees the arrays its VJP holds by reference counting,
+    # not by the cyclic GC.  Gradients are summed out of place, never
+    # modified, so one array may safely flow to several inputs.
     records = tape._records
     while records:
         rec = records.pop()
-        entry = flowing.pop(id(rec.out), None)
-        if entry is None:
+        g_out = flowing.pop(rec.out, None)
+        if g_out is None:
             continue
-        g_out = entry[1]
-        for t, g in zip(rec.inputs, rec.vjp(g_out)):
-            prev = flowing.get(id(t))
-            flowing[id(t)] = (t, g if prev is None else prev[1] + g)
-    for t, g in flowing.values():
+        for key, g in zip(rec.inputs, rec.vjp(g_out)):
+            prev = flowing.get(key)
+            flowing[key] = g if prev is None else prev + g
+    # Every recorded key was popped with its record; the tensors remain.
+    for t, g in flowing.items():
         if t.requires_grad:
             t.grad = g if t.grad is None else t.grad + g
 
@@ -133,110 +130,122 @@ def _check_2d(name: str, t: Tensor):
         raise ValueError(f"{name} expects a 2-d tensor, got shape {t.data.shape}")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_2d("matmul", a)
-    _check_2d("matmul", b)
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(
-            f"matmul shapes {a.data.shape} and {b.data.shape} do not align"
-        )
-
-    def vjp(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _emit(a.data @ b.data, (a, b), vjp)
+def _check_shape(name: str, t: Tensor, shape: tuple[int, ...]):
+    if t.data.shape != shape:
+        raise ValueError(f"{name}: shape {t.data.shape} does not broadcast against {shape}")
 
 
-def const_matmul(m, x: Tensor) -> Tensor:
-    """Constant (k, c) matrix m, dense or scipy sparse, times each of the
-    n items of x (c*n, d) whose row i*n + j is row i of item j: the result
-    is (m @ x.reshape(c, n*d)).reshape(k*n, d), m @ x when n = 1."""
-    _check_2d("const_matmul", x)
-    rows, d = x.data.shape
+def _per_item(m, x: np.ndarray) -> np.ndarray:
+    """Constant (k, k) matrix m, dense or scipy sparse, times each of the n
+    items of x (k*n, d) whose row i*n + j is row i of item j: the result is
+    (m @ x.reshape(k, n*d)).reshape(k*n, d), m @ x when n = 1."""
+    return (m @ x.reshape(m.shape[1], -1)).reshape(x.shape)
+
+
+def _check_graph(name: str, m, x: Tensor):
+    _check_2d(name, x)
     k, c = m.shape
-    if rows % c:
-        raise ValueError(f"const_matmul shapes {m.shape} and {x.data.shape} do not align")
-    n = rows // c
+    if k != c or x.data.shape[0] % k:
+        raise ValueError(f"{name} shapes {m.shape} and {x.data.shape} do not align")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer x @ w + b, with the (1, m) bias row added to every row."""
+    _check_2d("linear", x)
+    _check_2d("linear", w)
+    if x.data.shape[1] != w.data.shape[0]:
+        raise ValueError(f"linear shapes {x.data.shape} and {w.data.shape} do not align")
+    _check_shape("linear bias", b, (1, w.data.shape[1]))
+    xd, wd = x.data, w.data
 
     def vjp(g):
-        return ((m.T @ g.reshape(k, n * d)).reshape(rows, d),)
+        return g @ wd.T, xd.T @ g, g.sum(axis=0, keepdims=True)
 
-    return _emit((m @ x.data.reshape(c, n * d)).reshape(k * n, d), (x,), vjp)
-
-
-def _check_broadcast(name: str, a: Tensor, b: Tensor):
-    if a.data.shape == b.data.shape:
-        return
-    shape = a.data.shape
-    if len(shape) != 2 or b.data.shape not in ((1, shape[1]), (shape[0], 1)):
-        raise ValueError(
-            f"{name}: shape {b.data.shape} does not broadcast against {shape}; "
-            f"expected the same shape, a row (1, d) or a column (n, 1)"
-        )
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum g over the axis that broadcasting repeated a tensor of shape."""
-    if g.shape == shape:
-        return g
-    return g.sum(axis=0 if shape[0] != g.shape[0] else 1, keepdims=True)
+    out = xd @ wd
+    out += b.data
+    return _emit(out, (x, w, b), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b; b has a's shape or is a row (1, d) or column (n, 1) vector
-    repeated across the rows or columns of a 2-d a."""
-    _check_broadcast("add", a, b)
-    shape = b.data.shape
+    """Elementwise a + b of two tensors of one shape."""
+    _check_shape("add", b, a.data.shape)
 
     def vjp(g):
-        return g, _unbroadcast(g, shape)
+        return g, g
 
     return _emit(a.data + b.data, (a, b), vjp)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise a * b, with b broadcast as in add."""
-    _check_broadcast("mul", a, b)
+def residual(h: Tensor, m, b: Tensor) -> Tensor:
+    """Residual feature h * (m h + b) of every item of h (rows as in
+    _per_item), with the column b (k*n, 1) added to every channel; b is a
+    constant and gets no gradient."""
+    _check_graph("residual", m, h)
+    _check_shape("residual", b, (h.data.shape[0], 1))
+    hd = h.data
+    s = _per_item(m, hd)
+    s += b.data
 
     def vjp(g):
-        return g * b.data, _unbroadcast(g * a.data, b.data.shape)
+        # h enters twice: through the product and through m h.
+        return g * s, _per_item(m.T, g * hd)
 
-    return _emit(a.data * b.data, (a, b), vjp)
+    return _emit(hd * s, (h, h), vjp)
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a Python constant (not differentiated through)."""
-    c = float(c)
+def diffuse(h: Tensor, m, u: Tensor, rate: Tensor, eps: float) -> Tensor:
+    """Explicit-Euler diffusion half-step h - eps * rate * (m u), with the
+    (1, d) rate row scaling each channel and m applied per item."""
+    _check_graph("diffuse", m, u)
+    _check_shape("diffuse", h, u.data.shape)
+    _check_shape("diffuse rate", rate, (1, u.data.shape[1]))
+    c = -float(eps)
+    mu = _per_item(m, u.data)
+    rd = rate.data
 
     def vjp(g):
-        return (c * g,)
+        gc = c * g
+        g_rate = (gc * mu).sum(axis=0, keepdims=True)
+        gc *= rd
+        return g, _per_item(m.T, gc), g_rate
 
-    return _emit(c * x.data, (x,), vjp)
+    out = mu * rd
+    out *= c
+    out += h.data
+    return _emit(out, (h, u, rate), vjp)
+
+
+def react(h: Tensor, z: Tensor, eps: float) -> Tensor:
+    """Explicit-Euler reaction step h + eps * tanh(z)."""
+    _check_shape("react", z, h.data.shape)
+    c = float(eps)
+    t = np.tanh(z.data)
+
+    def vjp(g):
+        gz = c * g
+        gz *= 1.0 - t ** 2
+        return g, gz
+
+    out = c * t
+    out += h.data
+    return _emit(out, (h, z), vjp)
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    out = np.maximum(x.data, 0.0)
 
     def vjp(g):
-        return (g * mask,)
-
-    return _emit(np.where(mask, x.data, 0.0), (x,), vjp)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-
-    def vjp(g):
-        return (g * (1.0 - out ** 2),)
+        return (g * (out > 0),)
 
     return _emit(out, (x,), vjp)
 
 
 def softplus(x: Tensor) -> Tensor:
-    out = np.logaddexp(0.0, x.data)
+    xd = x.data
+    out = np.logaddexp(0.0, xd)
 
     def vjp(g):
-        return (g * _sigmoid(x.data),)
+        return (g * _sigmoid(xd),)
 
     return _emit(out, (x,), vjp)
 
@@ -258,15 +267,6 @@ def dropout(x: Tensor, p: float, seed: int) -> Tensor:
         return (g * factor,)
 
     return _emit(x.data * factor, (x,), vjp)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    shape = x.data.shape
-
-    def vjp(g):
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _emit(x.data.sum(), (x,), vjp)
 
 
 def bce_with_logits(logits: Tensor, targets: Tensor | np.ndarray) -> Tensor:

@@ -229,7 +229,8 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
     if not isinstance(header, dict) or "k" not in header:
         fail(1, "header must be an object with a 'k' field")
     k = header["k"]
-    if not isinstance(k, int) or k < 1:
+    # bool is an int subclass, but true is not a size.
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         fail(1, f"header k must be a positive integer, got {k!r}")
     if instance is not None and instance.k != k:
         fail(1, f"dataset k={k} does not match instance k={instance.k}")

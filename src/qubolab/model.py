@@ -84,7 +84,8 @@ class BpgnnModel:
     A batch of n examples runs as one (k*n, d) activation in node-major
     order: row i*n + j holds node i of example j.  Dense layers are then
     plain GEMMs, and a graph product is one k x k operator applied to all
-    examples at once (ad.const_matmul).
+    examples at once.  Each dense layer, residual feature, diffusion
+    half-step and reaction step is one tape record.
 
     Parameters live in a flat name -> Tensor dict:
       enc.*                encoder MLP 1 -> d (relu hidden)
@@ -132,11 +133,10 @@ class BpgnnModel:
 
     # -- forward --------------------------------------------------------
 
-    def _mlp(self, x: Tensor, prefix: str, out_tanh: bool) -> Tensor:
+    def _mlp(self, x: Tensor, prefix: str) -> Tensor:
         p = self.params
-        hidden = ad.relu(ad.add(ad.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
-        out = ad.add(ad.matmul(hidden, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
-        return ad.tanh(out) if out_tanh else out
+        hidden = ad.relu(ad.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+        return ad.linear(hidden, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
     def _logits(self, b_mat: np.ndarray, training: bool,
                 rng: np.random.Generator | None) -> Tensor:
@@ -151,20 +151,18 @@ class BpgnnModel:
             return t
 
         b_t = Tensor(_node_major(b_mat))
-        h = drop(self._mlp(b_t, "enc", out_tanh=False))
+        h = drop(self._mlp(b_t, "enc"))
         for layer in range(cfg.layers):
             if cfg.use_qubo_features:
-                a_h = ad.const_matmul(self.instance.a_csr, h)
-                r = ad.mul(h, ad.add(a_h, b_t))
-                u = ad.add(h, self._mlp(r, f"layer{layer}.g", out_tanh=False))
+                r = ad.residual(h, self.instance.a_csr, b_t)
+                u = ad.add(h, self._mlp(r, f"layer{layer}.g"))
             else:
                 u = h
             sig = ad.softplus(p[f"layer{layer}.sigma_raw"])
-            diffused = ad.mul(ad.const_matmul(self.laplacian, u), sig)
-            h_half = ad.add(h, ad.scale(diffused, -cfg.eps_step))
-            reaction = self._mlp(h_half, f"layer{layer}.f", out_tanh=True)
-            h = drop(ad.add(h_half, ad.scale(reaction, cfg.eps_step)))
-        return ad.add(ad.matmul(h, p["dec.w"]), p["dec.b"])
+            h_half = ad.diffuse(h, self.laplacian, u, sig, cfg.eps_step)
+            reaction = self._mlp(h_half, f"layer{layer}.f")
+            h = drop(ad.react(h_half, reaction, cfg.eps_step))
+        return ad.linear(h, p["dec.w"], p["dec.b"])
 
     def forward(self, b, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -382,11 +380,22 @@ def load_checkpoint(path: str | os.PathLike, instance: QuboInstance) -> BpgnnMod
     if (not isinstance(doc, dict) or "config" not in doc
             or not isinstance(doc.get("params"), dict)):
         fail("checkpoint must contain 'config' and 'params' objects")
+    saved = doc["params"]
     try:
-        model = BpgnnModel(BpgnnConfig(**doc["config"]), instance)
+        config = BpgnnConfig(**doc["config"])
+        # Size the model by the saved parameters before allocating it, so a
+        # config asking for more layers or width than the file holds fails.
+        layers = sum(name.endswith(".sigma_raw") for name in saved)
+        w2 = saved.get("enc.w2")
+        w2_data = w2.get("data") if isinstance(w2, dict) else None
+        weights = len(w2_data) if isinstance(w2_data, list) else 0
+        if (config.layers, config.d ** 2) != (layers, weights):
+            raise ValueError(
+                f"{config.layers} layers of width {config.d}, but the params "
+                f"hold {layers} layers and {weights} 'enc.w2' weights (width squared)")
+        model = BpgnnModel(config, instance)
     except (TypeError, ValueError) as err:
         fail(f"bad config block: {err}", "config")
-    saved = doc["params"]
     missing = sorted(set(model.params) - set(saved))
     extra = sorted(set(saved) - set(model.params))
     if missing:

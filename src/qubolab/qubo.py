@@ -37,10 +37,9 @@ def as_binary_assignment(x, k: int) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (k,):
         raise ValueError(f"assignment has shape {x.shape}, expected ({k},)")
-    xi = x.astype(np.int8, copy=True)
     if np.any((x != 0) & (x != 1)):
         raise ValueError("assignment entries must be exactly 0 or 1")
-    return xi
+    return x.astype(np.int8, copy=True)
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """Tape engine: forward values, vector-Jacobian products against central
-differences, tape lifecycle rules, and the Adam update."""
+differences and against the unfused numpy composition of each compound
+record, tape lifecycle rules, and the Adam update."""
 
 from __future__ import annotations
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -11,9 +13,9 @@ import pytest
 import scipy.sparse as sp
 
 from qubolab import AdamState, Tape, Tensor, adam_step, backward
-from qubolab.autodiff import (add, bce_with_logits, const_matmul, dropout,
-                              matmul, mul, relu, scale, softplus, sum_all,
-                              tanh, zero_grad, _sigmoid)
+from qubolab.autodiff import (add, bce_with_logits, diffuse, dropout, linear,
+                              react, relu, residual, softplus, zero_grad,
+                              _sigmoid)
 
 
 def fd_gradient(fn, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -32,94 +34,146 @@ def fd_gradient(fn, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
 
 
 def check_op_gradient(build, x0: np.ndarray, rtol: float = 1e-6):
-    """Compare the taped gradient of sum(weights * build(x)) with central
-    differences; weights break symmetry so errors cannot cancel."""
+    """Compare the taped gradient of bce_with_logits(build(x), y) with
+    central differences; soft targets y drawn at random break symmetry so
+    errors cannot cancel."""
     x = Tensor(x0.copy(), requires_grad=True)
     with Tape():
         out = build(x)
-        w = np.random.default_rng(0).standard_normal(out.data.shape)
-        backward(sum_all(mul(out, Tensor(w))))
+        y = np.random.default_rng(0).uniform(size=out.data.shape)
+        backward(bce_with_logits(out, y))
 
     def value(x_data):
-        return float((build(Tensor(x_data)).data * w).sum())
+        return float(bce_with_logits(build(Tensor(x_data)), y).data)
 
     numeric = fd_gradient(value, x0.copy())
-    assert x.grad == pytest.approx(numeric, rel=rtol, abs=1e-8)
+    assert x.grad == pytest.approx(numeric, rel=rtol, abs=1e-9)
+
+
+def zero_bias(width: int) -> Tensor:
+    return Tensor(np.zeros((1, width)))
+
+
+def graph_operators(seed: int, k: int) -> list:
+    """A non-symmetric k x k operator, dense and sparse, so a VJP that used
+    m instead of m.T would fail."""
+    m = np.random.default_rng(seed).standard_normal((k, k))
+    m[np.abs(m) < 0.5] = 0.0
+    assert not np.allclose(m, m.T)
+    return [m, sp.csr_matrix(m)]
 
 
 class TestForwardValues:
     def test_matmul(self):
+        # linear's matrix product, with a zero bias
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([[5.0], [6.0]])
-        assert matmul(a, b).data.tolist() == [[17.0], [39.0]]
+        assert linear(a, b, zero_bias(1)).data.tolist() == [[17.0], [39.0]]
 
     def test_matmul_rejects_misaligned_shapes(self):
         with pytest.raises(ValueError, match="do not align"):
-            matmul(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0]]))
+            linear(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0]]), zero_bias(2))
 
     def test_matmul_rejects_vectors(self):
         with pytest.raises(ValueError, match="2-d"):
-            matmul(Tensor([1.0, 2.0]), Tensor([[1.0], [2.0]]))
+            linear(Tensor([1.0, 2.0]), Tensor([[1.0], [2.0]]), zero_bias(1))
 
     def test_spmm_matches_dense_product(self):
+        # residual h * (m h + b) and diffusion h - eps * rate * (m u), with
+        # a sparse m
         m = sp.csr_matrix(np.array([[0.0, 2.0], [1.0, 0.0]]))
-        x = Tensor([[3.0, 1.0], [4.0, 1.0]])
-        out = const_matmul(m, x)
-        assert out.data.tolist() == [[8.0, 2.0], [3.0, 1.0]]
+        h = Tensor([[3.0, 1.0], [4.0, 1.0]])
+        b = Tensor([[1.0], [-1.0]])
+        assert residual(h, m, b).data.tolist() == [[27.0, 3.0], [8.0, 0.0]]
+        out = diffuse(h, m, h, Tensor([[1.0, 2.0]]), 0.5)
+        assert out.data.tolist() == [[-1.0, -1.0], [2.5, 0.0]]
 
     def test_const_matmul_acts_on_every_row_block(self):
-        # node-major rows i*n + j: the product equals the block-diagonal
-        # operator kron(m, I_n), for dense and sparse m alike
+        # node-major rows i*n + j: each graph product equals the
+        # block-diagonal operator kron(m, I_n), for dense and sparse m alike
         rng = np.random.default_rng(30)
         m = rng.standard_normal((3, 3))
-        x = rng.standard_normal((3 * 4, 2))
-        expected = np.kron(m, np.eye(4)) @ x
+        h = rng.standard_normal((3 * 4, 2))
+        b = rng.standard_normal((3 * 4, 1))
+        rate = rng.uniform(size=(1, 2))
+        big = np.kron(m, np.eye(4))
         for op in (m, sp.csr_matrix(m)):
-            got = const_matmul(op, Tensor(x)).data
-            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            got = residual(Tensor(h), op, Tensor(b)).data
+            assert got == pytest.approx(h * (big @ h + b), rel=1e-12, abs=1e-12)
+            got = diffuse(Tensor(h), op, Tensor(h), Tensor(rate), 0.3).data
+            assert got == pytest.approx(h - 0.3 * rate * (big @ h), rel=1e-12,
+                                        abs=1e-12)
 
     def test_const_matmul_rejects_misaligned_rows(self):
+        # rows must be whole items of k = 3 nodes, and m must be square
+        h = Tensor(np.ones((4, 2)))
         with pytest.raises(ValueError, match="do not align"):
-            const_matmul(np.eye(3), Tensor(np.ones((4, 2))))
+            residual(h, np.eye(3), Tensor(np.ones((4, 1))))
+        with pytest.raises(ValueError, match="do not align"):
+            diffuse(h, np.eye(3), h, Tensor(np.ones((1, 2))), 0.5)
+        with pytest.raises(ValueError, match="do not align"):
+            residual(h, np.ones((2, 4)), Tensor(np.ones((4, 1))))
 
     def test_add_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not broadcast"):
             add(Tensor([[1.0]]), Tensor([[1.0, 2.0]]))
 
     def test_broadcast_add_col_adds_per_row(self):
-        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        # the residual's b column is added to every channel of its row
+        h = Tensor([[1.0, 2.0], [3.0, 4.0]])
         v = Tensor([[10.0], [20.0]])
-        assert add(x, v).data.tolist() == [[11.0, 12.0], [23.0, 24.0]]
+        assert residual(h, np.zeros((2, 2)), v).data.tolist() == [
+            [10.0, 20.0], [60.0, 80.0]]
 
     def test_add_and_mul_reject_non_broadcastable_b(self):
-        # only a's own shape, a (1, 2) row or a (3, 1) column broadcasts
-        # against a (3, 2) a, and only a 2-d a takes a vector
-        cases = [((3, 2), b_shape) for b_shape in
-                 ((1, 3), (2, 1), (2, 3), (3, 3), (1, 1), (6,))] + [((3,), (1, 3))]
-        for op in (add, mul):
-            for a_shape, b_shape in cases:
-                with pytest.raises(ValueError, match="does not broadcast"):
-                    op(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
+        # add takes only a's own shape, linear's bias only a (1, m) row,
+        # the residual's b only a (rows, 1) column, and diffusion's rate
+        # only a (1, d) row
+        a = Tensor(np.ones((3, 2)))
+        for b_shape in ((1, 3), (2, 1), (2, 3), (3, 3), (1, 1), (6,), (1, 2)):
+            b = Tensor(np.ones(b_shape))
+            with pytest.raises(ValueError, match="does not broadcast"):
+                add(a, b)
+            with pytest.raises(ValueError, match="does not broadcast"):
+                residual(a, np.eye(3), b)
+        for b_shape in ((1, 3), (2, 1), (3, 2), (2,)):
+            b = Tensor(np.ones(b_shape))
+            with pytest.raises(ValueError, match="does not broadcast"):
+                linear(a, Tensor(np.ones((2, 2))), b)
+            with pytest.raises(ValueError, match="does not broadcast"):
+                diffuse(a, np.eye(3), a, b, 0.5)
+        with pytest.raises(ValueError, match="does not broadcast"):
+            diffuse(Tensor(np.ones((3, 1))), np.eye(3), a, Tensor(np.ones((1, 2))), 0.5)
+        with pytest.raises(ValueError, match="does not broadcast"):
+            react(a, Tensor(np.ones((3, 1))), 0.5)
 
     def test_broadcast_add_row_adds_per_column(self):
+        # linear adds its bias row to every row, one entry per column
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])
         v = Tensor([[10.0, 20.0]])
-        assert add(x, v).data.tolist() == [[11.0, 22.0], [13.0, 24.0]]
+        assert linear(x, Tensor(np.eye(2)), v).data.tolist() == [
+            [11.0, 22.0], [13.0, 24.0]]
 
     def test_scale_columns_multiplies_per_column(self):
-        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        s = Tensor([[2.0, 0.5]])
-        assert mul(x, s).data.tolist() == [[2.0, 1.0], [6.0, 2.0]]
+        # diffusion scales each channel (column) of m u by its rate
+        u = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        out = diffuse(Tensor(np.zeros((2, 2))), np.eye(2), u, Tensor([[2.0, 0.5]]), 1.0)
+        assert out.data.tolist() == [[-2.0, -1.0], [-6.0, -2.0]]
 
     def test_mul_elementwise_and_per_row(self):
-        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert mul(x, Tensor([[2.0, 3.0], [0.5, -1.0]])).data.tolist() == [
-            [2.0, 6.0], [1.5, -4.0]]
-        assert mul(x, Tensor([[2.0], [-1.0]])).data.tolist() == [
+        # the residual multiplies h by m h + b elementwise; with m = 0 that
+        # is h times b, row by row
+        h = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        assert residual(h, np.eye(2), Tensor([[0.0], [0.0]])).data.tolist() == [
+            [1.0, 4.0], [9.0, 16.0]]
+        assert residual(h, np.zeros((2, 2)), Tensor([[2.0], [-1.0]])).data.tolist() == [
             [2.0, 4.0], [-3.0, -4.0]]
 
     def test_scale_by_constant(self):
-        assert scale(Tensor([[3.0]]), -2.0).data.tolist() == [[-6.0]]
+        # the Euler step eps scales the reaction and the diffusion
+        assert react(Tensor([[3.0]]), Tensor([[np.inf]]), -2.0).data.tolist() == [[1.0]]
+        out = diffuse(Tensor([[3.0]]), np.eye(1), Tensor([[1.0]]), Tensor([[1.0]]), 2.0)
+        assert out.data.tolist() == [[1.0]]
 
     def test_relu_clamps_negatives(self):
         out = relu(Tensor([[-1.0, 0.0, 2.0]]))
@@ -136,105 +190,201 @@ class TestForwardValues:
         assert np.all(np.isfinite(out))
         assert out == pytest.approx(np.array([[0.0, 1.0]]), abs=1e-12)
 
-    def test_sum_all_returns_scalar(self):
-        assert sum_all(Tensor([[1.0, 2.0], [3.0, 4.0]])).data == 10.0
+
+def per_item(m, x):
+    return (m @ x.reshape(m.shape[1], -1)).reshape(x.shape)
+
+
+class TestFusedRecordsMatchTheUnfusedComposition:
+    """Each compound record computes its forward value and its VJP in the
+    order the one-operation-per-record composition did, so results are
+    bitwise equal to it: checkpoints and histories do not move."""
+
+    @staticmethod
+    def record(build, *inputs):
+        with Tape() as tape:
+            out = build(*inputs)
+        rec = tape._records[-1]
+        g = np.random.default_rng(40).standard_normal(out.data.shape)
+        g[0, 0] = -0.0
+        return out.data, g, rec.inputs, rec.vjp(g)
+
+    @staticmethod
+    def assert_bitwise(got, expected):
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def tensors(self, n: int, k: int = 4, d: int = 3):
+        rng = np.random.default_rng(41 + n)
+        h, u, z = (rng.standard_normal((k * n, d)) for _ in range(3))
+        b = rng.standard_normal((k * n, 1))
+        return h, u, z, b, rng.uniform(0.5, 1.5, size=(1, d))
+
+    def test_linear(self):
+        rng = np.random.default_rng(42)
+        x, w, b = (rng.standard_normal(s) for s in ((6, 3), (3, 5), (1, 5)))
+        out, g, _, grads = self.record(linear, Tensor(x), Tensor(w), Tensor(b))
+        self.assert_bitwise([out], [x @ w + b])
+        self.assert_bitwise(grads, [g @ w.T, x.T @ g, g.sum(axis=0, keepdims=True)])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_residual(self, n):
+        h, _, _, b, _ = self.tensors(n)
+        for m in graph_operators(43, 4):
+            t = Tensor(h)
+            out, g, ins, grads = self.record(residual, t, m, Tensor(b))
+            s = per_item(m, h) + b
+            self.assert_bitwise([out], [h * s])
+            assert ins == (t, t)
+            self.assert_bitwise(grads, [g * s, per_item(m.T, g * h)])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_diffuse(self, n):
+        h, u, _, _, rate = self.tensors(n)
+        eps = 0.3
+        for m in graph_operators(44, 4):
+            out, g, _, grads = self.record(
+                lambda *a: diffuse(*a, eps), Tensor(h), m, Tensor(u), Tensor(rate))
+            mu = per_item(m, u)
+            self.assert_bitwise([out], [h + -eps * (mu * rate)])
+            gs = -eps * g
+            self.assert_bitwise(grads, [g, per_item(m.T, gs * rate),
+                                        (gs * mu).sum(axis=0, keepdims=True)])
+
+    def test_react(self):
+        h, _, z, _, _ = self.tensors(2)
+        out, g, _, grads = self.record(lambda *a: react(*a, 0.3), Tensor(h), Tensor(z))
+        t = np.tanh(z)
+        self.assert_bitwise([out], [h + 0.3 * t])
+        self.assert_bitwise(grads, [g, (0.3 * g) * (1.0 - t ** 2)])
+
+    def test_relu(self):
+        x = np.random.default_rng(45).standard_normal((4, 3))
+        x[0, :] = [0.0, -0.0, np.nextafter(0.0, 1.0)]
+        out, g, _, grads = self.record(relu, Tensor(x))
+        mask = x > 0
+        self.assert_bitwise([out], [np.where(mask, x, 0.0)])
+        self.assert_bitwise(grads, [g * mask])
 
 
 class TestGradients:
     def test_matmul_both_sides(self):
-        w = np.random.default_rng(1).standard_normal((3, 2))
-        check_op_gradient(lambda x: matmul(x, Tensor(w)),
-                          np.random.default_rng(2).standard_normal((4, 3)))
-        a = np.random.default_rng(3).standard_normal((2, 4))
-        check_op_gradient(lambda x: matmul(Tensor(a), x),
-                          np.random.default_rng(4).standard_normal((4, 3)))
+        # linear with respect to x, w and b
+        rng = np.random.default_rng(1)
+        x0, w0, b0 = (rng.standard_normal(s) for s in ((4, 3), (3, 2), (1, 2)))
+        check_op_gradient(lambda x: linear(x, Tensor(w0), Tensor(b0)), x0)
+        check_op_gradient(lambda w: linear(Tensor(x0), w, Tensor(b0)), w0)
+        check_op_gradient(lambda b: linear(Tensor(x0), Tensor(w0), b), b0)
 
     def test_spmm(self):
-        m = sp.random(5, 4, density=0.5, random_state=0, format="csr")
-        check_op_gradient(lambda x: const_matmul(m, x),
-                          np.random.default_rng(5).standard_normal((4, 3)))
+        # the graph records with a sparse operator, one item
+        m = sp.random(4, 4, density=0.5, random_state=0, format="csr")
+        rng = np.random.default_rng(5)
+        h0, u0 = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        b, rate = Tensor(rng.standard_normal((4, 1))), Tensor(rng.uniform(size=(1, 3)))
+        check_op_gradient(lambda h: residual(h, m, b), h0)
+        check_op_gradient(lambda h: diffuse(h, m, Tensor(u0), rate, 0.4), h0)
+        check_op_gradient(lambda u: diffuse(Tensor(h0), m, u, rate, 0.4), u0)
 
     def test_const_matmul_non_symmetric_batched(self):
-        # a non-symmetric m, so a VJP using m instead of m.T would fail,
-        # over n = 3 row blocks
-        m = np.random.default_rng(31).standard_normal((4, 4))
-        assert not np.allclose(m, m.T)
-        x0 = np.random.default_rng(32).standard_normal((4 * 3, 2))
-        for op in (m, sp.csr_matrix(m)):
-            check_op_gradient(lambda x: const_matmul(op, x), x0)
+        # residual and diffusion with respect to every differentiable
+        # input, for a non-symmetric m, dense and sparse, over n = 1 and 3
+        # items; h = u is the step without the residual feature
+        for n, m in itertools.product((1, 3), graph_operators(32, 4)):
+            rng = np.random.default_rng(31 + n)
+            h0, u0 = rng.standard_normal((4 * n, 2)), rng.standard_normal((4 * n, 2))
+            b = Tensor(rng.standard_normal((4 * n, 1)))
+            rate0 = rng.uniform(0.5, 1.5, size=(1, 2))
+            check_op_gradient(lambda h: residual(h, m, b), h0)
+            check_op_gradient(lambda h: diffuse(h, m, Tensor(u0), Tensor(rate0), 0.4), h0)
+            check_op_gradient(lambda u: diffuse(Tensor(h0), m, u, Tensor(rate0), 0.4), u0)
+            check_op_gradient(lambda h: diffuse(h, m, h, Tensor(rate0), 0.4), h0)
+            check_op_gradient(
+                lambda r: diffuse(Tensor(h0), m, Tensor(u0), r, 0.4), rate0)
 
     def test_add_and_hadamard(self):
-        # same-shape operands, differentiated with respect to a and to b
+        # add with respect to a and to b, and the residual's product h * s
         c = Tensor(np.random.default_rng(6).standard_normal((3, 3)))
         x0 = np.random.default_rng(7).standard_normal((3, 3))
-        for op in (add, mul):
-            check_op_gradient(lambda x: op(x, c), x0)
-            check_op_gradient(lambda x: op(c, x), x0)
+        check_op_gradient(lambda x: add(x, c), x0)
+        check_op_gradient(lambda x: add(c, x), x0)
+        check_op_gradient(lambda x: residual(x, np.eye(3), Tensor(np.ones((3, 1)))), x0)
 
     def test_broadcasts(self):
-        # with respect to a, for a column and a row b
+        # with respect to h, for the residual's b column and diffusion's
+        # rate row
         x0 = np.random.default_rng(10).standard_normal((4, 2))
-        for b_shape in ((4, 1), (1, 2)):
-            v = Tensor(np.random.default_rng(9).standard_normal(b_shape))
-            for op in (add, mul):
-                check_op_gradient(lambda x: op(x, v), x0)
+        v = Tensor(np.random.default_rng(9).standard_normal((4, 1)))
+        r = Tensor(np.random.default_rng(9).uniform(size=(1, 2)))
+        m = np.random.default_rng(8).standard_normal((4, 4))
+        check_op_gradient(lambda x: residual(x, m, v), x0)
+        check_op_gradient(lambda x: diffuse(x, m, x, r, 0.5), x0)
 
     def test_broadcast_vector_sides(self):
-        # with respect to the broadcast b, which sums over the repeats
+        # with respect to the broadcast row, which sums over the repeats:
+        # linear's bias and diffusion's rate
         x = Tensor(np.random.default_rng(13).standard_normal((4, 2)))
-        for b_shape in ((4, 1), (1, 2)):
-            v0 = np.random.default_rng(14).standard_normal(b_shape)
-            for op in (add, mul):
-                check_op_gradient(lambda v: op(x, v), v0)
+        v0 = np.random.default_rng(14).standard_normal((1, 2))
+        check_op_gradient(lambda v: linear(x, Tensor(np.eye(2)), v), v0)
+        check_op_gradient(lambda v: diffuse(x, np.ones((4, 4)), x, v, 0.5), v0)
 
     @pytest.mark.parametrize("a_shape", [(1, 3), (3, 1)])
     def test_broadcast_of_a_single_value(self, a_shape):
-        # a (1, 1) b is a column of a (1, d) a and a row of an (n, 1) a
+        # a (1, 1) bias or rate is one value repeated over every row
         a = Tensor(np.random.default_rng(17).standard_normal(a_shape))
-        for op in (add, mul):
-            check_op_gradient(lambda v: op(a, v), np.array([[0.7]]))
+        w = Tensor(np.random.default_rng(18).standard_normal((a_shape[1], 1)))
+        check_op_gradient(lambda v: linear(a, w, v), np.array([[0.7]]))
+        col = Tensor(a.data.reshape(-1, 1))
+        k = col.data.shape[0]
+        check_op_gradient(lambda v: diffuse(col, np.ones((k, k)), col, v, 0.5),
+                          np.array([[0.7]]))
 
     def test_pointwise_nonlinearities(self):
         x0 = np.random.default_rng(16).standard_normal((3, 4))
+        h = Tensor(np.random.default_rng(15).standard_normal((3, 4)))
         check_op_gradient(relu, x0 + 0.05)  # keep clear of the kink
-        check_op_gradient(tanh, x0)
         check_op_gradient(softplus, x0)
-        check_op_gradient(lambda x: scale(x, 1.7), x0)
+        check_op_gradient(lambda z: react(h, z, 1.7), x0)
+        check_op_gradient(lambda x: react(x, Tensor(x0), 1.7), x0)
 
     def test_reuse_accumulates(self):
+        # x feeds both sides of add: d/dx bce(2x, 0) = 2 sigmoid(2x)
         x = Tensor(np.array([[2.0]]), requires_grad=True)
         with Tape():
-            loss = sum_all(add(mul(x, x), x))  # x^2 + x
-            backward(loss)
-        assert x.grad == pytest.approx(np.array([[5.0]]))
+            backward(bce_with_logits(add(x, x), np.zeros((1, 1))))
+        assert x.grad == pytest.approx(2.0 * _sigmoid(np.array([[4.0]])))
 
     def test_constant_inputs_get_no_grad(self):
         x = Tensor(np.array([[1.0]]), requires_grad=True)
         c = Tensor(np.array([[3.0]]))
         with Tape():
-            backward(sum_all(mul(x, c)))
+            backward(bce_with_logits(linear(x, c, zero_bias(1)), np.zeros((1, 1))))
         assert c.grad is None
-        assert x.grad == pytest.approx(np.array([[3.0]]))
+        assert x.grad == pytest.approx(3.0 * _sigmoid(np.array([[3.0]])))
 
     def test_inputs_sharing_a_gradient_accumulate_apart(self):
         # add hands one array to both a and b; each later receives its own
         # further gradient, which must not leak into the other
         a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
         b = Tensor(np.array([[3.0, 4.0]]), requires_grad=True)
+        two, five = Tensor(np.eye(2) * 2.0), Tensor(np.eye(2) * 5.0)
         with Tape():
-            pa = scale(a, 2.0)  # recorded before add, so reached after it
-            pb = scale(b, 5.0)
+            pa = linear(a, two, zero_bias(2))  # recorded before add, so reached after it
+            pb = linear(b, five, zero_bias(2))
             both = add(a, b)
-            backward(sum_all(add(both, add(pa, pb))))
-        assert a.grad == pytest.approx(np.full((1, 2), 3.0))
-        assert b.grad == pytest.approx(np.full((1, 2), 6.0))
+            logits = add(both, add(pa, pb))
+            backward(bce_with_logits(logits, np.zeros((1, 2))))
+        g = _sigmoid(logits.data) / 2.0
+        assert a.grad == pytest.approx(3.0 * g)
+        assert b.grad == pytest.approx(6.0 * g)
 
     def test_grad_accumulates_across_backwards(self):
         x = Tensor(np.array([[1.0]]), requires_grad=True)
         for _ in range(2):
             with Tape():
-                backward(sum_all(scale(x, 2.0)))
-        assert x.grad == pytest.approx(np.array([[4.0]]))
+                backward(bce_with_logits(add(x, x), np.zeros((1, 1))))
+        assert x.grad == pytest.approx(4.0 * _sigmoid(np.array([[2.0]])))
 
 
 class TestDropout:
@@ -259,8 +409,10 @@ class TestDropout:
         x = Tensor(np.ones((5, 5)), requires_grad=True)
         with Tape():
             out = dropout(x, 0.5, seed=2)
-            backward(sum_all(out))
-        assert np.array_equal(x.grad, (out.data != 0) / 0.5)
+            backward(bce_with_logits(out, np.zeros((5, 5))))
+        assert np.array_equal(x.grad != 0, out.data != 0)
+        kept = out.data != 0
+        assert x.grad[kept] == pytest.approx(_sigmoid(out.data[kept]) / 25 / 0.5)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError, match="probability"):
@@ -298,14 +450,14 @@ class TestBce:
 
 class TestTapeLifecycle:
     def test_backward_needs_a_tape(self):
-        loss = sum_all(Tensor(np.ones((1, 1))))
+        loss = bce_with_logits(Tensor(np.ones((1, 1))), np.ones((1, 1)))
         with pytest.raises(RuntimeError, match="not recorded"):
             backward(loss)
 
     def test_backward_twice_is_rejected(self):
         x = Tensor(np.ones((1, 1)), requires_grad=True)
         with Tape():
-            loss = sum_all(x)
+            loss = bce_with_logits(x, np.ones((1, 1)))
             backward(loss)
             with pytest.raises(RuntimeError, match="already called"):
                 backward(loss)
@@ -315,9 +467,9 @@ class TestTapeLifecycle:
         try:
             x = Tensor(np.ones((2, 2)), requires_grad=True)
             with Tape() as tape:
-                mid = tanh(matmul(x, x))
+                mid = relu(linear(x, x, zero_bias(2)))
                 ref = weakref.ref(mid)
-                loss = sum_all(mid)
+                loss = bce_with_logits(mid, np.ones((2, 2)))
                 del mid
                 backward(loss)
             assert ref() is None
@@ -327,18 +479,49 @@ class TestTapeLifecycle:
         finally:
             gc.enable()
 
+    def test_an_intermediate_no_vjp_reads_is_freed_in_the_forward(self):
+        # relu's VJP reads its own output, so the pre-activation it consumed
+        # is not kept for backward
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        with Tape():
+            pre = linear(x, x, zero_bias(2))
+            ref = weakref.ref(pre)
+            out = relu(pre)
+            del pre
+            assert ref() is None
+            backward(bce_with_logits(out, np.ones((2, 2))))
+        assert x.grad is not None
+
+    def test_tensors_made_after_intermediates_died_keep_their_gradients(self):
+        # new leaves may reuse the memory of freed intermediates; gradients
+        # must still reach each one alone: total = sum_i x * i, so
+        # d/dc_i = x * s and d/dx = s * sum_i i with s = sigmoid(total)
+        x = Tensor(np.array([[0.3]]), requires_grad=True)
+        leaves, total = [], None
+        with Tape():
+            for i in range(20):
+                mid = relu(linear(x, Tensor([[1.0]]), zero_bias(1)))
+                leaves.append(Tensor([[float(i)]], requires_grad=True))
+                term = linear(mid, leaves[-1], zero_bias(1))
+                total = term if total is None else add(total, term)
+            backward(bce_with_logits(total, np.zeros((1, 1))))
+        s = float(_sigmoid(total.data)[0, 0])
+        assert float(x.grad[0, 0]) == pytest.approx(s * sum(range(20)))
+        for c in leaves:
+            assert float(c.grad[0, 0]) == pytest.approx(0.3 * s)
+
     def test_loss_must_be_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with Tape():
-            out = scale(x, 1.0)
+            out = relu(x)
             with pytest.raises(ValueError, match="scalar"):
                 backward(out)
 
     def test_nothing_recorded_outside_the_context(self):
         tape = Tape()
         with tape:
-            inside = scale(Tensor(np.ones((1, 1))), 2.0)
-        outside = scale(Tensor(np.ones((1, 1))), 2.0)
+            inside = relu(Tensor(np.ones((1, 1))))
+        outside = relu(Tensor(np.ones((1, 1))))
         assert len(tape) == 1
         assert inside.data.tolist() == outside.data.tolist()
 

@@ -339,6 +339,19 @@ class TestEval:
         err = self.eval_fails_at(ws, tmp_path, capsys, data=bad)
         assert err == f"error: {bad}:1: dataset k=5 does not match instance k=4\n"
 
+    def test_dataset_header_k_must_not_be_a_bool(self, tmp_path, capsys):
+        # a k = 1 instance, so a size check against it cannot catch k = true
+        inst = tmp_path / "one.mtx"
+        write_instance(inst, QuboInstance(1, [0], [0], [1.0]))
+        bad = tmp_path / "data.jsonl"
+        bad.write_text('{"k": true}\n{"b": [0.5], "x": [0], "split": "train"}\n')
+        rc = main(["train", "--instance", str(inst), "--data", str(bad),
+                   "--width", "2", "--layers", "1", "--epochs", "1",
+                   "--out", str(tmp_path / "model.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:1: header k must be a positive integer, got True\n")
+
     def test_dataset_without_the_split_names_its_last_line(self, ws, tmp_path,
                                                           capsys):
         lines = [line for line in ws["data"].read_text().splitlines()

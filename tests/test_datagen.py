@@ -172,6 +172,14 @@ class TestDatasetPersistence:
         with pytest.raises(ValueError, match="empty file"):
             read_dataset(path)
 
+    def test_bool_header_size_is_rejected(self, tmp_path):
+        # bool is an int subclass, so k = true would read as a size of 1
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"k": true}\n{"b": [0.0], "x": [0], "split": "train"}\n')
+        with pytest.raises(ValueError, match=r"data\.jsonl:1: header k must be "
+                                             r"a positive integer, got True"):
+            read_dataset(path)
+
     def test_bad_record_names_its_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"k": 2}\n{"b": [0.0, 0.0], "x": [0, 1]}\n')

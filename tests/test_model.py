@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -301,6 +302,31 @@ class TestTrain:
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
+# sha256 of the checkpoint and history.csv of a tiny lattice training,
+# keyed by use_qubo_features, as the one-operation-per-record composition
+# of the network wrote them.  The compound tape records keep its arithmetic
+# order, so the bytes must not move.
+PINNED_DIGESTS = {
+    True: ("d799ffc3a9555bdb5ab7221fef7609f25e91e669729164e61713873f0724403c",
+           "399357e13ff57a92722195f3964bb1f6f84432d0a3b41b19ce03c4ca104cb41c"),
+    False: ("5703f761c47a0d830862a90c5846b5873bc02c0b8ffec5c6cdd25e043e88a06c",
+            "c110ce71ed089f7346f9e7363786ba214ce2b6996190f7a0c3486c9a225d641a"),
+}
+
+
+@pytest.mark.parametrize("flag", [True, False], ids=["features", "no-features"])
+def test_tiny_lattice_training_keeps_its_pinned_digests(flag, tmp_path):
+    inst = gen_lattice_laplacian(3)
+    dataset = generate_dataset(inst, 40, DataGenParams(sigma=2.0, seed=5))
+    model = BpgnnModel(BpgnnConfig(d=4, use_qubo_features=flag, seed=1), inst)
+    model, _ = train(model, dataset, TrainConfig(epochs=2, batch_size=8, seed=2),
+                     history_path=tmp_path / "history.csv")
+    save_checkpoint(model, tmp_path / "model.json")
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("model.json", "history.csv"))
+    assert digests == PINNED_DIGESTS[flag]
+
+
 class TestCheckpoints:
     def make_model(self) -> BpgnnModel:
         return BpgnnModel(BpgnnConfig(d=4, layers=2, eps_step=0.1, seed=7),
@@ -376,3 +402,24 @@ class TestCheckpoints:
         doc["config"]["zzz"] = 1
         with pytest.raises(ValueError, match="bad config block"):
             self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("key,value,why", [
+        ("layers", 5, "5 layers of width 4, but the params hold 4 layers"),
+        ("d", 5, "4 layers of width 5, but the params hold 4 layers and 16"),
+        ("layers", 10 ** 400, "but the params hold 4 layers"),
+    ], ids=["layers", "width", "huge-layers"])
+    def test_config_is_checked_against_the_params_before_building(
+            self, tmp_path, monkeypatch, key, value, why):
+        path = tmp_path / "model.json"
+        model = BpgnnModel(BpgnnConfig(d=4, layers=4, seed=7), chain3())
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        doc["config"][key] = value
+
+        def never(self):
+            raise AssertionError("a model was built for a config the params do not hold")
+
+        monkeypatch.setattr(BpgnnModel, "_init_params", never)
+        path.write_text(json.dumps(doc, indent=1))
+        with pytest.raises(ValueError, match=f"model.json:2: bad config block: .*{why}"):
+            load_checkpoint(path, chain3())

@@ -3,6 +3,8 @@ and the binary/spin change of variables."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,14 @@ class TestValidators:
     def test_binary_assignment_rejects_fractions(self):
         with pytest.raises(ValueError, match="exactly 0 or 1"):
             as_binary_assignment([0.5, 1.0], 2)
+
+    @pytest.mark.parametrize("bad", [1e400, np.nan], ids=["inf", "nan"])
+    def test_binary_assignment_rejects_non_finite_before_any_cast(self, bad):
+        # checked before the int8 cast, which would warn on inf and NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exactly 0 or 1"):
+                as_binary_assignment([bad, 0.0], 2)
 
     def test_binary_assignment_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="shape"):
