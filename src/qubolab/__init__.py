@@ -13,7 +13,7 @@ from .evaluate import (EvalRecord, IsingSweep, LandscapeGrid, accuracy,
                        write_sweep)
 from .io import read_instance, read_vector, write_instance, write_vector
 from .model import (HISTORY_COLUMNS, BpgnnConfig, BpgnnModel, TrainConfig,
-                    build_laplacian, forward, load_checkpoint, save_checkpoint,
+                    build_laplacian, load_checkpoint, save_checkpoint,
                     train, write_history)
 from .qubo import (GraphView, QuboInstance, gen_ising, gen_lattice_laplacian,
                    gen_random_dense, ising_energy, lattice_adjacency,
@@ -34,7 +34,7 @@ __all__ = [
     "write_landscape", "write_sweep",
     "read_instance", "read_vector", "write_instance", "write_vector",
     "HISTORY_COLUMNS", "BpgnnConfig", "BpgnnModel", "TrainConfig",
-    "build_laplacian", "forward", "load_checkpoint", "save_checkpoint",
+    "build_laplacian", "load_checkpoint", "save_checkpoint",
     "train", "write_history",
     "GraphView", "QuboInstance", "gen_ising", "gen_lattice_laplacian",
     "gen_random_dense", "ising_energy", "lattice_adjacency", "qubo_to_ising",

@@ -180,6 +180,7 @@ def _cmd_sweep(args, out: str) -> None:
 
 
 def _cmd_bench(args, out: str) -> None:
+    evaluate.check_counts(args.instances, args.datasets, args.models or None)
     instances = [io.read_instance(p) for p in args.instances]
     datasets = [
         datagen.read_dataset(p, instance=inst, split="val")

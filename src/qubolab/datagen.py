@@ -14,6 +14,7 @@ turns the rounded x_o into the final label.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -40,10 +41,10 @@ class DataGenParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be >= 0 and finite, got {self.sigma}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if not 0 < self.eps_bin < 0.5:
             raise ValueError(f"eps_bin must lie in (0, 0.5), got {self.eps_bin}")
         if self.refine_steps < 0:

@@ -262,6 +262,14 @@ def evaluate_method(method: str, instance: QuboInstance, dataset: Dataset,
     )
 
 
+def check_counts(instances: list, datasets: list, models: list | None) -> None:
+    """Refuse a dataset or model list whose length is not the instance list's."""
+    if len(datasets) != len(instances):
+        raise ValueError(f"{len(instances)} instances but {len(datasets)} datasets")
+    if models is not None and len(models) != len(instances):
+        raise ValueError(f"{len(instances)} instances but {len(models)} models")
+
+
 def benchmark(instances: list[QuboInstance], datasets: list[Dataset],
               methods: list[str], output_path: str | os.PathLike,
               models: list[BpgnnModel] | None = None) -> list[dict]:
@@ -271,12 +279,7 @@ def benchmark(instances: list[QuboInstance], datasets: list[Dataset],
     aggregate those across realizations.  The CSV ends up with columns
     method, k, acc_mean, acc_std, relqubo_mean, relqubo_std, time_ms_mean.
     """
-    if len(instances) != len(datasets):
-        raise ValueError(
-            f"{len(instances)} instances but {len(datasets)} datasets"
-        )
-    if models is not None and len(models) != len(instances):
-        raise ValueError(f"{len(instances)} instances but {len(models)} models")
+    check_counts(instances, datasets, models)
     for method in methods:
         if method not in BENCH_METHODS:
             raise ValueError(

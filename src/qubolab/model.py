@@ -46,8 +46,8 @@ class BpgnnConfig:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
-        if self.eps_step <= 0:
-            raise ValueError(f"eps_step must be positive, got {self.eps_step}")
+        if not 0 < self.eps_step < math.inf:
+            raise ValueError(f"eps_step must be positive and finite, got {self.eps_step}")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 
@@ -196,21 +196,6 @@ def _example_major(col: np.ndarray, n: int) -> np.ndarray:
     return col.reshape(-1, n).T
 
 
-def forward(model: BpgnnModel, instance: QuboInstance, b) -> Tensor:
-    """Module-level forward that checks the instance is the model's own."""
-    own = model.instance
-    if instance is not own:
-        same = (
-            instance.k == own.k
-            and np.array_equal(instance.rows, own.rows)
-            and np.array_equal(instance.cols, own.cols)
-            and np.array_equal(instance.vals, own.vals)
-        )
-        if not same:
-            raise ValueError("instance does not match the one the model was built for")
-    return model.forward(b)
-
-
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -224,9 +209,9 @@ class TrainConfig:
     weight_decay in {1e-5, 1e-4, 0}, with at most 200 epochs; values
     outside the grids are accepted (lr=0 is useful for no-op training
     checks).  Dropout is the model's own rate, BpgnnConfig.dropout, with
-    the intended grid {0, 0.1, 0.5}.  When both targets are set, training
-    stops once the validation accuracy and relative objective both meet
-    them.
+    the intended grid {0, 0.1, 0.5}.  The two targets are set together or
+    not at all; when set, training stops once the validation accuracy and
+    relative objective both meet them.
     """
 
     lr: float = 1e-3
@@ -238,14 +223,17 @@ class TrainConfig:
     target_val_relqubo: float | None = None
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be >= 0 and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(
+                f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if (self.target_val_acc is None) != (self.target_val_relqubo is None):
+            raise ValueError("target_val_acc and target_val_relqubo must be set together")
 
 
 def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
@@ -308,7 +296,6 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
         if (
             val_idx
             and config.target_val_acc is not None
-            and config.target_val_relqubo is not None
             and record["val_acc"] >= config.target_val_acc
             and record["val_relqubo"] <= config.target_val_relqubo
         ):

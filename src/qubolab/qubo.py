@@ -12,6 +12,7 @@ symmetric part uses A + A^T explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -253,34 +254,29 @@ def lattice_adjacency(n: int) -> np.ndarray:
     return a
 
 
-def gen_ising(adjacency, b_scalar: float) -> tuple[QuboInstance, np.ndarray]:
+def gen_ising(adjacency: np.ndarray, b_scalar: float) -> tuple[QuboInstance, np.ndarray]:
     """Ising model with constant field as a QUBO pair:
 
         I(x) = x^T A x - b_scalar * x^T e   ==   f(x; b = -b_scalar * e, A)
 
-    The adjacency is stored verbatim (whether the caller supplies both
-    triangles or only one decides whether each edge is counted twice or
-    once in the objective).
+    The adjacency is a dense square array, stored verbatim (whether the
+    caller supplies both triangles or only one decides whether each edge
+    is counted twice or once in the objective).
     """
-    if sp.issparse(adjacency):
-        coo = adjacency.tocoo()
-        k = coo.shape[0]
-        rows, cols, vals = coo.row, coo.col, coo.data
-    else:
-        a = np.asarray(adjacency, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("adjacency must be a square matrix")
-        k = a.shape[0]
-        rows, cols = np.nonzero(a)
-        vals = a[rows, cols]
-    if np.any((vals != 0.0) & (vals != 1.0)):
+    a = np.asarray(adjacency, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("adjacency must be a square matrix")
+    if np.any((a != 0.0) & (a != 1.0)):
         raise ValueError("adjacency must be binary (entries 0 or 1)")
-    if np.any(rows == cols):
+    if np.any(np.diag(a)):
         raise ValueError("adjacency must have a zero diagonal")
+    if not math.isfinite(b_scalar):
+        raise ValueError(f"b_scalar must be finite, got {b_scalar}")
+    k = a.shape[0]
+    rows, cols = np.nonzero(a)
     meta = {"generator": "ising", "seed": None, "tags": {"b_scalar": float(b_scalar)}}
-    inst = QuboInstance(k=k, rows=rows, cols=cols, vals=vals, meta=meta)
-    b = np.full(k, -float(b_scalar))
-    return inst, b
+    inst = QuboInstance(k=k, rows=rows, cols=cols, vals=a[rows, cols], meta=meta)
+    return inst, np.full(k, -float(b_scalar))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ at return time, so the invariant f_best == evaluate(x_best) holds exactly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -184,6 +185,7 @@ class TabuParams:
     The tabu list remembers the last tabu_tenure full assignments; a move
     producing a remembered assignment is forbidden.  patience stops the
     search after that many consecutive non-improving steps (None disables).
+    max_steps=0 scores the start and returns it.
     """
 
     max_steps: int = 1000
@@ -192,8 +194,8 @@ class TabuParams:
     patience: int | None = 50
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.tabu_tenure < 0:
             raise ValueError(f"tabu_tenure must be >= 0, got {self.tabu_tenure}")
         if self.patience is not None and self.patience < 1:
@@ -285,24 +287,11 @@ def tabu_solve(instance: QuboInstance, b, params: TabuParams | None = None) -> S
 def refine_with_tabu(instance: QuboInstance, b, start, max_steps: int = 10) -> SolverResult:
     """Short Tabu polish from a given assignment.
 
-    Runs tabu_solve with both the step budget and the tabu tenure set to
-    max_steps; used to clean up generated labels and neural predictions.
+    One tabu_solve call with both the step budget and the tabu tenure set
+    to max_steps; used to clean up generated labels and neural
+    predictions.  A zero budget returns the start.  The default patience
+    of 50 applies too, so a run of more than 50 steps can stop early.
     """
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    if max_steps == 0:
-        x = as_binary_assignment(start, instance.k)
-        f = instance.evaluate(b, x)
-        return SolverResult(
-            solver="tabu",
-            x_best=x.copy(),
-            f_best=f,
-            iterations=0,
-            evaluations=1,
-            elapsed_ms=0.0,
-            termination="max_steps",
-            trace=[f],
-        )
     params = TabuParams(max_steps=max_steps, tabu_tenure=max_steps, start=start)
     return tabu_solve(instance, b, params)
 
@@ -331,12 +320,12 @@ class SabParams:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.a0 <= 0:
-            raise ValueError(f"a0 must be positive, got {self.a0}")
-        if self.c0 is not None and self.c0 <= 0:
-            raise ValueError(f"c0 must be positive, got {self.c0}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 < self.a0 < math.inf:
+            raise ValueError(f"a0 must be positive and finite, got {self.a0}")
+        if self.c0 is not None and not 0 < self.c0 < math.inf:
+            raise ValueError(f"c0 must be positive and finite, got {self.c0}")
 
 
 def sab_solve(instance: QuboInstance, b, params: SabParams | None = None) -> SolverResult:
@@ -352,8 +341,8 @@ def sab_solve(instance: QuboInstance, b, params: SabParams | None = None) -> Sol
     J + J^T = (A + A^T) / 4 is taken from the instance's A + A^T.  The c0
     term is the downhill direction of the spin energy, so the dynamics
     settle toward low objective values; each step costs one sparse
-    matrix-vector product.  Rounded candidates are scored every 10
-    steps and the best of those and the final point is returned.
+    matrix-vector product.  The rounded state is scored every 10 steps
+    and at the last step, and the best scored point is returned.
     """
     params = params or SabParams()
     b = as_observed_vector(b, instance.k)
@@ -385,7 +374,7 @@ def sab_solve(instance: QuboInstance, b, params: SabParams | None = None) -> Sol
             p[escaped] = 0.0
         if not np.all(np.isfinite(y)):
             raise RuntimeError(f"sab state became non-finite at step {step}")
-        if step % 10 == 9:
+        if step % 10 == 9 or step == params.steps - 1:
             x_t = (y > 0).astype(np.int8)
             f_t = instance.evaluate(b, x_t)
             evaluations += 1
@@ -393,14 +382,6 @@ def sab_solve(instance: QuboInstance, b, params: SabParams | None = None) -> Sol
                 best_f = f_t
                 best_x = x_t
             trace.append(best_f)
-
-    x_final = (y > 0).astype(np.int8)
-    f_final = instance.evaluate(b, x_final)
-    evaluations += 1
-    if f_final < best_f:
-        best_f = f_final
-        best_x = x_final
-    trace.append(best_f)
 
     elapsed = (time.perf_counter() - t0) * 1000.0
     return SolverResult(

@@ -135,6 +135,15 @@ class TestSolve:
             assert f"({method}," in line
             assert json.loads(out.read_text())["f_best"] == -1.0
 
+    def test_tabu_with_zero_steps_returns_the_start(self, tiny, capsys):
+        out = tiny / "tabu0.json"
+        assert main(["solve", "--instance", str(tiny / "t.mtx"),
+                     "--b", str(tiny / "t.b.txt"), "--method", "tabu",
+                     "--steps", "0", "--out", str(out)]) == 0
+        assert "(tabu, 0 iterations," in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert (doc["x_best"], doc["f_best"], doc["iterations"]) == ([0, 0], 0.0, 0)
+
     def test_missing_instance_file_exits_two(self, tiny, capsys):
         rc = main(["solve", "--instance", str(tiny / "absent.mtx"),
                    "--b", str(tiny / "t.b.txt"), "--method", "exhaustive",
@@ -245,6 +254,14 @@ class TestTrain:
         assert re.fullmatch(
             rf"wrote {re.escape(str(out))} \(1 epochs, val_acc=\d\.\d{{4}}, "
             r"val_relqubo=[^)]+\)\n", line)
+
+    def test_non_finite_lr_writes_nothing(self, ws, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["train", "--instance", str(ws["inst"]),
+                     "--data", str(ws["data"]), "--width", "4", "--layers", "1",
+                     "--epochs", "1", "--lr", "nan", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: lr must be >= 0")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEval:
@@ -458,6 +475,21 @@ class TestBench:
         assert rows[0] == ["method", "k", "acc_mean", "acc_std", "relqubo_mean",
                            "relqubo_std", "time_ms_mean"]
         assert len(rows) == 3 and rows[1][1] == "4"
+
+    @pytest.mark.parametrize("lists,noun", [
+        (["--datasets", "{data},{bad}"], "datasets"),
+        (["--datasets", "{data}", "--models", "{model},{bad}"], "models"),
+    ])
+    def test_extra_entries_are_refused_before_reading(self, ws, tmp_path, capsys,
+                                                      lists, noun):
+        bad = tmp_path / "bad"
+        bad.write_text("{\n")  # unreadable as a dataset and as a checkpoint
+        lists = [a.format(data=ws["data"], model=ws["model"], bad=bad) for a in lists]
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--instances", str(ws["inst"]), *lists,
+                     "--methods", "tabu", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: 1 instances but 2 {noun}\n"
+        assert not out.exists()
 
 
 class TestOutdirResolution:

@@ -29,6 +29,16 @@ class TestParams:
         with pytest.raises(ValueError, match="refine_steps"):
             DataGenParams(refine_steps=-1)
 
+    @pytest.mark.parametrize("kwargs,msg", [
+        (dict(sigma=float("nan")), "sigma must be >= 0"),
+        (dict(sigma=float("inf")), "sigma must be >= 0"),
+        (dict(mu=float("nan")), "mu must be positive"),
+        (dict(mu=float("inf")), "mu must be positive"),
+    ])
+    def test_rejects_non_finite_knobs(self, kwargs, msg):
+        with pytest.raises(ValueError, match=msg):
+            DataGenParams(**kwargs)
+
 
 class TestBarrierInversion:
     def test_near_binary_draw_hits_both_corners(self):

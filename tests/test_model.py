@@ -10,7 +10,7 @@ import pytest
 
 from qubolab import (BpgnnConfig, BpgnnModel, DataGenParams, DataPair, Dataset,
                      HISTORY_COLUMNS, QuboInstance, TrainConfig,
-                     build_laplacian, forward, gen_lattice_laplacian,
+                     build_laplacian, gen_lattice_laplacian,
                      gen_random_dense, generate_dataset, load_checkpoint,
                      save_checkpoint, train, write_history)
 from qubolab.autodiff import _sigmoid
@@ -33,6 +33,8 @@ class TestBpgnnConfig:
         (dict(layers=0), "layers must be"),
         (dict(eps_step=0.0), "eps_step must be positive"),
         (dict(dropout=1.0), "dropout must lie"),
+        (dict(eps_step=float("nan")), "eps_step must be positive"),
+        (dict(eps_step=float("inf")), "eps_step must be positive"),
     ])
     def test_validation(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):
@@ -139,18 +141,6 @@ class TestForward:
         on_b = BpgnnModel(on, inst_b).forward(b).data
         assert not np.array_equal(on_a, on_b)
 
-    def test_module_forward_accepts_equivalent_instance(self):
-        model = BpgnnModel(BpgnnConfig(d=4, layers=1), chain3())
-        other = chain3()  # equal content, different object
-        out = forward(model, other, np.zeros(3))
-        assert np.array_equal(out.data, model.forward(np.zeros(3)).data)
-
-    def test_module_forward_rejects_different_instance(self):
-        model = BpgnnModel(BpgnnConfig(d=4, layers=1), chain3())
-        other = QuboInstance(3, [0, 1], [1, 2], [9.0, 9.0])
-        with pytest.raises(ValueError, match="does not match"):
-            forward(model, other, np.zeros(3))
-
     def test_predict_thresholds_sigmoid(self):
         inst = gen_random_dense(6, seed=12)
         model = BpgnnModel(BpgnnConfig(d=8, layers=2), inst)
@@ -198,6 +188,12 @@ class TestTrainConfig:
         (dict(weight_decay=-0.1), "weight_decay must be"),
         (dict(epochs=0), "epochs must be"),
         (dict(batch_size=0), "batch_size must be"),
+        (dict(lr=float("nan")), "lr must be"),
+        (dict(lr=float("inf")), "lr must be"),
+        (dict(weight_decay=float("nan")), "weight_decay must be"),
+        (dict(weight_decay=float("inf")), "weight_decay must be"),
+        (dict(target_val_acc=0.9), "must be set together"),
+        (dict(target_val_relqubo=0.1), "must be set together"),
     ])
     def test_validation(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):

@@ -281,6 +281,17 @@ class TestGenerators:
         with pytest.raises(ValueError, match="zero diagonal"):
             gen_ising(adj, 0.0)
 
+    @pytest.mark.parametrize("adj", [np.zeros((2, 3)), np.zeros(4),
+                                     np.zeros((2, 2, 2))])
+    def test_gen_ising_rejects_non_square_adjacency(self, adj):
+        with pytest.raises(ValueError, match="square"):
+            gen_ising(adj, 0.0)
+
+    @pytest.mark.parametrize("b_scalar", [float("nan"), float("inf"), -float("inf")])
+    def test_gen_ising_rejects_non_finite_field(self, b_scalar):
+        with pytest.raises(ValueError, match="b_scalar must be finite"):
+            gen_ising(lattice_adjacency(2), b_scalar)
+
 
 class TestSpinChangeOfVariables:
     @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ annealer."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -155,7 +156,7 @@ class TestBlockEngine:
 class TestTabuParams:
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError, match="max_steps"):
-            TabuParams(max_steps=0)
+            TabuParams(max_steps=-1)
 
     def test_rejects_negative_tenure(self):
         with pytest.raises(ValueError, match="tabu_tenure"):
@@ -260,6 +261,25 @@ class TestRefineWithTabu:
             recovered += int(got.f_best == pytest.approx(opt.f_best, abs=1e-9))
         assert recovered >= 29
 
+    @pytest.mark.parametrize("budget", [0, 3, 10])
+    def test_is_one_tabu_solve_call(self, budget):
+        fields = ("solver", "f_best", "iterations", "evaluations", "termination",
+                  "trace")
+        for t in range(5):
+            inst = gen_random_dense(8, 900 + t)
+            rng = np.random.default_rng(950 + t)
+            b = rng.normal(size=8)
+            start = rng.integers(0, 2, size=8).astype(np.int8)
+            got = refine_with_tabu(inst, b, start, max_steps=budget)
+            want = tabu_solve(inst, b, TabuParams(max_steps=budget,
+                                                  tabu_tenure=budget, start=start))
+            assert np.array_equal(got.x_best, want.x_best)
+            assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+            if budget == 0:
+                assert np.array_equal(got.x_best, start)
+                assert (got.iterations, got.evaluations) == (0, 1)
+                assert got.trace == [inst.evaluate(b, start)]
+
     def test_rejects_negative_budget(self, k2_instance):
         with pytest.raises(ValueError, match=">= 0"):
             refine_with_tabu(k2_instance, [0.0, 0.0], [0, 0], max_steps=-1)
@@ -273,6 +293,12 @@ class TestSabParams:
     def test_rejects_nonpositive_c0(self):
         with pytest.raises(ValueError, match="c0"):
             SabParams(c0=-1.0)
+
+    @pytest.mark.parametrize("name", ["dt", "a0", "c0"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_knobs(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            SabParams(**{name: value})
 
 
 class TestSab:
@@ -323,6 +349,13 @@ class TestSab:
             assert np.isfinite(got.f_best)
             assert set(np.unique(got.x_best)) <= {0, 1}
             assert got.termination == "annealed"
+
+    @pytest.mark.parametrize("steps", [2000, 1995, 7])
+    def test_scores_every_tenth_step_and_the_last_once(self, steps):
+        inst = gen_random_dense(10, 5)
+        b = np.random.default_rng(6).normal(size=10)
+        got = sab_solve(inst, b, SabParams(steps=steps, seed=0))
+        assert got.evaluations == len(got.trace) == math.ceil(steps / 10)
 
     def test_trace_is_non_increasing(self):
         inst = gen_random_dense(10, 5)
