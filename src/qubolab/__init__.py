@@ -20,7 +20,7 @@ from .qubo import (GraphView, QuboInstance, gen_ising, gen_lattice_laplacian,
                    qubo_to_ising)
 from .solvers import (IntractableSizeError, SabParams, SolverResult, TabuParams,
                       exhaustive_argmins, exhaustive_solve, refine_with_tabu,
-                      sab_solve, tabu_solve)
+                      sab_solve, tabu_rows, tabu_solve)
 
 __version__ = "0.1.0"
 
@@ -40,5 +40,5 @@ __all__ = [
     "gen_random_dense", "ising_energy", "lattice_adjacency", "qubo_to_ising",
     "IntractableSizeError", "SabParams", "SolverResult", "TabuParams",
     "exhaustive_argmins", "exhaustive_solve", "refine_with_tabu", "sab_solve",
-    "tabu_solve", "__version__",
+    "tabu_rows", "tabu_solve", "__version__",
 ]

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .qubo import QuboInstance, as_binary_assignment, as_observed_vector
-from .solvers import refine_with_tabu
+from .solvers import TabuParams, refine_with_tabu, tabu_rows
 
 
 @dataclass
@@ -113,13 +113,17 @@ def barrier_observed_vector(instance: QuboInstance, x_o, mu: float) -> np.ndarra
     """Observed vector that makes x_o stationary for the barrier relaxation:
 
         b_o = -(A + A^T) x_o + mu / x_o - mu / (1 - x_o).
+
+    x_o is one point (k,) or a stack of points (n, k), one b_o per row; a
+    row of the stack gets the same bits as the point alone.
     """
     x_o = np.asarray(x_o, dtype=np.float64)
-    if x_o.shape != (instance.k,):
-        raise ValueError(f"x_o has shape {x_o.shape}, expected ({instance.k},)")
+    if x_o.ndim not in (1, 2) or x_o.shape[-1] != instance.k:
+        raise ValueError(f"x_o has shape {x_o.shape}, expected ({instance.k},) or (n, {instance.k})")
     if np.any(x_o <= 0) or np.any(x_o >= 1):
         raise ValueError("x_o entries must lie strictly inside (0, 1)")
-    return -(instance.a_sym_csr @ x_o) + mu / x_o - mu / (1.0 - x_o)
+    g = np.ascontiguousarray((instance.a_sym_csr @ x_o.T).T)
+    return -g + mu / x_o - mu / (1.0 - x_o)
 
 
 def generate_pair(instance: QuboInstance, params: DataGenParams, pair_seed: int) -> DataPair:
@@ -156,16 +160,41 @@ def generate_dataset(
     instance_ref: str | None = None,
 ) -> Dataset:
     """Generate n_pairs pairs with per-pair seeds seed XOR index and a
-    deterministic shuffled train/val split."""
+    deterministic shuffled train/val split.
+
+    Pair i is generate_pair(instance, params, seed XOR index), bit for bit:
+    each pair draws from its own RNG stream, then every b_o comes from one
+    stacked barrier_observed_vector call and every rounded label is
+    polished in one tabu_rows call.
+    """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     if abs(split[0] + split[1] - 1.0) > 1e-9:
         raise ValueError(f"split fractions must sum to 1, got {split}")
     if not 0 <= split[0] <= 1:
         raise ValueError(f"train fraction must lie in [0, 1], got {split[0]}")
+    seeds = [params.seed ^ index for index in range(n_pairs)]
+    x_o = np.empty((n_pairs, instance.k))
+    z = np.empty((n_pairs, instance.k))
+    for index, pair_seed in enumerate(seeds):
+        rng = np.random.default_rng(pair_seed)
+        x_o[index] = draw_near_binary(rng, instance.k, params.eps_bin)
+        z[index] = rng.standard_normal(instance.k)
+    b = barrier_observed_vector(instance, x_o, params.mu) + params.sigma ** 2 * z
+    rounded = (x_o > 0.5).astype(np.int8)
+    steps = params.refine_steps
+    results = tabu_rows(instance, b, rounded, TabuParams(max_steps=steps, tabu_tenure=steps))
+    x = np.array([r.x_best for r in results])
+    flips = np.count_nonzero(x != rounded, axis=1).tolist()
     pairs = [
-        generate_pair(instance, params, params.seed ^ index)
-        for index in range(n_pairs)
+        DataPair(b=b[index], x=result.x_best, provenance={
+            "seed": int(pair_seed),
+            "sigma": float(params.sigma),
+            "refined": n_flips > 0,
+            "f_value": float(result.f_best),
+            "flips": n_flips,
+        })
+        for index, (pair_seed, result, n_flips) in enumerate(zip(seeds, results, flips))
     ]
     split_rng = np.random.default_rng(np.random.SeedSequence(params.seed).spawn(1)[0])
     perm = split_rng.permutation(n_pairs)

@@ -4,6 +4,7 @@ objective-landscape probes, and multi-method benchmarks.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -16,8 +17,7 @@ from .model import BpgnnModel
 from .qubo import (QuboInstance, as_binary_assignment, as_observed_vector,
                    rel_gaps)
 from .solvers import (EXHAUSTIVE_CAP, SabParams, SolverResult, TabuParams,
-                      exhaustive_argmins, refine_with_tabu, sab_solve,
-                      tabu_solve)
+                      exhaustive_argmins, sab_solve, tabu_rows)
 
 
 @dataclass
@@ -99,11 +99,11 @@ def _orthonormal_pair(rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.
 def _minimizers(instance: QuboInstance, fields: np.ndarray,
                 cap: int) -> tuple[np.ndarray, str]:
     """Minimizer of every row of fields (n, k), and the solver's name: one
-    exact enumeration for all rows up to the cap, Tabu per row above it."""
+    exact enumeration for all rows up to the cap, above it one lockstep
+    Tabu run (tabu_solve with TabuParams() on every row)."""
     if instance.k <= cap:
         return exhaustive_argmins(instance, fields, cap), "exhaustive"
-    return np.array([tabu_solve(instance, row, TabuParams()).x_best
-                     for row in fields]), "tabu"
+    return np.array([r.x_best for r in tabu_rows(instance, fields)]), "tabu"
 
 
 def probe_landscape(instance: QuboInstance, b, seed: int,
@@ -114,6 +114,9 @@ def probe_landscape(instance: QuboInstance, b, seed: int,
     """Map how the minimizer moves as b is perturbed in a random 2-plane."""
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
+    for name, bounds in (("s_range", s_range), ("t_range", t_range)):
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"{name} must be finite, got {bounds}")
     b = as_observed_vector(b, instance.k)
     rng = np.random.default_rng(seed)
     b1, b2 = _orthonormal_pair(rng, instance.k)
@@ -166,6 +169,8 @@ def ising_sweep(instance: QuboInstance, b_range: tuple[float, float],
     """Sweep the constant-field strength and record where the solution jumps."""
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
+    if not all(map(math.isfinite, b_range)):
+        raise ValueError(f"b_range must be finite, got {b_range}")
     betas = np.linspace(b_range[0], b_range[1], samples)
     fields = -betas[:, None] * np.ones(instance.k)
     assignments, method = _minimizers(instance, fields, cap)
@@ -188,19 +193,16 @@ def write_sweep(sweep: IsingSweep, path: str | os.PathLike) -> None:
 def _hybrid_rows(model: BpgnnModel, instance: QuboInstance, b_mat: np.ndarray,
                  max_steps: int = 10) -> list[SolverResult]:
     """hybrid_infer for every row of b_mat (n, k): one batched prediction,
-    then refine_with_tabu per row.  Each result is charged the prediction
-    time divided by n plus its own refinement time."""
+    then one lockstep tabu_rows polish of every prediction, row for row
+    what refine_with_tabu gives.  Each result is charged the prediction
+    time plus the polish time, both divided by n."""
     t0 = time.perf_counter()
     x_pred = model.predict(b_mat)
     predict_ms = (time.perf_counter() - t0) * 1000.0 / len(b_mat)
-    results = []
-    for b, x in zip(b_mat, x_pred):
-        t0 = time.perf_counter()
-        refined = refine_with_tabu(instance, b, x, max_steps=max_steps)
-        results.append(replace(
-            refined, solver="bpgnn+ts",
-            elapsed_ms=predict_ms + (time.perf_counter() - t0) * 1000.0))
-    return results
+    refined = tabu_rows(instance, b_mat, x_pred,
+                        TabuParams(max_steps=max_steps, tabu_tenure=max_steps))
+    return [replace(r, solver="bpgnn+ts", elapsed_ms=predict_ms + r.elapsed_ms)
+            for r in refined]
 
 
 def hybrid_infer(model: BpgnnModel, instance: QuboInstance, b,
@@ -224,11 +226,12 @@ def evaluate_method(method: str, instance: QuboInstance, dataset: Dataset,
                     model: BpgnnModel | None = None,
                     split: str = "val") -> EvalRecord:
     """Mean accuracy/objective-gap/time of one method over a dataset split,
-    referenced against the stored labels.  "exhaustive" and "bpgnn" solve
-    the whole split in one batched call and charge each example that
-    call's time divided by n; "bpgnn+ts" is hybrid_infer over the split
-    (one batched prediction, a refinement per row); "tabu" and "sab" run
-    once per row."""
+    referenced against the stored labels.  "exhaustive", "bpgnn" and
+    "tabu" solve the whole split in one batched call and charge each
+    example that call's time divided by n ("tabu" is one lockstep
+    tabu_rows run, tabu_solve with TabuParams() on every row); "bpgnn+ts"
+    is hybrid_infer over the split (one batched prediction, one lockstep
+    polish); "sab" runs once per row."""
     if method not in BENCH_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {BENCH_METHODS}")
     if method in ("bpgnn", "bpgnn+ts") and model is None:
@@ -246,7 +249,7 @@ def evaluate_method(method: str, instance: QuboInstance, dataset: Dataset,
         if method == "bpgnn+ts":
             runs = _hybrid_rows(model, instance, b)
         elif method == "tabu":
-            runs = [tabu_solve(instance, row, TabuParams()) for row in b]
+            runs = tabu_rows(instance, b)
         else:
             runs = [sab_solve(instance, row, SabParams()) for row in b]
         x_pred = np.array([r.x_best for r in runs])

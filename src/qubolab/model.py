@@ -234,6 +234,12 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if (self.target_val_acc is None) != (self.target_val_relqubo is None):
             raise ValueError("target_val_acc and target_val_relqubo must be set together")
+        if self.target_val_acc is not None and not 0 <= self.target_val_acc <= 1:
+            raise ValueError(
+                f"target_val_acc must lie in [0, 1], got {self.target_val_acc}")
+        if self.target_val_relqubo is not None and not math.isfinite(self.target_val_relqubo):
+            raise ValueError(
+                f"target_val_relqubo must be finite, got {self.target_val_relqubo}")
 
 
 def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,

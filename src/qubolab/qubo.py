@@ -208,6 +208,8 @@ def gen_random_dense(k: int, seed: int, scale: float = 1.0) -> QuboInstance:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((k, k)) * scale
     rows, cols = np.divmod(np.arange(k * k, dtype=np.int64), k)

@@ -284,6 +284,147 @@ def tabu_solve(instance: QuboInstance, b, params: TabuParams | None = None) -> S
     )
 
 
+def tabu_rows(instance: QuboInstance, b_mat, starts=None,
+              params: TabuParams | None = None) -> list[SolverResult]:
+    """tabu_solve for every row of b_mat (n, k), run in lockstep.
+
+    Row r starts from starts[r] (an (n, k) binary matrix; None starts every
+    row from params.start, all zeros when that is None too) and returns
+    exactly what tabu_solve returns for that field and start: the same
+    x_best, f_best, iterations, evaluations, termination and trace.  Each
+    result is charged the stack's time divided by n.  For one row
+    tabu_solve is faster; the stack pays once there are many.
+
+    Each step scores the (m, k) flips of the m rows still running with one
+    _flip_deltas call.  The tabu test is exact and needs no hashing: every
+    row keeps the last tabu_tenure points it visited in a ring, with each
+    slot's Hamming distance to the current point.  Flipping bit i lands on
+    a remembered point p exactly when x XOR p = e_i, so only slots at
+    distance 1 forbid a bit.  With the forbidden deltas set to +inf, the
+    first argmin is the first allowed entry of tabu_solve's stable argsort
+    whenever its value is finite; a row whose pick is not finite (every
+    flip tabu, or inf/NaN deltas) takes the argsort rule itself.  Rows that
+    stop are dropped from the working arrays.
+    """
+    params = params or TabuParams()
+    k = instance.k
+    # Contiguous rows: evaluate's dot products sum a strided row in another order.
+    b_mat = np.ascontiguousarray(b_mat, dtype=np.float64)
+    if b_mat.ndim != 2 or b_mat.shape[1] != k:
+        raise ValueError(f"field matrix has shape {b_mat.shape}, expected (n, {k})")
+    if not np.all(np.isfinite(b_mat)):
+        raise ValueError("field matrix contains NaN or Inf entries")
+    n = len(b_mat)
+    if starts is None:
+        starts = np.tile(np.zeros(k) if params.start is None else params.start, (n, 1))
+    elif params.start is not None:
+        raise ValueError("give the start points as starts or as params.start, not both")
+    x = np.asarray(starts)
+    if x.shape != (n, k):
+        raise ValueError(f"start matrix has shape {x.shape}, expected ({n}, {k})")
+    if np.any((x != 0) & (x != 1)):
+        raise ValueError("assignment entries must be exactly 0 or 1")
+    x = x.astype(np.int8)
+    if n == 0:
+        return []
+    t0 = time.perf_counter()
+
+    s = instance.a_sym_csr
+    indptr, indices, data = s.indptr, s.indices, s.data
+    d = instance.a_diag
+    xf = x.astype(np.float64)
+    g = np.ascontiguousarray((s @ xf.T).T)
+    f = np.array([instance.evaluate(b, row) for b, row in zip(b_mat, x)])
+    b = b_mat
+
+    best_x = x.copy()
+    best_f = f.copy()
+    trace = [best_f.copy()]  # best_f of every row after each step
+    iterations = np.full(n, params.max_steps)
+    termination = np.full(n, "max_steps", dtype=object)
+    live = np.arange(n)  # the row of b_mat that each working row runs
+    stalled = np.zeros(n, dtype=np.int64)
+    tenure = params.tabu_tenure
+    ring = np.zeros((n, tenure, k), dtype=np.int8)
+    dist = np.zeros((n, tenure), dtype=np.int64)
+
+    def stop(done, why, steps):
+        nonlocal live, x, xf, g, b, f, stalled, ring, dist
+        termination[live[done]] = why
+        iterations[live[done]] = steps
+        keep = ~done
+        live, x, xf, g, b, f, stalled, ring, dist = (
+            a[keep] for a in (live, x, xf, g, b, f, stalled, ring, dist))
+        return keep
+
+    for step in range(params.max_steps):
+        if not live.size:
+            break
+        if tenure:
+            ring[:, step % tenure] = x
+            dist[:, step % tenure] = 0
+        filled = min(step + 1, tenure)
+        near = dist[:, :filled] == 1
+        forbidden = (near[:, :, None] & (ring[:, :filled] != x[:, None, :])).any(axis=1)
+        deltas = _flip_deltas(b, d, g, xf)
+        masked = np.where(forbidden, np.inf, deltas)
+        chosen = masked.argmin(axis=1)
+        stuck = np.zeros(live.size, dtype=bool)
+        for r in np.flatnonzero(~np.isfinite(masked[np.arange(live.size), chosen])):
+            order = np.argsort(deltas[r], kind="stable")
+            allowed = order[~forbidden[r, order]]
+            if allowed.size:
+                chosen[r] = allowed[0]
+            else:
+                stuck[r] = True
+        if stuck.any():
+            keep = stop(stuck, "all_tabu", step)
+            deltas, chosen = deltas[keep], chosen[keep]
+            if not live.size:
+                break
+
+        rows = np.arange(live.size)
+        dist[:, :filled] += np.where(
+            ring[rows, :filled, chosen] == x[rows, chosen][:, None], 1, -1)
+        f += deltas[rows, chosen]
+        sign = 1.0 - 2.0 * xf[rows, chosen]
+        # A + A^T row `chosen` of every working row, as flat CSR positions.
+        lo, counts = indptr[chosen], indptr[chosen + 1] - indptr[chosen]
+        ends = np.cumsum(counts)
+        pos = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
+        g[np.repeat(rows, counts), indices[pos]] += np.repeat(sign, counts) * data[pos]
+        x[rows, chosen] ^= 1
+        xf[rows, chosen] = x[rows, chosen]
+
+        improved = f < best_f[live]
+        best_f[live[improved]] = f[improved]
+        best_x[live[improved]] = x[improved]
+        stalled = np.where(improved, 0, stalled + 1)
+        trace.append(best_f.copy())
+        if params.patience is not None:
+            done = stalled >= params.patience
+            if done.any():
+                stop(done, "patience", step + 1)
+
+    evaluations = 1 + k * iterations + k * (termination == "all_tabu")
+    f_best = [instance.evaluate(b_row, x_row) for b_row, x_row in zip(b_mat, best_x)]
+    trace_mat = np.column_stack(trace)
+    elapsed = (time.perf_counter() - t0) * 1000.0 / n
+    return [
+        SolverResult(
+            solver="tabu",
+            x_best=best_x[r],
+            f_best=f_best[r],
+            iterations=int(iterations[r]),
+            evaluations=int(evaluations[r]),
+            elapsed_ms=elapsed,
+            termination=termination[r],
+            trace=trace_mat[r, :iterations[r] + 1].tolist(),
+        )
+        for r in range(n)
+    ]
+
+
 def refine_with_tabu(instance: QuboInstance, b, start, max_steps: int = 10) -> SolverResult:
     """Short Tabu polish from a given assignment.
 

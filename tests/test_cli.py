@@ -80,6 +80,20 @@ class TestGenInstance:
         assert capsys.readouterr().err.startswith("error: --kind")
 
 
+@pytest.mark.parametrize("args,name", [
+    (["gen-instance", "--kind", "random-dense", "--k", "4", "--scale", "nan"], "scale"),
+    (["sweep", "--instance", "INST", "--b-min", "nan", "--b-max", "1"], "b_range"),
+    (["probe", "--instance", "INST", "--s-range", "nan,1"], "s_range"),
+    (["probe", "--instance", "INST", "--t-range", "0,inf"], "t_range"),
+])
+def test_non_finite_knob_exits_2_naming_it(ws, tmp_path, capsys, args, name):
+    out = tmp_path / "out.csv"
+    argv = [str(ws["inst"]) if a == "INST" else a for a in args] + ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestGenData:
     def test_reproduces_library_output_byte_for_byte(self, ws, tmp_path):
         inst = read_instance(ws["inst"])

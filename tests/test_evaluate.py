@@ -10,13 +10,14 @@ import pytest
 
 from conftest import naive_minimize
 from qubolab import (BpgnnConfig, BpgnnModel, DataGenParams, DataPair, Dataset,
-                     EvalRecord, QuboInstance, accuracy, benchmark,
+                     EvalRecord, QuboInstance, TabuParams, accuracy, benchmark,
                      evaluate_method, exhaustive_solve, gen_ising,
                      gen_lattice_laplacian, gen_random_dense,
                      generate_dataset, homophily,
                      hybrid_infer, ising_sweep, lattice_adjacency,
-                     plateau_fraction, probe_landscape, rel_qubo,
-                     write_eval_records, write_landscape, write_sweep)
+                     plateau_fraction, probe_landscape, refine_with_tabu,
+                     rel_qubo, tabu_solve, write_eval_records, write_landscape,
+                     write_sweep)
 from qubolab import evaluate
 from qubolab.evaluate import BENCH_COLUMNS, _hybrid_rows
 from qubolab.qubo import rel_gaps
@@ -119,6 +120,25 @@ class TestLandscapeProbe:
         assert grid.method == "tabu"
         assert grid.phi[1, 1] == 0  # center still coincides with the base
 
+    def test_above_the_cap_every_cell_is_a_tabu_solve(self):
+        inst = gen_random_dense(6, seed=12)
+        b = np.random.default_rng(13).normal(size=6)
+        grid = probe_landscape(inst, b, seed=14, resolution=5, cap=3)
+        x_base = tabu_solve(inst, b, TabuParams()).x_best
+        phi = np.array([[np.count_nonzero(
+            tabu_solve(inst, b + t * grid.b1 + s * grid.b2, TabuParams()).x_best != x_base)
+            for t in grid.t_values] for s in grid.s_values])
+        assert grid.method == "tabu"
+        assert np.array_equal(grid.phi, phi)
+        assert len(np.unique(grid.phi)) > 1
+
+    @pytest.mark.parametrize("ranges", [
+        dict(s_range=(float("nan"), 1.0)), dict(t_range=(-1.0, float("inf")))])
+    def test_rejects_non_finite_ranges_by_name(self, ranges):
+        inst = gen_random_dense(4, seed=5)
+        with pytest.raises(ValueError, match=f"{next(iter(ranges))} must be finite"):
+            probe_landscape(inst, np.zeros(4), seed=0, resolution=3, **ranges)
+
     def test_write_landscape_csv(self, tmp_path):
         inst = gen_random_dense(4, seed=5)
         grid = probe_landscape(inst, np.zeros(4), seed=3, resolution=3)
@@ -177,6 +197,20 @@ class TestIsingSweep:
         assert sweep.change_points.tolist() == [3]
         assert not sweep.assignments[:3].any()
 
+    def test_above_the_cap_every_sample_is_a_tabu_solve(self):
+        inst, _ = gen_ising(lattice_adjacency(4), 0.0)
+        sweep = ising_sweep(inst, (-4.0, 4.0), 9, cap=10)
+        loop = [tabu_solve(inst, -beta * np.ones(16), TabuParams()).x_best
+                for beta in sweep.b_values]
+        assert sweep.method == "tabu"
+        assert np.array_equal(sweep.assignments, loop)
+        assert sweep.change_points.size
+
+    @pytest.mark.parametrize("b_range", [(float("nan"), 1.0), (0.0, -float("inf"))])
+    def test_rejects_a_non_finite_range_by_name(self, b_range):
+        with pytest.raises(ValueError, match="b_range must be finite"):
+            ising_sweep(self.pair_instance(), b_range, 3)
+
     def test_write_sweep_csv(self, tmp_path):
         sweep = ising_sweep(self.pair_instance(), (-1.0, 4.0), 11)
         path = tmp_path / "sweep.csv"
@@ -225,6 +259,18 @@ class TestHybridInfer:
                 "bpgnn+ts", stack[j].f_best, stack[j].iterations,
                 stack[j].evaluations, stack[j].termination)
             assert stack[j].elapsed_ms > 0.0
+
+    def test_stack_polish_is_refine_with_tabu_per_row(self):
+        inst = gen_random_dense(12, seed=23, scale=0.5)
+        b = np.random.default_rng(24).normal(size=(25, 12))
+        model = BpgnnModel(BpgnnConfig(d=4, layers=1, seed=1), inst)
+        stack = _hybrid_rows(model, inst, b, max_steps=6)
+        for row, got in zip(b, stack):
+            want = refine_with_tabu(inst, row, model.predict(row), max_steps=6)
+            assert np.array_equal(got.x_best, want.x_best)
+            assert (got.f_best, got.iterations, got.evaluations, got.termination,
+                    got.trace) == (want.f_best, want.iterations, want.evaluations,
+                                   want.termination, want.trace)
 
     def test_zero_refinement_returns_pure_prediction(self, eval_problem):
         inst, _, model = eval_problem
@@ -293,6 +339,17 @@ class TestEvaluateMethod:
         x_loop = np.array([hybrid_infer(model, inst, row).x_best for row in b])
         assert rec.accuracy == float(np.mean(np.mean(x_loop == x_ref, axis=1)))
         assert rec.rel_qubo == float(np.mean(rel_gaps(inst, b, x_ref, x_loop)))
+        assert rec.elapsed_ms > 0.0
+
+    def test_tabu_is_one_stack_equal_to_a_per_row_loop(self):
+        inst = gen_random_dense(12, seed=25, scale=0.5)
+        data = generate_dataset(inst, 40, DataGenParams(sigma=0.8, seed=26))
+        rec = evaluate_method("tabu", inst, data)
+        b, x_ref = data.b_matrix("val"), data.x_matrix("val")
+        x_loop = np.array([tabu_solve(inst, row, TabuParams()).x_best for row in b])
+        assert rec.accuracy == float(np.mean(np.mean(x_loop == x_ref, axis=1)))
+        assert rec.rel_qubo == float(np.mean(rel_gaps(inst, b, x_ref, x_loop)))
+        assert 0.0 < rec.accuracy < 1.0
         assert rec.elapsed_ms > 0.0
 
     def test_unknown_method_is_rejected(self, eval_problem):

@@ -194,6 +194,13 @@ class TestTrainConfig:
         (dict(weight_decay=float("inf")), "weight_decay must be"),
         (dict(target_val_acc=0.9), "must be set together"),
         (dict(target_val_relqubo=0.1), "must be set together"),
+        (dict(target_val_acc=float("nan"), target_val_relqubo=0.1), "target_val_acc must"),
+        (dict(target_val_acc=1.5, target_val_relqubo=0.1), "target_val_acc must"),
+        (dict(target_val_acc=-0.1, target_val_relqubo=0.1), "target_val_acc must"),
+        (dict(target_val_acc=0.9, target_val_relqubo=float("nan")),
+         "target_val_relqubo must"),
+        (dict(target_val_acc=0.9, target_val_relqubo=float("inf")),
+         "target_val_relqubo must"),
     ])
     def test_validation(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):

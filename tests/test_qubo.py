@@ -215,6 +215,11 @@ class TestGenerators:
         with pytest.raises(ValueError, match="positive"):
             gen_random_dense(0, 0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
+    def test_random_dense_rejects_a_non_finite_scale_by_name(self, scale):
+        with pytest.raises(ValueError, match="scale must be finite"):
+            gen_random_dense(4, 0, scale=scale)
+
     def test_lattice_laplacian_2x2(self):
         inst = gen_lattice_laplacian(2)
         dense = inst.a_csr.toarray()

@@ -6,15 +6,19 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubolab import (IntractableSizeError, QuboInstance, SabParams,
                      SolverResult, TabuParams, exhaustive_argmins,
-                     exhaustive_solve, gen_ising, gen_random_dense,
-                     lattice_adjacency, refine_with_tabu, sab_solve,
-                     tabu_solve)
+                     exhaustive_solve, gen_ising, gen_lattice_laplacian,
+                     gen_random_dense, lattice_adjacency, refine_with_tabu,
+                     sab_solve, tabu_rows, tabu_solve)
 from qubolab import solvers
 
 from conftest import naive_minimize, tiny_instance
@@ -225,6 +229,110 @@ class TestTabu:
                          TabuParams(max_steps=6, tabu_tenure=0, patience=None))
         assert got.termination == "max_steps"
         assert got.iterations == 6
+
+
+def assert_rows_are_tabu_solves(instance, b, starts, params):
+    """tabu_rows equals tabu_solve row by row, every field but elapsed_ms."""
+    got = tabu_rows(instance, b, starts, params)
+    assert len(got) == len(b)
+    for r, result in enumerate(got):
+        want = tabu_solve(instance, b[r], replace(params, start=starts[r]))
+        assert np.array_equal(result.x_best, want.x_best)
+        assert result.x_best.dtype == want.x_best.dtype
+        # repr compares floats bit for bit and treats NaN as equal to itself
+        assert repr((result.solver, result.f_best, result.iterations, result.evaluations,
+                     result.termination, result.trace)) == repr(
+            (want.solver, want.f_best, want.iterations, want.evaluations,
+             want.termination, want.trace))
+    return got
+
+
+@st.composite
+def tabu_stacks(draw):
+    """A dense or lattice instance, a stack of fields and starts, and tabu
+    knobs: tenure 0, a ring that wraps (tenure < steps), or a memory as large
+    as the whole cube (tenure 2^k >= k), where every walk ends all_tabu."""
+    memory = draw(st.sampled_from(["none", "wrap", "cube"]))
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 5 if memory == "cube" else 14))
+        instance = gen_random_dense(k, draw(st.integers(0, 2 ** 16)))
+    else:
+        instance = gen_lattice_laplacian(2 if memory == "cube" else draw(st.integers(2, 4)))
+    k = instance.k
+    if memory == "none":
+        steps, tenure = draw(st.integers(0, 40)), 0
+    elif memory == "wrap":
+        steps = draw(st.integers(2, 40))
+        tenure = draw(st.integers(1, steps - 1))
+    else:
+        tenure = 2 ** k
+        steps = tenure + draw(st.integers(0, 4))
+    patience = None if memory == "cube" else draw(st.sampled_from([None, 1, 2, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 8))
+    b = rng.normal(size=(n, k)) * draw(st.sampled_from([0.1, 1.0, 4.0]))
+    if draw(st.booleans()):
+        b = np.round(b)  # exact ties between flips
+    starts = rng.integers(0, 2, size=(n, k)).astype(np.int8)
+    return instance, b, starts, TabuParams(max_steps=steps, tabu_tenure=tenure,
+                                           patience=patience)
+
+
+class TestTabuRows:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(tabu_stacks())
+    def test_every_row_is_a_tabu_solve(self, case):
+        instance, b, starts, params = case
+        got = assert_rows_are_tabu_solves(instance, b, starts, params)
+        cube = 1 << instance.k
+        if params.patience is None and min(params.tabu_tenure, params.max_steps) >= cube:
+            # every visited point stays remembered, so each walk runs out of moves
+            assert {r.termination for r in got} == {"all_tabu"}
+
+    def test_non_finite_deltas_take_the_argsort_rule(self):
+        # Diagonal entries and fields near 1e308 sum past the largest double:
+        # a delta is +inf at x_i = 0 and inf - inf = NaN at x_i = 1.
+        instance = QuboInstance(k=6, rows=[0, 1, 2, 3, 4, 5, 0, 2],
+                                cols=[0, 1, 2, 3, 4, 5, 3, 5],
+                                vals=[1e308, 1.0, 1e308, -1.0, 0.5, 1e308, 2.0, -1.5])
+        rng = np.random.default_rng(3)
+        b = np.tile([1e308, -1.0, 1e308, 0.3, -0.2, 1e308], (8, 1))
+        b[:, [1, 3, 4]] += rng.normal(size=(8, 3))
+        starts = rng.integers(0, 2, size=(8, 6)).astype(np.int8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for tenure in (0, 2, 6):
+                got = assert_rows_are_tabu_solves(
+                    instance, b, starts,
+                    TabuParams(max_steps=15, tabu_tenure=tenure, patience=None))
+                assert any(math.isinf(v) for r in got for v in r.trace)
+
+    def test_one_start_for_every_row(self):
+        inst = gen_random_dense(8, 31)
+        b = np.random.default_rng(32).normal(size=(5, 8))
+        start = np.random.default_rng(33).integers(0, 2, size=8)
+        for params in (TabuParams(max_steps=20), TabuParams(max_steps=20, start=start)):
+            want = [tabu_solve(inst, row, params) for row in b]
+            got = tabu_rows(inst, b, None, params)
+            assert [r.x_best.tolist() for r in got] == [r.x_best.tolist() for r in want]
+            assert [r.trace for r in got] == [r.trace for r in want]
+
+    def test_charges_each_row_a_share_of_the_stack(self):
+        inst = gen_random_dense(8, 34)
+        got = tabu_rows(inst, np.random.default_rng(35).normal(size=(4, 8)))
+        assert len({r.elapsed_ms for r in got}) == 1 and got[0].elapsed_ms > 0.0
+        assert tabu_rows(inst, np.empty((0, 8))) == []
+
+    @pytest.mark.parametrize("b,starts,params,msg", [
+        (np.zeros((2, 3)), None, None, "field matrix has shape"),
+        (np.array([[0.0, np.nan, 0.0, 0.0]]), None, None, "NaN or Inf"),
+        (np.zeros((2, 4)), np.zeros((3, 4)), None, "start matrix has shape"),
+        (np.zeros((1, 4)), np.full((1, 4), 2), None, "exactly 0 or 1"),
+        (np.zeros((1, 4)), np.zeros((1, 4)), TabuParams(start=np.zeros(4)), "not both"),
+    ])
+    def test_rejects_bad_input(self, b, starts, params, msg):
+        with pytest.raises(ValueError, match=msg):
+            tabu_rows(gen_random_dense(4, 0), b, starts, params)
 
 
 class TestRefineWithTabu:
