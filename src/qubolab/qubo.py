@@ -21,13 +21,19 @@ import scipy.sparse as sp
 
 
 def as_observed_vector(b, k: int) -> np.ndarray:
-    """Validate and return an observed vector as a float64 array of length k."""
+    """Validate and return an observed vector as a C-contiguous float64 array
+    of length k.
+
+    Contiguous because numpy's dot product sums a strided vector in another
+    order than a contiguous one, which would make the last bit of evaluate
+    depend on the caller's memory layout.
+    """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (k,):
         raise ValueError(f"observed vector has shape {b.shape}, expected ({k},)")
     if not np.all(np.isfinite(b)):
         raise ValueError("observed vector contains NaN or Inf entries")
-    return b
+    return np.ascontiguousarray(b)
 
 
 def as_binary_assignment(x, k: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -202,13 +202,47 @@ class TabuParams:
             raise ValueError(f"patience must be >= 1 or None, got {self.patience}")
 
 
+def _first_allowed(deltas: np.ndarray, x: np.ndarray, tabu: dict) -> int:
+    """The first flip of x, in the stable ascending order of deltas, whose
+    resulting point is not in tabu; -1 when every flip is tabu.
+
+    Picks by masked argmin: take the first minimum and, while its flip is
+    tabu, set that entry to +inf and take the next.  argmin returns the
+    first of equal minima, so a finite pick is the first allowed entry of
+    the stable argsort.  A pick that is not finite (NaN or infinite deltas,
+    or every flip tabu) falls back to scanning that argsort."""
+
+    def allowed(i) -> bool:
+        x[i] ^= 1
+        key = x.tobytes()
+        x[i] ^= 1
+        return key not in tabu
+
+    masked = deltas
+    while True:
+        i = int(masked.argmin())
+        if not math.isfinite(masked[i]):
+            break
+        if allowed(i):
+            return i
+        if masked is deltas:
+            masked = deltas.copy()
+        masked[i] = math.inf
+    for i in np.argsort(deltas, kind="stable"):
+        if allowed(i):
+            return int(i)
+    return -1
+
+
 def tabu_solve(instance: QuboInstance, b, params: TabuParams | None = None) -> SolverResult:
     """Single-bit-flip Tabu search.
 
     Each step scores all k flips of the current point, skips flips whose
     resulting assignment sits in the tabu memory, and moves to the best
-    remaining neighbor even when it worsens the objective.  Returns the
-    best assignment seen.
+    remaining neighbor even when it worsens the objective; ties go to the
+    lowest index.  The pick is a masked argmin (see _first_allowed), which
+    takes the first allowed entry of the flips' stable argsort without
+    sorting.  Returns the best assignment seen.
     """
     params = params or TabuParams()
     b = as_observed_vector(b, instance.k)
@@ -242,14 +276,7 @@ def tabu_solve(instance: QuboInstance, b, params: TabuParams | None = None) -> S
             del tabu[next(iter(tabu))]
         deltas = _flip_deltas(b, d, g, xf)
         evaluations += k
-        chosen = -1
-        for i in np.argsort(deltas, kind="stable"):
-            x[i] ^= 1
-            key = x.tobytes()
-            x[i] ^= 1
-            if key not in tabu:
-                chosen = int(i)
-                break
+        chosen = _first_allowed(deltas, x, tabu)
         if chosen < 0:
             termination = "all_tabu"
             break
@@ -292,8 +319,8 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
     row from params.start, all zeros when that is None too) and returns
     exactly what tabu_solve returns for that field and start: the same
     x_best, f_best, iterations, evaluations, termination and trace.  Each
-    result is charged the stack's time divided by n.  For one row
-    tabu_solve is faster; the stack pays once there are many.
+    result is charged the stack's time divided by n.  The stack pays only
+    once there are many rows, so one row is handed to tabu_solve itself.
 
     Each step scores the (m, k) flips of the m rows still running with one
     _flip_deltas call.  The tabu test is exact and needs no hashing: every
@@ -308,8 +335,7 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
     """
     params = params or TabuParams()
     k = instance.k
-    # Contiguous rows: evaluate's dot products sum a strided row in another order.
-    b_mat = np.ascontiguousarray(b_mat, dtype=np.float64)
+    b_mat = np.asarray(b_mat, dtype=np.float64)
     if b_mat.ndim != 2 or b_mat.shape[1] != k:
         raise ValueError(f"field matrix has shape {b_mat.shape}, expected (n, {k})")
     if not np.all(np.isfinite(b_mat)):
@@ -327,6 +353,8 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
     x = x.astype(np.int8)
     if n == 0:
         return []
+    if n == 1:
+        return [tabu_solve(instance, b_mat[0], replace(params, start=x[0]))]
     t0 = time.perf_counter()
 
     s = instance.a_sym_csr
@@ -481,9 +509,18 @@ def sab_solve(instance: QuboInstance, b, params: SabParams | None = None) -> Sol
     with y clamped to [-1, 1] and the matching momentum zeroed on contact.
     J + J^T = (A + A^T) / 4 is taken from the instance's A + A^T.  The c0
     term is the downhill direction of the spin energy, so the dynamics
-    settle toward low objective values; each step costs one sparse
-    matrix-vector product.  The rounded state is scored every 10 steps
-    and at the last step, and the best scored point is returned.
+    settle toward low objective values.  Each step costs one product with
+    A + A^T, held as a dense array when it stores at least a quarter of
+    its k^2 entries and as CSR otherwise.
+
+    The rounded state x is scored every 10 steps and at the last step, and
+    the best scored point is returned.  evaluate referees a scored state
+    only when it might beat the best so far: a state equal to the best is
+    skipped, and so is one whose screen 1/2 x.((A + A^T) x) + b.x, a cheap
+    product with the same operator, exceeds the best by more than a
+    rigorous bound on the two computations' rounding.  So the result is
+    exactly what refereeing every scored state gives; evaluations counts
+    the scored states.
     """
     params = params or SabParams()
     b = as_observed_vector(b, instance.k)
@@ -496,6 +533,27 @@ def sab_solve(instance: QuboInstance, b, params: SabParams | None = None) -> Sol
     else:
         fro = 0.25 * float(np.sqrt((instance.a_csr.data ** 2).sum()))  # ||J||_F
         c0 = 0.5 / (fro / np.sqrt(k)) if fro > 0 else 0.5
+    op = instance.a_sym_csr
+    if 4 * op.nnz >= k * k:
+        op = op.toarray()
+
+    # The screen's rounding bound.  Let S = sum|vals| + sum|b|, u = 2^-53
+    # and g(n) = n u / (1 - n u).  evaluate sums nnz exact products (x is
+    # 0/1), then k more, then adds the two: |evaluate - f| <= g(nnz+k+1) S
+    # in any summation order.  The screen rounds each entry of A + A^T
+    # once, sums k terms per entry of op x and k in x.(op x) (whose terms
+    # total at most 2 (1 + u) sum|vals| before the exact halving), k in
+    # b.x, and adds once: |screen - f| <= g(2k+3) S.  Forming best_f + tol
+    # rounds once more, by at most u (|best_f| + tol) <= u (2 S + tol), and
+    # the computed S and tol fall short by a relative g(nnz+k+6) at most.
+    # tol = 2 g(m) S with m = nnz + 3k + 8 covers all of these together.
+    # The smallest normal double covers halving a subnormal.  When 4 S
+    # overflows, evaluate's partial sums might, so nothing is skipped.
+    scale = float(np.abs(instance.vals).sum() + np.abs(b).sum())
+    u = 2.0 ** -53
+    m = instance.nnz + 3 * k + 8
+    tol = (2.0 * m * u / (1.0 - m * u) * scale + np.finfo(np.float64).tiny
+           if math.isfinite(4.0 * scale) else math.inf)
 
     rng = np.random.default_rng(params.seed)
     y = rng.uniform(-0.1, 0.1, size=k)
@@ -507,7 +565,7 @@ def sab_solve(instance: QuboInstance, b, params: SabParams | None = None) -> Sol
     evaluations = 0
     trace = []
     for step, a_t in enumerate(amplitudes):
-        p -= params.dt * ((params.a0 - a_t) * y + c0 * (0.25 * (instance.a_sym_csr @ y) + h))
+        p -= params.dt * ((params.a0 - a_t) * y + c0 * (0.25 * (op @ y) + h))
         y += params.dt * params.a0 * p
         escaped = np.abs(y) > 1.0
         if escaped.any():
@@ -517,11 +575,17 @@ def sab_solve(instance: QuboInstance, b, params: SabParams | None = None) -> Sol
             raise RuntimeError(f"sab state became non-finite at step {step}")
         if step % 10 == 9 or step == params.steps - 1:
             x_t = (y > 0).astype(np.int8)
-            f_t = instance.evaluate(b, x_t)
             evaluations += 1
-            if f_t < best_f:
-                best_f = f_t
-                best_x = x_t
+            # evaluate(b, best_x) is best_f, which is not below best_f
+            if best_x is None or not np.array_equal(x_t, best_x):
+                xf = x_t.astype(np.float64)
+                screen = 0.5 * float(xf @ (op @ xf)) + float(b @ xf)
+                bound = best_f + tol
+                if not (math.isfinite(screen) and math.isfinite(bound) and screen > bound):
+                    f_t = instance.evaluate(b, x_t)
+                    if f_t < best_f:
+                        best_f = f_t
+                        best_x = x_t
             trace.append(best_f)
 
     elapsed = (time.perf_counter() - t0) * 1000.0

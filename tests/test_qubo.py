@@ -131,6 +131,18 @@ class TestObjective:
         inst = QuboInstance(k=3, rows=[], cols=[], vals=[])
         assert inst.evaluate([1.0, 2.0, 3.0], [1, 0, 1]) == pytest.approx(4.0)
 
+    def test_same_bits_whatever_the_layout_of_b(self):
+        # A row of a Fortran-ordered stack is strided; numpy's dot product
+        # sums a strided vector in another order than a contiguous one.
+        inst = gen_lattice_laplacian(8)
+        rng = np.random.default_rng(0)
+        b = np.asfortranarray(rng.normal(size=(50, 64)) * 10)
+        x = rng.integers(0, 2, size=(50, 64))
+        assert not b[0].flags.c_contiguous
+        assert as_observed_vector(b[0], 64).flags.c_contiguous
+        for row, x_row in zip(b, x):
+            assert repr(inst.evaluate(row, x_row)) == repr(inst.evaluate(row.copy(), x_row))
+
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(1, 6), seed=st.integers(0, 10_000))
     def test_residual_sums_to_objective(self, k, seed):

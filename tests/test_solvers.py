@@ -20,6 +20,7 @@ from qubolab import (IntractableSizeError, QuboInstance, SabParams,
                      gen_random_dense, lattice_adjacency, refine_with_tabu,
                      sab_solve, tabu_rows, tabu_solve)
 from qubolab import solvers
+from qubolab.qubo import qubo_to_ising
 
 from conftest import naive_minimize, tiny_instance
 
@@ -231,6 +232,66 @@ class TestTabu:
         assert got.iterations == 6
 
 
+def argsort_scan_tabu(instance, b, params):
+    """Reference tabu_solve that picks each move by scanning the stable
+    argsort of the deltas for the first flip outside the memory.  Returns
+    the fields of a SolverResult but elapsed_ms, as one comparable tuple."""
+    k = instance.k
+    b = np.asarray(b, dtype=np.float64)
+    x = (np.zeros(k) if params.start is None else np.asarray(params.start)).astype(np.int8)
+    s = instance.a_sym_csr
+    d = instance.a_diag
+    xf = x.astype(np.float64)
+    g = s @ xf
+    f = instance.evaluate(b, x)
+    evaluations, steps, stalled = 1, 0, 0
+    best_x, best_f, trace = x.copy(), f, [f]
+    tabu = {}
+    termination = "max_steps"
+    for _ in range(params.max_steps):
+        tabu[x.tobytes()] = None
+        if len(tabu) > params.tabu_tenure:
+            del tabu[next(iter(tabu))]
+        deltas = (1.0 - 2.0 * xf) * (b + d + g - 2.0 * d * xf)
+        evaluations += k
+        chosen = -1
+        for i in np.argsort(deltas, kind="stable"):
+            x[i] ^= 1
+            key = x.tobytes()
+            x[i] ^= 1
+            if key not in tabu:
+                chosen = int(i)
+                break
+        if chosen < 0:
+            termination = "all_tabu"
+            break
+        f += float(deltas[chosen])
+        lo, hi = s.indptr[chosen], s.indptr[chosen + 1]
+        g[s.indices[lo:hi]] += (1.0 - 2.0 * xf[chosen]) * s.data[lo:hi]
+        x[chosen] ^= 1
+        xf[chosen] = x[chosen]
+        steps += 1
+        if f < best_f:
+            best_f, best_x, stalled = f, x.copy(), 0
+        else:
+            stalled += 1
+        trace.append(best_f)
+        if params.patience is not None and stalled >= params.patience:
+            termination = "patience"
+            break
+    return ("tabu", best_x.tobytes(), instance.evaluate(b, best_x), steps, evaluations,
+            termination, trace)
+
+
+def assert_tabu_solve_is_the_argsort_scan(instance, b, params):
+    got = tabu_solve(instance, b, params)
+    # repr compares floats bit for bit and treats NaN as equal to itself
+    assert repr((got.solver, got.x_best.tobytes(), got.f_best, got.iterations,
+                 got.evaluations, got.termination, got.trace)) == repr(
+        argsort_scan_tabu(instance, b, params))
+    return got
+
+
 def assert_rows_are_tabu_solves(instance, b, starts, params):
     """tabu_rows equals tabu_solve row by row, every field but elapsed_ms."""
     got = tabu_rows(instance, b, starts, params)
@@ -276,6 +337,38 @@ def tabu_stacks(draw):
     starts = rng.integers(0, 2, size=(n, k)).astype(np.int8)
     return instance, b, starts, TabuParams(max_steps=steps, tabu_tenure=tenure,
                                            patience=patience)
+
+
+class TestTabuPick:
+    """tabu_solve's masked-argmin pick against the stable-argsort scan."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(tabu_stacks())
+    def test_equals_the_argsort_scan(self, case):
+        # tied fields, tenure 0, a wrapping memory, a memory of the whole
+        # cube and patience, from random starts
+        instance, b, starts, params = case
+        for row, start in zip(b, starts):
+            assert_tabu_solve_is_the_argsort_scan(instance, row, replace(params, start=start))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(tenure=st.sampled_from([0, 1, 2, 6, 64]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_overflowing_deltas_take_the_argsort_rule(self, tenure, seed):
+        # Diagonal entries and fields near 1e308 sum past the largest double:
+        # a delta is +inf at x_i = 0 and inf - inf = NaN at x_i = 1.
+        instance = QuboInstance(k=6, rows=[0, 1, 2, 3, 4, 5, 0, 2],
+                                cols=[0, 1, 2, 3, 4, 5, 3, 5],
+                                vals=[1e308, 1.0, 1e308, -1.0, 0.5, 1e308, 2.0, -1.5])
+        rng = np.random.default_rng(seed)
+        b = np.array([1e308, -1.0, 1e308, 0.3, -0.2, 1e308])
+        b[[1, 3, 4]] += rng.normal(size=3)
+        start = rng.integers(0, 2, size=6).astype(np.int8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert not np.all(np.isfinite(instance.all_flip_deltas(b, start)))
+            assert_tabu_solve_is_the_argsort_scan(
+                instance, b, TabuParams(max_steps=15, tabu_tenure=tenure, patience=None,
+                                        start=start))
 
 
 class TestTabuRows:
@@ -393,6 +486,85 @@ class TestRefineWithTabu:
             refine_with_tabu(k2_instance, [0.0, 0.0], [0, 0], max_steps=-1)
 
 
+def sab_referee_every_state(instance, b, params):
+    """Reference sab_solve: the same dynamics on the same operator (dense
+    when A + A^T stores at least k^2 / 4 entries), with evaluate refereeing
+    every scored state.  Returns (x_best bytes, f_best, trace, evaluations),
+    or the type and message of the error it raised."""
+    k = instance.k
+    try:
+        _, h, _ = qubo_to_ising(instance, b)
+        if params.c0 is not None:
+            c0 = params.c0
+        else:
+            fro = 0.25 * float(np.sqrt((instance.a_csr.data ** 2).sum()))
+            c0 = 0.5 / (fro / np.sqrt(k)) if fro > 0 else 0.5
+        op = instance.a_sym_csr
+        if 4 * op.nnz >= k * k:
+            op = op.toarray()
+        y = np.random.default_rng(params.seed).uniform(-0.1, 0.1, size=k)
+        p = np.zeros(k)
+        best_x, best_f, trace = None, np.inf, []
+        for step, a_t in enumerate(np.linspace(0.0, params.a0, params.steps)):
+            p -= params.dt * ((params.a0 - a_t) * y + c0 * (0.25 * (op @ y) + h))
+            y += params.dt * params.a0 * p
+            escaped = np.abs(y) > 1.0
+            if escaped.any():
+                y[escaped] = np.sign(y[escaped])
+                p[escaped] = 0.0
+            if not np.all(np.isfinite(y)):
+                raise RuntimeError(f"sab state became non-finite at step {step}")
+            if step % 10 == 9 or step == params.steps - 1:
+                x_t = (y > 0).astype(np.int8)
+                f_t = instance.evaluate(b, x_t)
+                if f_t < best_f:
+                    best_f, best_x = f_t, x_t
+                trace.append(best_f)
+        f_best = instance.evaluate(b, best_x)
+        return best_x.tobytes(), f_best, trace, len(trace)
+    except (ValueError, RuntimeError) as err:
+        return type(err).__name__, str(err)
+
+
+def screened_sab(instance, b, params):
+    """sab_solve's result in the form sab_referee_every_state returns."""
+    try:
+        got = sab_solve(instance, b, params)
+    except (ValueError, RuntimeError) as err:
+        return type(err).__name__, str(err)
+    return got.x_best.tobytes(), got.f_best, got.trace, got.evaluations
+
+
+@st.composite
+def sab_cases(draw):
+    """An instance, a field and SB knobs of one of five kinds: integer A
+    and b (exact ties between scored states), tenths (ties that the screen
+    and evaluate round apart), a sparse A (the CSR operator), entries near
+    the largest double (the bound or the screen overflows), and k = 1."""
+    kind = draw(st.sampled_from(["integer", "tenths", "sparse", "huge", "k1"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = {"integer": draw(st.integers(2, 14)), "tenths": draw(st.integers(2, 14)),
+         "sparse": draw(st.integers(20, 40)), "huge": draw(st.integers(2, 8)), "k1": 1}[kind]
+    if kind == "sparse":
+        flat = rng.choice(k * k, size=draw(st.integers(0, k)), replace=False)
+        rows, cols = np.divmod(flat, k)
+    else:
+        rows, cols = np.divmod(np.arange(k * k), k)
+    vals = rng.normal(size=rows.size)
+    b = rng.normal(size=k)
+    if kind == "integer":
+        vals, b = np.round(vals * 2), np.round(b * 2)
+    elif kind == "tenths":
+        vals, b = np.round(vals * 3) / 10, np.round(b * 3) / 10
+    elif kind == "huge":
+        scale = draw(st.sampled_from([1e300, 1e306, 5e307]))
+        vals, b = vals * scale, b * scale
+    instance = QuboInstance(k=k, rows=rows, cols=cols, vals=vals)
+    params = SabParams(steps=draw(st.integers(1, 300)), seed=draw(st.integers(0, 1000)),
+                       c0=draw(st.sampled_from([None, 0.3, 5.0])))
+    return kind, instance, b, params
+
+
 class TestSabParams:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError, match="dt"):
@@ -470,6 +642,50 @@ class TestSab:
         b = np.random.default_rng(6).normal(size=10)
         got = sab_solve(inst, b, SabParams(steps=100, seed=0))
         assert all(y <= x for x, y in zip(got.trace, got.trace[1:]))
+
+
+class TestSabScreen:
+    """The screen skips only scored states that cannot beat the best, so
+    sab_solve equals a run that referees every scored state."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(sab_cases())
+    def test_equals_refereeing_every_scored_state(self, case):
+        kind, instance, b, params = case
+        if kind != "k1":
+            assert (4 * instance.a_sym_csr.nnz < instance.k ** 2) == (kind == "sparse")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = sab_referee_every_state(instance, b, params)
+            got = screened_sab(instance, b, params)
+        # repr compares floats bit for bit and treats NaN as equal to itself
+        assert repr(got) == repr(want)
+
+    def test_a_tie_that_rounds_lower_is_still_refereed(self):
+        # Two scored states share the exact objective -0.4, and evaluate
+        # rounds the later one lower, so the best moves by one rounding step.
+        # The screen of that state may round the other way, so only a bound
+        # on both roundings keeps it from being skipped.
+        a = np.array([[5, 1, -7, -4], [0, 4, -3, 2], [4, -2, -1, -2], [-4, -1, 3, 4]]) / 10
+        rows, cols = np.divmod(np.arange(16), 4)
+        inst = QuboInstance(k=4, rows=rows, cols=cols, vals=a.ravel())
+        b = np.array([5, -3, 1, -6]) / 10
+        want = sab_referee_every_state(inst, b, SabParams(steps=500, seed=0))
+        assert any(0 < f - g < 1e-12 for f, g in zip(want[2], want[2][1:]))
+        assert repr(screened_sab(inst, b, SabParams(steps=500, seed=0))) == repr(want)
+
+    def test_referees_fewer_states_than_it_scores(self, monkeypatch):
+        inst = gen_random_dense(60, seed=61)
+        b = np.random.default_rng(62).normal(size=60)
+        calls = []
+        evaluate = QuboInstance.evaluate
+        monkeypatch.setattr(QuboInstance, "evaluate",
+                            lambda self, *args: calls.append(1) or evaluate(self, *args))
+        got = sab_solve(inst, b, SabParams(steps=1000, seed=0))
+        assert got.evaluations == len(got.trace) == 100
+        assert len(calls) - 1 < got.evaluations  # the last call scores x_best
+        assert repr(screened_sab(inst, b, SabParams(steps=1000, seed=0))) == repr(
+            sab_referee_every_state(inst, b, SabParams(steps=1000, seed=0)))
 
 
 class TestSolverResult:
