@@ -11,6 +11,7 @@ output paths land in $QUBOLAB_OUTDIR when that variable is set.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -20,6 +21,33 @@ import numpy as np
 from . import datagen, evaluate, io, model as model_mod, qubo, solvers
 
 OUTDIR_ENV = "QUBOLAB_OUTDIR"
+
+# glibc mallopt parameters, and the values the CLI's process runs with.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20  # glibc's own ceiling for its dynamic threshold
+_TRIM_THRESHOLD = 256 << 20  # above the working set of any command
+
+
+def keep_heap_mapped() -> None:
+    """Keep freed heap mapped for the rest of the process (glibc only).
+
+    Training frees a batch's activations all at once.  By default glibc
+    returns that memory to the kernel, and the next batch faults the same
+    pages in again.  A trim threshold above the working set keeps them.
+    Setting any threshold freezes glibc's dynamic mmap threshold where it
+    stands (128 KiB at start), so the mmap threshold is set too, to that
+    dynamic threshold's ceiling.  Both settings change where memory lives, never
+    what is computed.  Where the C library has no mallopt this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _resolve_out(path: str) -> str:
@@ -311,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_heap_mapped()
     args = build_parser().parse_args(argv)
     out = _resolve_out(args.out)
     try:

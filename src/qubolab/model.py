@@ -99,6 +99,9 @@ class BpgnnModel:
         self.config = config
         self.instance = instance
         self.laplacian = build_laplacian(instance)
+        # The VJPs' transposed operators, built once rather than per call.
+        self.a_t = ad.transposed(instance.a_csr)
+        self.laplacian_t = ad.transposed(self.laplacian)
         self.params = self._init_params()
 
     def _init_params(self) -> dict[str, Tensor]:
@@ -154,12 +157,13 @@ class BpgnnModel:
         h = drop(self._mlp(b_t, "enc"))
         for layer in range(cfg.layers):
             if cfg.use_qubo_features:
-                r = ad.residual(h, self.instance.a_csr, b_t)
+                r = ad.residual(h, self.instance.a_csr, b_t, self.a_t)
                 u = ad.add(h, self._mlp(r, f"layer{layer}.g"))
             else:
                 u = h
             sig = ad.softplus(p[f"layer{layer}.sigma_raw"])
-            h_half = ad.diffuse(h, self.laplacian, u, sig, cfg.eps_step)
+            h_half = ad.diffuse(h, self.laplacian, u, sig, cfg.eps_step,
+                                self.laplacian_t)
             reaction = self._mlp(h_half, f"layer{layer}.f")
             h = drop(ad.react(h_half, reaction, cfg.eps_step))
         return ad.linear(h, p["dec.w"], p["dec.b"])
@@ -349,8 +353,8 @@ def save_checkpoint(model: BpgnnModel, path: str | os.PathLike) -> None:
         },
     }
     with open(os.fspath(path), "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        # json.dumps runs the C encoder; json.dump never does.
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_checkpoint(path: str | os.PathLike, instance: QuboInstance) -> BpgnnModel:

@@ -12,6 +12,14 @@ import numpy as np
 import pytest
 
 from qubolab import QuboInstance
+from qubolab.cli import keep_heap_mapped
+
+
+def pytest_sessionstart(session):
+    # The suite trains many models in one process; keep its freed heap
+    # mapped, as the CLI does for its own process.
+    keep_heap_mapped()
+
 
 # ---------------------------------------------------------------------------
 # Independent oracle

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qubolab import AdamState, Tape, Tensor, adam_step, backward
+from qubolab import (AdamState, BpgnnConfig, BpgnnModel, Tape, Tensor,
+                     adam_step, backward, gen_lattice_laplacian,
+                     gen_random_dense)
 from qubolab.autodiff import (add, bce_with_logits, diffuse, dropout, linear,
-                              react, relu, residual, softplus, zero_grad,
-                              _sigmoid)
+                              react, relu, residual, softplus, transposed,
+                              zero_grad, _sigmoid)
 
 
 def fd_gradient(fn, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -533,6 +535,31 @@ class TestTapeLifecycle:
         x.grad = np.ones((1, 1))
         zero_grad([x])
         assert x.grad is None
+
+
+class TestTransposedOperators:
+    """A model builds each VJP's m.T once, as transposed(m); its products
+    must be m.T's bit for bit, or checkpoints and histories would move."""
+
+    @staticmethod
+    def operators():
+        dense, lattice = gen_random_dense(12, 3), gen_lattice_laplacian(4)
+        for inst in (dense, lattice):
+            model = BpgnnModel(BpgnnConfig(d=3), inst)
+            yield inst.a_csr, model.a_t
+            yield model.laplacian, model.laplacian_t
+        for m in graph_operators(46, 16):
+            yield m, transposed(m)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_products_equal_those_of_m_transpose(self, n):
+        rng = np.random.default_rng(47)
+        for m, m_t in self.operators():
+            k = m.shape[0]
+            # magnitudes over 16 decades, so any other summation order
+            # rounds differently
+            x = rng.standard_normal((k * n, 3)) * 10.0 ** rng.uniform(-8, 8, (k * n, 3))
+            assert per_item(m_t, x).tobytes() == per_item(m.T, x).tobytes()
 
 
 class TestAdam:

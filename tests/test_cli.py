@@ -5,13 +5,18 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from qubolab import (DataGenParams, QuboInstance, gen_random_dense,
+import qubolab
+from qubolab import (DataGenParams, QuboInstance, cli, gen_random_dense,
                      generate_dataset, load_checkpoint, read_instance,
                      read_vector, write_dataset, write_instance, write_vector)
 from qubolab.cli import main
@@ -543,3 +548,54 @@ class TestOutdirResolution:
                      "--seed", "0", "--out", str(out)]) == 0
         capsys.readouterr()
         assert out.exists()
+
+
+# Ten rounds of allocating and freeing 20 arrays of 1 MiB, after one round
+# that faults the memory in; prints each round's minor page faults.
+FAULT_PROBE = """
+import json, resource, sys
+import numpy as np
+if sys.argv[1] == "policy":
+    from qubolab.cli import keep_heap_mapped
+    keep_heap_mapped()
+faults = []
+for _ in range(11):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(1 << 17) for _ in range(20)]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults[1:]))
+"""
+
+
+class TestAllocatorPolicy:
+    @staticmethod
+    def faults_per_round(mode: str) -> list[int]:
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+        src = os.path.dirname(os.path.dirname(qubolab.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, mode], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        return json.loads(proc.stdout)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    def test_freed_heap_stays_mapped(self):
+        with_policy = self.faults_per_round("policy")
+        without = self.faults_per_round("default")
+        assert len(with_policy) == len(without) == 10
+        assert max(with_policy) < 100, with_policy
+        assert min(without) >= 1000, without
+
+    @staticmethod
+    def lookup_fails(name):
+        raise OSError("no C library")
+
+    @pytest.mark.parametrize("cdll", [lookup_fails, lambda name: object()],
+                             ids=["lookup-fails", "no-mallopt"])
+    def test_main_runs_without_mallopt(self, cdll, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        out = tmp_path / "inst.mtx"
+        assert main(["gen-instance", "--kind", "random-dense", "--k", "4",
+                     "--seed", "0", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out} (k=4, nnz=16)\n"
