@@ -12,7 +12,8 @@ the inputs), so results are bitwise those of that composition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -319,7 +320,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Adam moments and hyperparameters for a named parameter set."""
+    """Adam moments and hyperparameters for one parameter array."""
 
     lr: float
     beta1: float = 0.9
@@ -327,48 +328,43 @@ class AdamState:
     eps: float = 1e-8
     weight_decay: float = 0.0
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be >= 0 and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(
+                f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray | None],
-              state: AdamState) -> dict[str, Tensor]:
-    """One bias-corrected Adam update, in place on params.
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarray:
+    """One bias-corrected Adam update, in place on the float64 array param.
 
     Weight decay enters the gradient additively as weight_decay * param.
-    A missing or None gradient counts as zero.
+    Every operation is elementwise, so several parameters concatenated into
+    one array get the same bits as each updated alone.
     """
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != param.shape:
+        raise ValueError(f"gradient shape {grad.shape} != parameter shape {param.shape}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(param), np.zeros_like(param)
     state.step += 1
     t = state.step
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        else:
-            g = np.asarray(g, dtype=np.float64)
-            if g.shape != p.data.shape:
-                raise ValueError(
-                    f"gradient shape {g.shape} != parameter {name!r} shape "
-                    f"{p.data.shape}"
-                )
-        if state.weight_decay:
-            g = g + state.weight_decay * p.data
-        m, v = state.m.get(name), state.v.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-        if v is None:
-            v = state.v[name] = np.zeros_like(p.data)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g ** 2
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return params
+    if state.weight_decay:
+        grad = grad + state.weight_decay * param
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grad ** 2
+    m_hat = m / (1.0 - state.beta1 ** t)
+    v_hat = v / (1.0 - state.beta2 ** t)
+    param -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return param

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .qubo import QuboInstance, as_binary_assignment, as_observed_vector
-from .solvers import TabuParams, refine_with_tabu, tabu_rows
+from .solvers import TabuParams, tabu_rows
 
 
 @dataclass
@@ -132,24 +132,42 @@ def generate_pair(instance: QuboInstance, params: DataGenParams, pair_seed: int)
     Draws x_o near the hypercube corners, inverts the barrier stationarity
     condition for b_o, adds noise b = b_o + sigma^2 z, rounds x_o to
     binary, and polishes the rounding with up to refine_steps Tabu moves.
+    This is the one-row form of the stack that generate_dataset runs.
     """
-    rng = np.random.default_rng(pair_seed)
-    x_o = draw_near_binary(rng, instance.k, params.eps_bin)
-    b_o = barrier_observed_vector(instance, x_o, params.mu)
-    z = rng.standard_normal(instance.k)
-    b = b_o + params.sigma ** 2 * z
+    return _generate_pairs(instance, params, [pair_seed])[0]
+
+
+def _generate_pairs(instance: QuboInstance, params: DataGenParams,
+                    seeds: list[int]) -> list[DataPair]:
+    """generate_pair for every seed, in one stack.
+
+    Each pair draws x_o and z from its own RNG stream; then every b_o comes
+    from one stacked barrier_observed_vector call and every rounded label
+    is polished in one tabu_rows call, a row of each getting the bits of
+    the pair alone.
+    """
+    x_o = np.empty((len(seeds), instance.k))
+    z = np.empty((len(seeds), instance.k))
+    for index, pair_seed in enumerate(seeds):
+        rng = np.random.default_rng(pair_seed)
+        x_o[index] = draw_near_binary(rng, instance.k, params.eps_bin)
+        z[index] = rng.standard_normal(instance.k)
+    b = barrier_observed_vector(instance, x_o, params.mu) + params.sigma ** 2 * z
     rounded = (x_o > 0.5).astype(np.int8)
-    result = refine_with_tabu(instance, b, rounded, max_steps=params.refine_steps)
-    x = result.x_best
-    flips = int(np.count_nonzero(x != rounded))
-    provenance = {
-        "seed": int(pair_seed),
-        "sigma": float(params.sigma),
-        "refined": flips > 0,
-        "f_value": float(result.f_best),
-        "flips": flips,
-    }
-    return DataPair(b=b, x=x, provenance=provenance)
+    steps = params.refine_steps
+    results = tabu_rows(instance, b, rounded, TabuParams(max_steps=steps, tabu_tenure=steps))
+    x = np.array([r.x_best for r in results])
+    flips = np.count_nonzero(x != rounded, axis=1).tolist()
+    return [
+        DataPair(b=b[index], x=result.x_best, provenance={
+            "seed": int(pair_seed),
+            "sigma": float(params.sigma),
+            "refined": n_flips > 0,
+            "f_value": float(result.f_best),
+            "flips": n_flips,
+        })
+        for index, (pair_seed, result, n_flips) in enumerate(zip(seeds, results, flips))
+    ]
 
 
 def generate_dataset(
@@ -162,10 +180,7 @@ def generate_dataset(
     """Generate n_pairs pairs with per-pair seeds seed XOR index and a
     deterministic shuffled train/val split.
 
-    Pair i is generate_pair(instance, params, seed XOR index), bit for bit:
-    each pair draws from its own RNG stream, then every b_o comes from one
-    stacked barrier_observed_vector call and every rounded label is
-    polished in one tabu_rows call.
+    Pair i is generate_pair(instance, params, seed XOR index), bit for bit.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -173,29 +188,7 @@ def generate_dataset(
         raise ValueError(f"split fractions must sum to 1, got {split}")
     if not 0 <= split[0] <= 1:
         raise ValueError(f"train fraction must lie in [0, 1], got {split[0]}")
-    seeds = [params.seed ^ index for index in range(n_pairs)]
-    x_o = np.empty((n_pairs, instance.k))
-    z = np.empty((n_pairs, instance.k))
-    for index, pair_seed in enumerate(seeds):
-        rng = np.random.default_rng(pair_seed)
-        x_o[index] = draw_near_binary(rng, instance.k, params.eps_bin)
-        z[index] = rng.standard_normal(instance.k)
-    b = barrier_observed_vector(instance, x_o, params.mu) + params.sigma ** 2 * z
-    rounded = (x_o > 0.5).astype(np.int8)
-    steps = params.refine_steps
-    results = tabu_rows(instance, b, rounded, TabuParams(max_steps=steps, tabu_tenure=steps))
-    x = np.array([r.x_best for r in results])
-    flips = np.count_nonzero(x != rounded, axis=1).tolist()
-    pairs = [
-        DataPair(b=b[index], x=result.x_best, provenance={
-            "seed": int(pair_seed),
-            "sigma": float(params.sigma),
-            "refined": n_flips > 0,
-            "f_value": float(result.f_best),
-            "flips": n_flips,
-        })
-        for index, (pair_seed, result, n_flips) in enumerate(zip(seeds, results, flips))
-    ]
+    pairs = _generate_pairs(instance, params, [params.seed ^ i for i in range(n_pairs)])
     split_rng = np.random.default_rng(np.random.SeedSequence(params.seed).spawn(1)[0])
     perm = split_rng.permutation(n_pairs)
     n_train = int(round(n_pairs * split[0]))

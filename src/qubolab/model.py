@@ -87,7 +87,8 @@ class BpgnnModel:
     examples at once.  Each dense layer, residual feature, diffusion
     half-step and reaction step is one tape record.
 
-    Parameters live in a flat name -> Tensor dict:
+    Parameters live in a name -> Tensor dict, and each tensor's data is a
+    reshaped view into one float64 vector, self.flat, in the dict's order:
       enc.*                encoder MLP 1 -> d (relu hidden)
       layer{i}.g.*         residual-feature MLP d -> d (relu hidden, linear out)
       layer{i}.f.*         reaction MLP d -> d (relu hidden, tanh out)
@@ -103,6 +104,10 @@ class BpgnnModel:
         self.a_t = ad.transposed(instance.a_csr)
         self.laplacian_t = ad.transposed(self.laplacian)
         self.params = self._init_params()
+        self.flat = np.concatenate([t.data.ravel() for t in self.params.values()])
+        ends = np.cumsum([t.data.size for t in self.params.values()])
+        for t, part in zip(self.params.values(), np.split(self.flat, ends[:-1])):
+            t.data = part.reshape(t.data.shape)
 
     def _init_params(self) -> dict[str, Tensor]:
         d = self.config.d
@@ -275,7 +280,7 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
 
     state = AdamState(lr=config.lr, weight_decay=config.weight_decay)
     best_bce = np.inf
-    best_params: dict[str, np.ndarray] | None = None
+    best_flat: np.ndarray | None = None
     history: list[dict] = []
 
     for epoch in range(1, config.epochs + 1):
@@ -287,8 +292,10 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
                 logits = model._logits(b_train[rows], True, rng)
                 loss = bce_with_logits(logits, _node_major(y_train[rows]))
                 backward(loss)
-            grads = {name: t.grad for name, t in model.params.items()}
-            adam_step(model.params, grads, state)
+            grad = np.concatenate([
+                np.zeros(t.data.size) if t.grad is None else t.grad.ravel()
+                for t in model.params.values()])
+            adam_step(model.flat, grad, state)
             zero_grad(model.params)
             total += float(loss.data) * len(rows)
         record = {"epoch": epoch, "train_bce": total / n_train,
@@ -300,7 +307,7 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
             record.update(val_bce=val_bce, val_acc=val_acc, val_relqubo=val_rel)
             if val_bce < best_bce:
                 best_bce = val_bce
-                best_params = {n: t.data.copy() for n, t in model.params.items()}
+                best_flat = model.flat.copy()
         history.append(record)
 
         if (
@@ -311,9 +318,8 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
         ):
             break
 
-    if best_params is not None:
-        for name, data in best_params.items():
-            model.params[name].data = data
+    if best_flat is not None:
+        model.flat[:] = best_flat
     if history_path is not None:
         write_history(history, history_path)
     return model, history
@@ -420,5 +426,5 @@ def load_checkpoint(path: str | os.PathLike, instance: QuboInstance) -> BpgnnMod
                  f"{t.data.size}", name)
         if not np.all(np.isfinite(data)):
             fail(f"parameter {name!r} has non-finite values", name)
-        t.data = data.reshape(t.data.shape)
+        t.data[...] = data.reshape(t.data.shape)
     return model

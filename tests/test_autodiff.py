@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qubolab import (AdamState, BpgnnConfig, BpgnnModel, Tape, Tensor,
-                     adam_step, backward, gen_lattice_laplacian,
-                     gen_random_dense)
+from qubolab import (AdamState, BpgnnConfig, BpgnnModel, DataGenParams, Tape,
+                     Tensor, TrainConfig, adam_step, backward,
+                     gen_lattice_laplacian, gen_random_dense, generate_dataset,
+                     train)
 from qubolab.autodiff import (add, bce_with_logits, diffuse, dropout, linear,
                               react, relu, residual, softplus, transposed,
                               zero_grad, _sigmoid)
@@ -562,33 +563,91 @@ class TestTransposedOperators:
             assert per_item(m_t, x).tobytes() == per_item(m.T, x).tobytes()
 
 
+def per_tensor_adam_step(params, grads, state):
+    """Reference Adam: the per-name loop that updated one tensor at a time
+    (dict moments, a missing or None gradient counting as zero)."""
+    state.step += 1
+    t = state.step
+    for name, p in params.items():
+        g = grads.get(name)
+        g = np.zeros_like(p) if g is None else g
+        if state.weight_decay:
+            g = g + state.weight_decay * p
+        m = state.m.setdefault(name, np.zeros_like(p))
+        v = state.v.setdefault(name, np.zeros_like(p))
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g ** 2
+        m_hat = m / (1.0 - state.beta1 ** t)
+        v_hat = v / (1.0 - state.beta2 ** t)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
 class TestAdam:
     def test_constant_gradient_moves_lr_per_step(self):
         # with a constant gradient, bias correction makes each step
         # exactly lr * sign(g) up to the eps guard
-        p = {"w": Tensor(np.array([1.0]), requires_grad=True)}
+        w = np.array([1.0])
         state = AdamState(lr=0.1)
         for _ in range(2):
-            adam_step(p, {"w": np.array([2.0])}, state)
-        assert p["w"].data == pytest.approx([0.8], abs=1e-6)
+            adam_step(w, np.array([2.0]), state)
+        assert w == pytest.approx([0.8], abs=1e-6)
         assert state.step == 2
 
     def test_weight_decay_enters_the_gradient(self):
-        p = {"w": Tensor(np.array([10.0]), requires_grad=True)}
+        w = np.array([10.0])
         state = AdamState(lr=0.1, weight_decay=1.0)
-        adam_step(p, {"w": np.array([0.0])}, state)
+        adam_step(w, np.array([0.0]), state)
         # effective gradient 10 -> unit step of size lr downhill
-        assert p["w"].data == pytest.approx([9.9], abs=1e-6)
+        assert w == pytest.approx([9.9], abs=1e-6)
 
     def test_missing_gradient_counts_as_zero(self):
-        p = {"w": Tensor(np.array([1.0]), requires_grad=True)}
-        adam_step(p, {}, AdamState(lr=0.5))
-        assert p["w"].data == pytest.approx([1.0])
+        # Without the residual feature no layer*.g.* parameter is on the
+        # tape, so train gathers zeros for them: Adam must leave them alone.
+        inst = gen_random_dense(5, 3, scale=0.2)
+        data = generate_dataset(inst, 24, DataGenParams(sigma=0.3, seed=4))
+        model = BpgnnModel(BpgnnConfig(d=4, layers=2, use_qubo_features=False,
+                                       seed=3), inst)
+        before = {n: t.data.tobytes() for n, t in model.params.items()}
+        train(model, data, TrainConfig(lr=1e-2, epochs=3, batch_size=8, seed=1))
+        g_names = [n for n in before if ".g." in n]
+        assert len(g_names) == 8
+        for name in g_names:
+            assert model.params[name].data.tobytes() == before[name]
+        assert model.params["dec.w"].data.tobytes() != before["dec.w"]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_one_array_equals_the_per_tensor_loop(self, weight_decay):
+        # Adam is elementwise, so the flat update must give every entry the
+        # bits of the per-tensor loop: parameters and both moments.
+        rng = np.random.default_rng(48)
+        shapes = {"w": (3, 4), "b": (1, 4), "s": (1, 1), "dead": (2, 2)}
+        ref = {n: rng.standard_normal(s) for n, s in shapes.items()}
+        flat = np.concatenate([p.ravel() for p in ref.values()])
+        ref_state = AdamState(lr=1e-2, weight_decay=weight_decay)
+        ref_state.m, ref_state.v = {}, {}
+        state = AdamState(lr=1e-2, weight_decay=weight_decay)
+        for step in range(25):
+            # magnitudes over 12 decades; "dead" gets no gradient for a while
+            grads = {n: rng.standard_normal(s) * 10.0 ** rng.uniform(-6, 6, s)
+                     for n, s in shapes.items()}
+            if 5 <= step < 15:
+                grads["dead"] = None
+            per_tensor_adam_step(ref, grads, ref_state)
+            adam_step(flat, np.concatenate([
+                np.zeros(p.size) if grads[n] is None else grads[n].ravel()
+                for n, p in ref.items()]), state)
+            assert flat.tobytes() == np.concatenate(
+                [p.ravel() for p in ref.values()]).tobytes()
+        for mine, theirs in ((state.m, ref_state.m), (state.v, ref_state.v)):
+            assert mine.tobytes() == np.concatenate(
+                [theirs[n].ravel() for n in shapes]).tobytes()
+        assert state.step == ref_state.step == 25
 
     def test_shape_mismatch_is_rejected(self):
-        p = {"w": Tensor(np.array([1.0]), requires_grad=True)}
         with pytest.raises(ValueError, match="shape"):
-            adam_step(p, {"w": np.zeros(2)}, AdamState(lr=0.1))
+            adam_step(np.array([1.0]), np.zeros(2), AdamState(lr=0.1))
 
     def test_rejects_negative_lr(self):
         with pytest.raises(ValueError, match="lr"):
@@ -597,3 +656,18 @@ class TestAdam:
     def test_rejects_bad_betas(self):
         with pytest.raises(ValueError, match="beta"):
             AdamState(lr=0.1, beta1=1.0)
+
+    @pytest.mark.parametrize("kwargs,msg", [
+        (dict(lr=float("nan")), "lr must be >= 0 and finite"),
+        (dict(lr=float("inf")), "lr must be >= 0 and finite"),
+        (dict(weight_decay=-1e-4), "weight_decay must be >= 0 and finite"),
+        (dict(weight_decay=float("nan")), "weight_decay must be >= 0 and finite"),
+        (dict(weight_decay=float("inf")), "weight_decay must be >= 0 and finite"),
+        (dict(eps=0.0), "eps must be positive and finite"),
+        (dict(eps=-1e-8), "eps must be positive and finite"),
+        (dict(eps=float("nan")), "eps must be positive and finite"),
+        (dict(eps=float("inf")), "eps must be positive and finite"),
+    ])
+    def test_rejects_bad_knobs(self, kwargs, msg):
+        with pytest.raises(ValueError, match=msg):
+            AdamState(**{"lr": 0.1, **kwargs})

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from qubolab import (DataGenParams, DataPair, Dataset, barrier_observed_vector,
-                     exhaustive_solve, gen_random_dense, generate_dataset,
-                     generate_pair, read_dataset, write_dataset)
+                     exhaustive_solve, gen_lattice_laplacian, gen_random_dense,
+                     generate_dataset, generate_pair, read_dataset,
+                     refine_with_tabu, write_dataset)
 from qubolab.datagen import draw_near_binary
 
 
@@ -65,6 +66,33 @@ class TestBarrierInversion:
             barrier_observed_vector(inst, [0.5, 0.5], 1e-3)
 
 
+def per_pair_reference(instance, params, pair_seed) -> DataPair:
+    """Reference factory that builds one pair alone: draw, barrier b_o of
+    the (k,) point, noise, round, and one refine_with_tabu polish."""
+    rng = np.random.default_rng(pair_seed)
+    x_o = draw_near_binary(rng, instance.k, params.eps_bin)
+    b_o = barrier_observed_vector(instance, x_o, params.mu)
+    z = rng.standard_normal(instance.k)
+    b = b_o + params.sigma ** 2 * z
+    rounded = (x_o > 0.5).astype(np.int8)
+    result = refine_with_tabu(instance, b, rounded, max_steps=params.refine_steps)
+    flips = int(np.count_nonzero(result.x_best != rounded))
+    return DataPair(b=b, x=result.x_best, provenance={
+        "seed": int(pair_seed),
+        "sigma": float(params.sigma),
+        "refined": flips > 0,
+        "f_value": float(result.f_best),
+        "flips": flips,
+    })
+
+
+def assert_same_pair(got: DataPair, want: DataPair):
+    assert got.b.tobytes() == want.b.tobytes()
+    assert got.x.tobytes() == want.x.tobytes()
+    # repr compares the float f_value bit for bit
+    assert repr(got.provenance) == repr(want.provenance)
+
+
 class TestGeneratePair:
     def test_same_seed_reproduces_the_pair(self):
         inst = gen_random_dense(8, 2)
@@ -100,6 +128,15 @@ class TestGeneratePair:
         assert np.array_equal(pair.x, (x_o > 0.5).astype(np.int8))
         assert pair.provenance["flips"] == 0
 
+    @pytest.mark.parametrize("sigma,refine_steps", [(0.0, 10), (0.7, 10), (2.0, 0),
+                                                    (2.0, 3), (2.0, 60)])
+    def test_matches_the_per_pair_reference(self, sigma, refine_steps):
+        params = DataGenParams(sigma=sigma, refine_steps=refine_steps)
+        for inst in (gen_random_dense(10, 4, scale=0.2), gen_lattice_laplacian(4)):
+            for pair_seed in range(6):
+                assert_same_pair(generate_pair(inst, params, pair_seed),
+                                 per_pair_reference(inst, params, pair_seed))
+
 
 class TestGenerateDataset:
     def test_split_sizes_follow_the_fractions(self):
@@ -114,7 +151,7 @@ class TestGenerateDataset:
         params = DataGenParams(sigma=0.3, seed=5)
         ds = generate_dataset(inst, 4, params)
         for index in range(4):
-            assert ds.pairs[index] == generate_pair(inst, params, 5 ^ index)
+            assert_same_pair(ds.pairs[index], per_pair_reference(inst, params, 5 ^ index))
 
     def test_split_assignment_is_shuffled_but_deterministic(self):
         inst = gen_random_dense(6, 0)

@@ -305,6 +305,36 @@ class TestTrain:
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
+def assert_params_are_views_of_flat(model: BpgnnModel):
+    """Every parameter's data is a view into model.flat, and the views tile
+    it in the dict's order."""
+    for name, t in model.params.items():
+        assert np.shares_memory(t.data, model.flat), name
+    tiled = np.concatenate([t.data.ravel() for t in model.params.values()])
+    assert tiled.tobytes() == model.flat.tobytes()
+
+
+class TestFlatParameters:
+    def test_parameters_stay_views_of_one_vector(self, small_problem, tmp_path):
+        inst, data = small_problem
+        model = BpgnnModel(BpgnnConfig(d=4, layers=2, eps_step=0.1, seed=2), inst)
+        assert model.flat.shape == (sum(t.data.size for t in model.params.values()),)
+        assert_params_are_views_of_flat(model)
+        # lr 0.5 overshoots, so the best epoch is not the last and the
+        # restore writes an earlier snapshot back
+        model, history = train(model, data, TrainConfig(lr=0.5, epochs=4,
+                                                        batch_size=8, seed=1))
+        best = min(h["val_bce"] for h in history)
+        assert best < history[-1]["val_bce"]
+        assert_params_are_views_of_flat(model)
+        val_bce, _, _ = _validate(model, data.b_matrix("val"), data.x_matrix("val"))
+        assert val_bce == best
+        save_checkpoint(model, tmp_path / "model.json")
+        loaded = load_checkpoint(tmp_path / "model.json", inst)
+        assert_params_are_views_of_flat(loaded)
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+
+
 # sha256 of the checkpoint and history.csv of a tiny lattice training,
 # keyed by use_qubo_features, as the one-operation-per-record composition
 # of the network wrote them.  The compound tape records keep its arithmetic
