@@ -13,9 +13,13 @@ turns the rounded x_o into the final label.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import os
+import re
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -69,38 +73,94 @@ class DataPair:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Ordered pairs for one instance, each tagged train or val."""
+    """Pairs for one instance, held as columns: pair i is b[i], x[i],
+    split[i] and provenance[i].
+
+    b becomes a C-contiguous (n, k) float64 array, x an (n, k) int8 array
+    and split an (n,) array of 'train'/'val' tags; each is copied, checked
+    once as a whole and made read-only.  provenance is one dict per pair,
+    {} for every pair when None.
+    """
 
     instance_ref: str
     k: int
     params: dict
-    pairs: list[DataPair]
-    splits: list[str]
+    b: np.ndarray
+    x: np.ndarray
+    split: np.ndarray
+    provenance: list[dict] | None = None
 
     def __post_init__(self):
-        if len(self.pairs) != len(self.splits):
+        b = np.array(self.b, dtype=np.float64, order="C")
+        x = np.asarray(self.x)
+        split = np.array(self.split, dtype=str)
+        if b.ndim != 2 or b.shape[1] != self.k:
+            raise ValueError(f"b has shape {b.shape}, expected (n, {self.k})")
+        if x.shape != b.shape:
+            raise ValueError(f"x has shape {x.shape}, expected {b.shape}")
+        if split.shape != (len(b),):
+            raise ValueError(f"{len(b)} pairs but {split.size} split tags")
+        unknown = (split != "train") & (split != "val")
+        if unknown.any():
             raise ValueError(
-                f"{len(self.pairs)} pairs but {len(self.splits)} split tags"
-            )
-        for s in self.splits:
-            if s not in ("train", "val"):
-                raise ValueError(f"split tag must be 'train' or 'val', got {s!r}")
+                f"split tag must be 'train' or 'val', got {split[unknown][0].item()!r}")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("b contains NaN or Inf entries")
+        if np.any((x != 0) & (x != 1)):
+            raise ValueError("x entries must be exactly 0 or 1")
+        provenance = ([{} for _ in range(len(b))] if self.provenance is None
+                      else list(self.provenance))
+        if len(provenance) != len(b) or not all(isinstance(p, dict) for p in provenance):
+            raise ValueError(f"provenance must be {len(b)} dicts, one per pair")
+        x = np.array(x, dtype=np.int8, order="C")
+        for a in (b, x, split):
+            a.flags.writeable = False
+        self.b, self.x, self.split, self.provenance = b, x, split, provenance
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.split)
 
-    def indices(self, split: str) -> list[int]:
-        return [i for i, s in enumerate(self.splits) if s == split]
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            (self.instance_ref, self.k, self.params, self.provenance)
+            == (other.instance_ref, other.k, other.params, other.provenance)
+            and all(np.array_equal(a, c) for a, c in ((self.b, other.b), (self.x, other.x),
+                                                      (self.split, other.split)))
+        )
+
+    @property
+    def pairs(self) -> Sequence[DataPair]:
+        """Read-only sequence of the pairs, each a DataPair of row views."""
+        return _Pairs(self)
+
+    def indices(self, split: str) -> np.ndarray:
+        return np.flatnonzero(self.split == split)
 
     def b_matrix(self, split: str | None = None) -> np.ndarray:
-        idx = range(len(self)) if split is None else self.indices(split)
-        return np.array([self.pairs[i].b for i in idx], dtype=np.float64)
+        return self.b if split is None else self.b[self.split == split]
 
     def x_matrix(self, split: str | None = None) -> np.ndarray:
-        idx = range(len(self)) if split is None else self.indices(split)
-        return np.array([self.pairs[i].x for i in idx], dtype=np.int8)
+        return self.x if split is None else self.x[self.split == split]
+
+
+class _Pairs(Sequence):
+    """Dataset.pairs: item i is DataPair(b[i], x[i], provenance[i]) over the
+    dataset's own rows."""
+
+    def __init__(self, dataset: Dataset):
+        self._dataset = dataset
+
+    def __len__(self) -> int:
+        return len(self._dataset)
+
+    def __getitem__(self, i) -> DataPair:
+        d = self._dataset
+        i = operator.index(i)
+        return DataPair(b=d.b[i], x=d.x[i], provenance=d.provenance[i])
 
 
 def draw_near_binary(rng: np.random.Generator, k: int, eps_bin: float) -> np.ndarray:
@@ -134,12 +194,14 @@ def generate_pair(instance: QuboInstance, params: DataGenParams, pair_seed: int)
     binary, and polishes the rounding with up to refine_steps Tabu moves.
     This is the one-row form of the stack that generate_dataset runs.
     """
-    return _generate_pairs(instance, params, [pair_seed])[0]
+    b, x, provenance = _generate_pairs(instance, params, [pair_seed])
+    return DataPair(b=b[0], x=x[0], provenance=provenance[0])
 
 
 def _generate_pairs(instance: QuboInstance, params: DataGenParams,
-                    seeds: list[int]) -> list[DataPair]:
-    """generate_pair for every seed, in one stack.
+                    seeds: list[int]) -> tuple[np.ndarray, np.ndarray, list[dict]]:
+    """generate_pair for every seed, in one stack, as the columns b (n, k),
+    x (n, k) and one provenance dict per pair.
 
     Each pair draws x_o and z from its own RNG stream; then every b_o comes
     from one stacked barrier_observed_vector call and every rounded label
@@ -158,16 +220,13 @@ def _generate_pairs(instance: QuboInstance, params: DataGenParams,
     results = tabu_rows(instance, b, rounded, TabuParams(max_steps=steps, tabu_tenure=steps))
     x = np.array([r.x_best for r in results])
     flips = np.count_nonzero(x != rounded, axis=1).tolist()
-    return [
-        DataPair(b=b[index], x=result.x_best, provenance={
-            "seed": int(pair_seed),
-            "sigma": float(params.sigma),
-            "refined": n_flips > 0,
-            "f_value": float(result.f_best),
-            "flips": n_flips,
-        })
-        for index, (pair_seed, result, n_flips) in enumerate(zip(seeds, results, flips))
+    sigma = float(params.sigma)
+    provenance = [
+        {"seed": int(pair_seed), "sigma": sigma, "refined": n_flips > 0,
+         "f_value": float(result.f_best), "flips": n_flips}
+        for pair_seed, result, n_flips in zip(seeds, results, flips)
     ]
+    return b, x, provenance
 
 
 def generate_dataset(
@@ -188,23 +247,18 @@ def generate_dataset(
         raise ValueError(f"split fractions must sum to 1, got {split}")
     if not 0 <= split[0] <= 1:
         raise ValueError(f"train fraction must lie in [0, 1], got {split[0]}")
-    pairs = _generate_pairs(instance, params, [params.seed ^ i for i in range(n_pairs)])
+    b, x, provenance = _generate_pairs(instance, params,
+                                       [params.seed ^ i for i in range(n_pairs)])
     split_rng = np.random.default_rng(np.random.SeedSequence(params.seed).spawn(1)[0])
     perm = split_rng.permutation(n_pairs)
     n_train = int(round(n_pairs * split[0]))
-    splits = ["val"] * n_pairs
-    for i in perm[:n_train]:
-        splits[i] = "train"
+    tags = np.full(n_pairs, "val", dtype="<U5")
+    tags[perm[:n_train]] = "train"
     if instance_ref is None:
         gen = instance.meta.get("generator", "anonymous")
         instance_ref = f"{gen}:k={instance.k}:seed={instance.meta.get('seed')}"
-    return Dataset(
-        instance_ref=instance_ref,
-        k=instance.k,
-        params=asdict(params),
-        pairs=pairs,
-        splits=splits,
-    )
+    return Dataset(instance_ref=instance_ref, k=instance.k, params=asdict(params),
+                   b=b, x=x, split=tags, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +267,13 @@ def generate_dataset(
 
 
 def write_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
-    path = os.fspath(path)
-    with open(path, "w") as fh:
-        header = {"k": dataset.k, "instance": dataset.instance_ref,
-                  "params": dataset.params}
-        fh.write(json.dumps(header) + "\n")
-        for pair, split in zip(dataset.pairs, dataset.splits):
-            record = {
-                "b": [float(v) for v in pair.b],
-                "x": [int(v) for v in pair.x],
-                "split": split,
-                "provenance": pair.provenance,
-            }
-            fh.write(json.dumps(record) + "\n")
+    header = {"k": dataset.k, "instance": dataset.instance_ref, "params": dataset.params}
+    lines = [json.dumps(header)]
+    for b, x, split, provenance in zip(dataset.b.tolist(), dataset.x.tolist(),
+                                       dataset.split.tolist(), dataset.provenance):
+        lines.append(json.dumps({"b": b, "x": x, "split": split, "provenance": provenance}))
+    with open(os.fspath(path), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
@@ -234,7 +282,9 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
 
     Malformed lines are reported with their line number.  When an instance
     is supplied its size must match the header; when a split is named the
-    file must hold at least one pair of it.
+    file must hold at least one pair of it.  The records are decoded and
+    checked in bulk (_bulk_records); only a file the bulk path refuses goes
+    through the located line-by-line loop, which finds the first bad line.
     """
     path = os.fspath(path)
 
@@ -247,7 +297,8 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
         raise ValueError(f"{path}:1: empty file, expected a header line")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as err:
+    # A deeply nested value exhausts the decoder's recursion limit.
+    except (json.JSONDecodeError, RecursionError) as err:
         fail(1, f"invalid JSON header: {err}")
     if not isinstance(header, dict) or "k" not in header:
         fail(1, "header must be an object with a 'k' field")
@@ -255,17 +306,43 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
     # bool is an int subclass, but true is not a size.
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         fail(1, f"header k must be a positive integer, got {k!r}")
+    instance_ref = header.get("instance", "")
+    if not isinstance(instance_ref, str):
+        fail(1, f"header instance must be a string, got {instance_ref!r}")
+    params = header.get("params", {})
+    if not isinstance(params, dict):
+        fail(1, f"header params must be a JSON object, got {params!r}")
     if instance is not None and instance.k != k:
         fail(1, f"dataset k={k} does not match instance k={instance.k}")
 
-    pairs: list[DataPair] = []
-    splits: list[str] = []
+    columns = _bulk_records(lines, k)
+    if columns is None:
+        columns = _located_records(lines, k, fail)
+    b, x, splits, provenance = columns
+    if split is not None and split not in splits:
+        fail(len(lines), f"no {split!r} pairs in the file")
+    n = len(splits)
+    return Dataset(
+        instance_ref=instance_ref,
+        k=k,
+        params=params,
+        b=np.asarray(b, dtype=np.float64).reshape(n, k),
+        x=np.asarray(x, dtype=np.int8).reshape(n, k),
+        split=splits,
+        provenance=provenance,
+    )
+
+
+def _located_records(lines: list[str], k: int, fail):
+    """The records after the header, one json.loads and one check per line;
+    the first bad line raises through fail(lineno, why)."""
+    b_rows, x_rows, splits, provenance = [], [], [], []
     for lineno, text in enumerate(lines[1:], start=2):
         if not text.strip():
             continue
         try:
             rec = json.loads(text)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:
             fail(lineno, f"invalid JSON: {err}")
         if not isinstance(rec, dict):
             fail(lineno, f"record must be a JSON object, got {rec!r}")
@@ -282,20 +359,71 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     fail(lineno, f"{key} entries must be JSON numbers, got {v!r}")
         try:
-            b = as_observed_vector([float(v) for v in rec["b"]], k)
-            x = as_binary_assignment(rec["x"], k)
+            b_rows.append(as_observed_vector([float(v) for v in rec["b"]], k))
+            x_rows.append(as_binary_assignment(rec["x"], k))
         except (OverflowError, ValueError) as err:
             fail(lineno, str(err))
         if rec["split"] not in ("train", "val"):
             fail(lineno, f"split must be 'train' or 'val', got {rec['split']!r}")
-        pairs.append(DataPair(b=b, x=x, provenance=rec.get("provenance", {})))
+        lineage = rec.get("provenance", {})
+        if not isinstance(lineage, dict):
+            fail(lineno, f"provenance must be a JSON object, got {lineage!r}")
         splits.append(rec["split"])
-    if split is not None and split not in splits:
-        fail(len(lines), f"no {split!r} pairs in the file")
-    return Dataset(
-        instance_ref=header.get("instance", ""),
-        k=k,
-        params=header.get("params", {}),
-        pairs=pairs,
-        splits=splits,
-    )
+        provenance.append(lineage)
+    return b_rows, x_rows, splits, provenance
+
+
+# A JSON string literal; applied left to right to valid JSON it matches
+# exactly the strings, so what it leaves is the text's structure.
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+
+
+def _bulk_records(lines: list[str], k: int):
+    """What _located_records returns, decoded with one json.loads and
+    checked once per column, or None where the located loop must decide.
+
+    The record lines are joined as the elements of one JSON array.  That
+    array reads like the lines one by one only if each line holds exactly
+    one value: json.loads refuses a raw newline inside a string, the count
+    of values must equal the count of lines, and outside strings the
+    brackets of every line must balance, so that the bracket depth is 1
+    (inside the array only) at every joining newline and no value spans
+    two lines.
+    """
+    body = [text for text in lines[1:] if text.strip()]
+    joined = "[" + ",\n".join(body) + "]"
+    try:
+        records = json.loads(joined)
+    except (ValueError, RecursionError):
+        return None
+    if len(records) != len(body):
+        return None
+    # Valid JSON escapes every quote inside a string with a backslash, so
+    # without backslashes the quotes alone delimit the strings.  A line at
+    # a time, so that no copy of the whole text is held.
+    if "\\" in joined:
+        outside = (_JSON_STRING.sub("", text) for text in body)
+    else:
+        outside = ("".join(text.split('"')[::2]) for text in body)
+    if any(t.count("[") + t.count("{") - t.count("]") - t.count("}") for t in outside):
+        return None
+    if not all(type(r) is dict and "b" in r and "x" in r and "split" in r for r in records):
+        return None
+    b_rows = [r["b"] for r in records]
+    x_rows = [r["x"] for r in records]
+    splits = [r["split"] for r in records]
+    provenance = [r.get("provenance", {}) for r in records]
+    if not (all(type(row) is list and len(row) == k for row in itertools.chain(b_rows, x_rows))
+            # JSON numbers decode to int or float; bool is its own type.
+            and set(map(type, itertools.chain.from_iterable(b_rows + x_rows))) <= {int, float}
+            and set(itertools.chain.from_iterable(x_rows)) <= {0, 1}
+            and all(s in ("train", "val") for s in splits)
+            and all(type(p) is dict for p in provenance)):
+        return None
+    try:
+        b = np.array(b_rows, dtype=np.float64).reshape(len(b_rows), k)
+    except OverflowError:
+        return None
+    if not np.all(np.isfinite(b)):
+        return None
+    return b, x_rows, splits, provenance

@@ -236,7 +236,7 @@ def evaluate_method(method: str, instance: QuboInstance, dataset: Dataset,
         raise ValueError(f"unknown method {method!r}; expected one of {BENCH_METHODS}")
     if method in ("bpgnn", "bpgnn+ts") and model is None:
         raise ValueError(f"method {method!r} needs a trained model")
-    if not dataset.indices(split):
+    if not len(dataset.indices(split)):
         raise ValueError(f"dataset has no {split!r} pairs")
     b = dataset.b_matrix(split)
     x_ref = dataset.x_matrix(split)

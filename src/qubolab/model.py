@@ -188,8 +188,13 @@ class BpgnnModel:
         result has the same shape.
         """
         b = np.asarray(b, dtype=np.float64)
-        b_mat = np.array([as_observed_vector(row, self.instance.k)
-                          for row in np.atleast_2d(b)])
+        b_mat = np.atleast_2d(b)
+        if b_mat.shape[1:] != (self.instance.k,):
+            raise ValueError(f"observed vector has shape {b_mat.shape[1:]}, "
+                             f"expected ({self.instance.k},)")
+        if not np.all(np.isfinite(b_mat)):
+            raise ValueError("observed vector contains NaN or Inf entries")
+        b_mat = np.ascontiguousarray(b_mat)
         logits = self._logits(b_mat, False, None).data
         x = _example_major(ad._sigmoid(logits) > 0.5, len(b_mat))
         return (x if b.ndim == 2 else x[0]).astype(np.int8)
@@ -264,17 +269,16 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
     inst = model.instance
     if dataset.k != inst.k:
         raise ValueError(f"dataset k={dataset.k} does not match instance k={inst.k}")
-    train_idx = dataset.indices("train")
-    if not train_idx:
+    n_train = len(dataset.indices("train"))
+    if not n_train:
         raise ValueError("empty training split")
-    val_idx = dataset.indices("val")
+    has_val = len(dataset.indices("val")) > 0
 
     rng = np.random.default_rng(config.seed)
 
     b_train = dataset.b_matrix("train")
     y_train = dataset.x_matrix("train").astype(np.float64)
-    n_train = len(train_idx)
-    if val_idx:
+    if has_val:
         b_val = dataset.b_matrix("val")
         y_val = dataset.x_matrix("val")
 
@@ -302,7 +306,7 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
                   "val_bce": math.nan, "val_acc": math.nan,
                   "val_relqubo": math.nan}
 
-        if val_idx:
+        if has_val:
             val_bce, val_acc, val_rel = _validate(model, b_val, y_val)
             record.update(val_bce=val_bce, val_acc=val_acc, val_relqubo=val_rel)
             if val_bce < best_bce:
@@ -311,7 +315,7 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
         history.append(record)
 
         if (
-            val_idx
+            has_val
             and config.target_val_acc is not None
             and record["val_acc"] >= config.target_val_acc
             and record["val_relqubo"] <= config.target_val_relqubo

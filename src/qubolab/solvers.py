@@ -331,7 +331,9 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
     first argmin is the first allowed entry of tabu_solve's stable argsort
     whenever its value is finite; a row whose pick is not finite (every
     flip tabu, or inf/NaN deltas) takes the argsort rule itself.  Rows that
-    stop are dropped from the working arrays.
+    stop are dropped from the working arrays.  The start and final f of
+    every row come from QuboInstance._objective, evaluate's sums without
+    its per-row checks, which the whole stack has already passed.
     """
     params = params or TabuParams()
     k = instance.k
@@ -340,6 +342,8 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
         raise ValueError(f"field matrix has shape {b_mat.shape}, expected (n, {k})")
     if not np.all(np.isfinite(b_mat)):
         raise ValueError("field matrix contains NaN or Inf entries")
+    # C order, so that each row is the contiguous vector evaluate would sum.
+    b_mat = np.ascontiguousarray(b_mat)
     n = len(b_mat)
     if starts is None:
         starts = np.tile(np.zeros(k) if params.start is None else params.start, (n, 1))
@@ -362,7 +366,7 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
     d = instance.a_diag
     xf = x.astype(np.float64)
     g = np.ascontiguousarray((s @ xf.T).T)
-    f = np.array([instance.evaluate(b, row) for b, row in zip(b_mat, x)])
+    f = np.array([instance._objective(b, row) for b, row in zip(b_mat, x)])
     b = b_mat
 
     best_x = x.copy()
@@ -435,7 +439,7 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
                 stop(done, "patience", step + 1)
 
     evaluations = 1 + k * iterations + k * (termination == "all_tabu")
-    f_best = [instance.evaluate(b_row, x_row) for b_row, x_row in zip(b_mat, best_x)]
+    f_best = [instance._objective(b_row, x_row) for b_row, x_row in zip(b_mat, best_x)]
     trace_mat = np.column_stack(trace)
     elapsed = (time.perf_counter() - t0) * 1000.0 / n
     return [

@@ -400,6 +400,8 @@ class TestEval:
     @pytest.mark.parametrize("record,why", [
         ("5", "record must be a JSON object"),
         ('{"b": 3, "x": [0, 0, 0, 0], "split": "val"}', "b must be a list"),
+        pytest.param("[" * 100_000, "invalid JSON: maximum recursion depth exceeded",
+                     id="deep-nesting"),
     ])
     def test_malformed_dataset_record(self, ws, tmp_path, capsys, record, why):
         lines = ws["data"].read_text().splitlines()
@@ -408,6 +410,39 @@ class TestEval:
         bad.write_text("\n".join(lines) + "\n")
         err = self.eval_fails_at(ws, tmp_path, capsys, data=bad)
         assert err.startswith(f"error: {bad}:4: {why}")
+
+    @pytest.mark.parametrize("provenance", [5, [1], "seed", None])
+    def test_dataset_provenance_must_be_an_object(self, ws, tmp_path, capsys,
+                                                  provenance):
+        lines = ws["data"].read_text().splitlines()
+        record = json.loads(lines[3])
+        record["provenance"] = provenance
+        lines[3] = json.dumps(record)
+        bad = tmp_path / "data.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        err = self.eval_fails_at(ws, tmp_path, capsys, data=bad)
+        assert err == (f"error: {bad}:4: provenance must be a JSON object, "
+                       f"got {provenance!r}\n")
+
+    def header_fails(self, ws, tmp_path, capsys, key, value):
+        lines = ws["data"].read_text().splitlines()
+        header = json.loads(lines[0])
+        header[key] = value
+        bad = tmp_path / "data.jsonl"
+        bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        err = self.eval_fails_at(ws, tmp_path, capsys, data=bad)
+        assert not (tmp_path / "e.csv").exists()
+        return err.removeprefix(f"error: {bad}:")
+
+    @pytest.mark.parametrize("value", [7, None, ["inst.mtx"]])
+    def test_dataset_header_instance_must_be_a_string(self, ws, tmp_path, capsys, value):
+        err = self.header_fails(ws, tmp_path, capsys, "instance", value)
+        assert err == f"1: header instance must be a string, got {value!r}\n"
+
+    @pytest.mark.parametrize("value", [[1], "sigma=0.3", None])
+    def test_dataset_header_params_must_be_an_object(self, ws, tmp_path, capsys, value):
+        err = self.header_fails(ws, tmp_path, capsys, "params", value)
+        assert err == f"1: header params must be a JSON object, got {value!r}\n"
 
     @pytest.mark.parametrize("key,values,why", [
         ("b", ["-0.5", "1", "2", "0.25"], "b entries must be JSON numbers, got '-0.5'"),

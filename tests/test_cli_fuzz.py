@@ -1,20 +1,23 @@
 """Mutated input files through the CLI: every run either succeeds or ends
 with exit status 2 and `error: <file>:<line>: <why>`, never a traceback.
-The instance reader parses in bulk and falls back to a located
-line-by-line reader; on every mutated `.mtx` file the two must agree.
+The instance and dataset readers parse in bulk and fall back to a located
+line-by-line reader; on every mutated `.mtx` and `.jsonl` file the two
+must agree.
 
 Small valid files (a k=4 instance with its sidecar, an observed vector, a
 dataset and a width-2 checkpoint) are mutated by deleting, duplicating or
-swapping lines and tokens, or by replacing a token or a run of whitespace
-with a piece of text from a fixed pool.  No pool piece reads as a large
-integer (`1_0` is 10, `1e400` a float), so no run can ask for a large
-allocation.
+swapping lines and tokens, by joining two lines (so that one line holds
+two JSON values) or splitting one (so that a value spans two lines), or
+by replacing a token or a run of whitespace with a piece of text from a
+fixed pool.  No pool piece reads as a large integer (`1_0` is 10, `1e400`
+a float), so no run can ask for a large allocation.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import re
 import shutil
 import tempfile
@@ -26,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubolab import read_instance, write_vector
+from qubolab import datagen, read_dataset, read_instance, write_vector
 from qubolab import io as qio
 from qubolab.cli import main
 
@@ -44,7 +47,9 @@ REPLACE = st.tuples(st.sampled_from(["replace_token", "replace_space"]), INDEX,
 MUTATION = st.one_of(
     st.tuples(st.sampled_from(["del_line", "dup_line", "del_token", "dup_token"]),
               INDEX),
-    st.tuples(st.sampled_from(["swap_lines", "swap_tokens"]), INDEX, INDEX),
+    st.tuples(st.sampled_from(["swap_lines", "swap_tokens", "split_line"]), INDEX, INDEX),
+    # Joined with ", " the two values of the new line still read as JSON.
+    st.tuples(st.just("join_lines"), INDEX, st.sampled_from(["", ", "])),
     REPLACE,
 )
 
@@ -53,12 +58,20 @@ def mutate(text: str, mutations) -> str:
     """Apply each mutation in turn; indices wrap around the current file."""
     lines = [PIECE.findall(line) for line in text.split("\n")]
     for op, *args in mutations:
-        if op.endswith("_line"):
+        if op in ("del_line", "dup_line"):
             i = args[0] % len(lines)
             if op == "del_line":
                 del lines[i]
             else:
                 lines.insert(i, list(lines[i]))
+        elif op == "join_lines":
+            i = args[0] % len(lines)
+            if i + 1 < len(lines):
+                lines[i] += [args[1]] + lines.pop(i + 1)
+        elif op == "split_line":
+            i = args[0] % len(lines)
+            cut = args[1] % (len(lines[i]) + 1)
+            lines[i:i + 1] = [lines[i][:cut], lines[i][cut:]]
         elif op == "swap_lines":
             i, j = args[0] % len(lines), args[1] % len(lines)
             lines[i], lines[j] = lines[j], lines[i]
@@ -176,3 +189,68 @@ def test_bulk_reader_agrees_on_every_single_replacement(differential):
 def test_bulk_reader_agrees_with_the_located_loop(differential, mutations):
     text, check = differential
     check(mutate(text, mutations))
+
+
+def dataset_outcome(path):
+    """What read_dataset(path) returns, reduced to bytes and reprs, or the
+    message of the ValueError it raises."""
+    try:
+        got = read_dataset(path)
+    except ValueError as err:
+        return f"ValueError: {err}"
+    return (got.instance_ref, got.k, repr(got.params), got.b.tobytes(), got.x.tobytes(),
+            got.split.tolist(), repr(got.provenance))
+
+
+@pytest.fixture(scope="module")
+def dataset_differential(originals, tmp_path_factory):
+    """The dataset's original text, and a check that read_dataset and the
+    located loop agree on a given text; it returns whether the bulk path
+    took the text."""
+    path = tmp_path_factory.mktemp("dataset_differential") / FILES["dataset"]
+
+    def check(text: str) -> bool:
+        path.write_text(text)
+        public = dataset_outcome(path)
+        with mock.patch.object(datagen, "_bulk_records", return_value=None):
+            assert dataset_outcome(path) == public, text
+        lines = text.splitlines()
+        return bool(lines) and datagen._bulk_records(lines, 4) is not None
+
+    return (originals / FILES["dataset"]).read_text(), check
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mutations=st.lists(st.one_of(REPLACE, MUTATION), min_size=1, max_size=3))
+def test_bulk_dataset_reader_agrees_with_the_located_loop(dataset_differential, mutations):
+    text, check = dataset_differential
+    check(mutate(text, mutations))
+
+
+def test_bulk_dataset_reader_takes_valid_files(dataset_differential):
+    text, check = dataset_differential
+    assert check(text)
+    lines = text.splitlines()
+    record = json.loads(lines[1])
+    # Brackets, quotes and backslashes inside strings are not structure.
+    record["provenance"]["note"] = 'a "[quoted" {path\\ \u2028 end'
+    lines[1] = json.dumps(record)
+    lines[2] = "  " + lines[2] + "\t"
+    assert check("\n".join(lines[:3] + ["", " "] + lines[3:]))
+
+
+@pytest.mark.parametrize("text", [
+    # the first record spans two lines, the last line holds two records
+    '{"k": 2}\n{"b": [1\n0], "x": [0, 1], "split": "val"}\n'
+    '{"b": [0, 1], "x": [1, 1], "split": "val"}, {"b": [0, 2], "x": [1, 0], "split": "val"}',
+    # the same, with strings whose brackets balance each line's raw count
+    '{"k": 1}\n{"b": [1], "x": [0], "split": "val", "s": "]]"}, {"b": [0], "x": [1], '
+    '"c": [1\n2], "split": "val", "d": "[["}',
+    # one line holds two records and another only a comma
+    '{"k": 1}\n{"b": [0], "x": [0], "split": "val"}, {"b": [0], "x": [0], "split": "val"}\n,',
+    # a line closes the array that the lines are joined into
+    '{"k": 1}\n{"b": [0], "x": [0], "split": "val"}], [{"b": [0], "x": [0], "split": "val"}',
+], ids=["spans-and-doubles", "balanced-by-strings", "comma-line", "closes-the-array"])
+def test_bulk_dataset_reader_refuses_values_across_lines(dataset_differential, text):
+    _, check = dataset_differential
+    assert not check(text)

@@ -3,6 +3,8 @@ refinement, splits, and the JSONL round trip."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -157,9 +159,9 @@ class TestGenerateDataset:
         inst = gen_random_dense(6, 0)
         a = generate_dataset(inst, 30, DataGenParams(seed=2))
         b = generate_dataset(inst, 30, DataGenParams(seed=2))
-        assert a.splits == b.splits
+        assert np.array_equal(a.split, b.split)
         # a sorted prefix split would put every train tag first
-        assert a.splits != sorted(a.splits, reverse=True)
+        assert list(a.split) != sorted(a.split, reverse=True)
 
     def test_instance_ref_defaults_to_lineage(self):
         inst = gen_random_dense(6, 9)
@@ -194,9 +196,8 @@ class TestDatasetPersistence:
         path = tmp_path / "data.jsonl"
         write_dataset(ds, path)
         back = read_dataset(path)
-        assert back == Dataset(instance_ref=ds.instance_ref, k=ds.k,
-                               params=ds.params, pairs=ds.pairs,
-                               splits=ds.splits)
+        assert back == ds
+        assert (back.b.tobytes(), back.x.tobytes()) == (ds.b.tobytes(), ds.x.tobytes())
 
     def test_write_is_byte_deterministic(self, tmp_path):
         ds = self.make()
@@ -225,6 +226,16 @@ class TestDatasetPersistence:
         path.write_text('{"k": true}\n{"b": [0.0], "x": [0], "split": "train"}\n')
         with pytest.raises(ValueError, match=r"data\.jsonl:1: header k must be "
                                              r"a positive integer, got True"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("text,line", [
+        ('{"k": ' + "[" * 100_000 + "\n", 1),
+        ('{"k": 1}\n' + '{"b": ' * 100_000 + "\n", 2),
+    ], ids=["header", "record"])
+    def test_deep_nesting_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "data.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"data\.jsonl:{line}: invalid JSON.*recursion"):
             read_dataset(path)
 
     def test_bad_record_names_its_line(self, tmp_path):
@@ -260,12 +271,91 @@ class TestDatasetPersistence:
 
 class TestDatasetType:
     def test_rejects_mismatched_split_list(self):
-        pair = DataPair(b=np.zeros(2), x=np.zeros(2, dtype=np.int8))
         with pytest.raises(ValueError, match="split tags"):
-            Dataset(instance_ref="", k=2, params={}, pairs=[pair], splits=[])
+            Dataset(instance_ref="", k=2, params={}, b=np.zeros((1, 2)),
+                    x=np.zeros((1, 2)), split=[])
 
     def test_rejects_unknown_tags(self):
-        pair = DataPair(b=np.zeros(2), x=np.zeros(2, dtype=np.int8))
         with pytest.raises(ValueError, match="'train' or 'val'"):
-            Dataset(instance_ref="", k=2, params={}, pairs=[pair],
-                    splits=["holdout"])
+            Dataset(instance_ref="", k=2, params={}, b=np.zeros((1, 2)),
+                    x=np.zeros((1, 2)), split=["holdout"])
+
+    def test_columns_are_checked_copies(self):
+        b = np.arange(6.0).reshape(3, 2)
+        x = np.asfortranarray([[0, 1], [1, 1], [0, 0]])
+        ds = Dataset(instance_ref="r", k=2, params={}, b=b, x=x, split=["train", "val", "val"])
+        assert ds.b.dtype == np.float64 and ds.x.dtype == np.int8
+        assert ds.b.flags.c_contiguous and ds.x.flags.c_contiguous
+        assert not np.shares_memory(ds.b, b) and not ds.b.flags.writeable
+        assert ds.provenance == [{}, {}, {}]
+        assert ds.indices("val").tolist() == [1, 2]
+        assert ds.b_matrix("val").tolist() == [[2.0, 3.0], [4.0, 5.0]]
+        assert ds.x_matrix("train").tolist() == [[0, 1]]
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(b=np.zeros((2, 3))), r"b has shape \(2, 3\), expected \(n, 2\)"),
+        (dict(x=np.zeros((2, 3))), r"x has shape \(2, 3\), expected \(2, 2\)"),
+        (dict(b=[[0.0, np.nan], [0.0, 0.0]]), "b contains NaN or Inf"),
+        (dict(x=[[0, 2], [0, 1]]), "x entries must be exactly 0 or 1"),
+        (dict(provenance=[{}]), "provenance must be 2 dicts"),
+        (dict(provenance=[{}, 5]), "provenance must be 2 dicts"),
+    ])
+    def test_rejects_bad_columns(self, kwargs, message):
+        columns = dict(b=np.zeros((2, 2)), x=np.zeros((2, 2)), split=["val", "val"])
+        with pytest.raises(ValueError, match=message):
+            Dataset(instance_ref="", k=2, params={}, **(columns | kwargs))
+
+    def test_pairs_are_read_only_row_views(self):
+        ds = generate_dataset(gen_random_dense(5, 8), 6, DataGenParams(sigma=0.4, seed=6))
+        assert len(ds.pairs) == 6
+        for i, pair in enumerate(ds.pairs):
+            assert np.shares_memory(pair.b, ds.b) and not pair.b.flags.writeable
+            assert pair == DataPair(ds.b[i], ds.x[i], ds.provenance[i])
+        assert ds.pairs[-1] == ds.pairs[5]
+        assert ds.pairs[np.int64(2)] == ds.pairs[2]
+        with pytest.raises(IndexError):
+            ds.pairs[6]
+
+
+def per_pair_writer(dataset: Dataset, path):
+    """Reference writer that encodes one pair at a time from its row."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"k": dataset.k, "instance": dataset.instance_ref,
+                             "params": dataset.params}) + "\n")
+        for pair, split in zip(dataset.pairs, dataset.split):
+            fh.write(json.dumps({"b": [float(v) for v in pair.b],
+                                 "x": [int(v) for v in pair.x],
+                                 "split": str(split), "provenance": pair.provenance}) + "\n")
+
+
+class TestColumnarPersistence:
+    def test_write_matches_the_per_pair_writer(self, tmp_path):
+        inst = gen_random_dense(7, 3)
+        ds = generate_dataset(inst, 30, DataGenParams(sigma=0.9, seed=4))
+        # signed zeros, subnormals and the extremes of float64 keep their text
+        b = ds.b.copy()
+        b[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308]
+        ds = Dataset(ds.instance_ref, ds.k, ds.params, b, ds.x, ds.split, ds.provenance)
+        write_dataset(ds, tmp_path / "bulk.jsonl")
+        per_pair_writer(ds, tmp_path / "loop.jsonl")
+        assert (tmp_path / "bulk.jsonl").read_bytes() == (tmp_path / "loop.jsonl").read_bytes()
+        back = read_dataset(tmp_path / "bulk.jsonl")
+        assert back.b.tobytes() == b.tobytes()
+
+    def test_missing_provenance_reads_and_writes_as_empty(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"k": 2}\n{"b": [0.5, 1], "x": [1.0, 0], "split": "val"}\n')
+        ds = read_dataset(path)
+        assert ds.provenance == [{}] and ds.x.tolist() == [[1, 0]]
+        assert (ds.instance_ref, ds.params) == ("", {})
+        write_dataset(ds, path)
+        assert path.read_text().splitlines()[1] == (
+            '{"b": [0.5, 1.0], "x": [1, 0], "split": "val", "provenance": {}}')
+
+    def test_header_only_file_is_an_empty_dataset(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"k": 3}\n\n')
+        ds = read_dataset(path)
+        assert len(ds) == 0 and ds.b.shape == (0, 3) and ds.x.shape == (0, 3)
+        with pytest.raises(ValueError, match=r"data\.jsonl:2: no 'train' pairs"):
+            read_dataset(path, split="train")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import naive_minimize
-from qubolab import (BpgnnConfig, BpgnnModel, DataGenParams, DataPair, Dataset,
+from qubolab import (BpgnnConfig, BpgnnModel, DataGenParams, Dataset,
                      EvalRecord, QuboInstance, TabuParams, accuracy, benchmark,
                      evaluate_method, exhaustive_solve, gen_ising,
                      gen_lattice_laplacian, gen_random_dense,
@@ -300,9 +300,8 @@ class TestEvaluateMethod:
         fields = [np.zeros(9), np.zeros(9)] + list(rng.normal(size=(4, 9)))
         labels = [np.zeros(9), np.ones(9)] + [naive_minimize(inst, b)[0]
                                                for b in fields[2:]]
-        pairs = [DataPair(b, np.asarray(x, dtype=np.int8))
-                 for b, x in zip(fields, labels)]
-        data = Dataset("lattice", 9, {}, pairs, ["val"] * len(pairs))
+        data = Dataset("lattice", 9, {}, np.array(fields), np.array(labels),
+                       ["val"] * len(fields))
         calls = []
         engine = evaluate.exhaustive_argmins
 
@@ -364,8 +363,7 @@ class TestEvaluateMethod:
 
     def test_empty_split_is_rejected(self, eval_problem):
         inst, _, _ = eval_problem
-        pair = DataPair(np.zeros(4), np.zeros(4, dtype=np.int8))
-        data = Dataset("x", 4, {}, [pair], ["train"])
+        data = Dataset("x", 4, {}, np.zeros((1, 4)), np.zeros((1, 4)), ["train"])
         with pytest.raises(ValueError, match="no 'val' pairs"):
             evaluate_method("exhaustive", inst, data)
 
@@ -373,8 +371,7 @@ class TestEvaluateMethod:
         # positive couplings: with b = 0 the all-zeros label is optimal
         # and its objective is exactly zero, so the gap is undefined
         chain = QuboInstance(4, [0, 1, 2], [1, 2, 3], [1.0, 1.0, 1.0])
-        pair = DataPair(np.zeros(4), np.zeros(4, dtype=np.int8))
-        data = Dataset("x", 4, {}, [pair], ["val"])
+        data = Dataset("x", 4, {}, np.zeros((1, 4)), np.zeros((1, 4)), ["val"])
         rec = evaluate_method("exhaustive", chain, data)
         assert rec.accuracy == 1.0
         assert math.isnan(rec.rel_qubo)

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from qubolab import (BpgnnConfig, BpgnnModel, DataGenParams, DataPair, Dataset,
+from qubolab import (BpgnnConfig, BpgnnModel, DataGenParams, Dataset,
                      HISTORY_COLUMNS, QuboInstance, TrainConfig,
                      build_laplacian, gen_lattice_laplacian,
                      gen_random_dense, generate_dataset, load_checkpoint,
@@ -166,6 +166,22 @@ class TestForward:
         with pytest.raises(ValueError):
             model.predict(b)
 
+    @pytest.mark.parametrize("b,message", [
+        (np.zeros(5), "observed vector has shape (5,), expected (6,)"),
+        (np.zeros((2, 5)), "observed vector has shape (5,), expected (6,)"),
+        (np.zeros((1, 2, 6)), "observed vector has shape (2, 6), expected (6,)"),
+        (1.0, "observed vector has shape (1,), expected (6,)"),
+        (np.full((2, 6), np.nan), "observed vector contains NaN or Inf entries"),
+        (np.where(np.eye(6)[:3] > 0, np.inf, 0.0), "observed vector contains NaN or Inf entries"),
+        ([0.0, 1.0, 2.0, 3.0, 4.0, -np.inf], "observed vector contains NaN or Inf entries"),
+    ], ids=["short-vector", "short-rows", "3-d", "scalar", "nan-stack", "inf-in-stack",
+            "inf-vector"])
+    def test_predict_errors_name_the_vector(self, b, message):
+        model = BpgnnModel(BpgnnConfig(d=4, layers=1), gen_random_dense(6, 1))
+        with pytest.raises(ValueError) as err:
+            model.predict(b)
+        assert str(err.value) == message
+
     def test_training_dropout_needs_rng(self):
         model = BpgnnModel(BpgnnConfig(d=4, layers=1, dropout=0.5), chain3())
         with pytest.raises(ValueError, match="needs an rng"):
@@ -273,15 +289,14 @@ class TestTrain:
 
     def test_dataset_k_must_match(self, small_problem):
         inst, _ = small_problem
-        bad = Dataset("x", 5, {}, [], [])
+        bad = Dataset("x", 5, {}, np.empty((0, 5)), np.empty((0, 5)), [])
         model = BpgnnModel(BpgnnConfig(d=4, layers=1), inst)
         with pytest.raises(ValueError, match="does not match instance"):
             train(model, bad, TrainConfig(epochs=1))
 
     def test_empty_training_split_is_rejected(self, small_problem):
         inst, _ = small_problem
-        pair = DataPair(np.zeros(4), np.zeros(4, dtype=np.int8))
-        data = Dataset("x", 4, {}, [pair], ["val"])
+        data = Dataset("x", 4, {}, np.zeros((1, 4)), np.zeros((1, 4)), ["val"])
         model = BpgnnModel(BpgnnConfig(d=4, layers=1), inst)
         with pytest.raises(ValueError, match="empty training split"):
             train(model, data, TrainConfig(epochs=1))

@@ -400,6 +400,33 @@ class TestTabuRows:
                     TabuParams(max_steps=15, tabu_tenure=tenure, patience=None))
                 assert any(math.isinf(v) for r in got for v in r.trace)
 
+    @pytest.mark.parametrize("layout", ["fortran", "column-slice", "column-step"])
+    def test_strided_fields_are_refereed_like_evaluate(self, layout):
+        # numpy's dot sums a strided row in another order than a contiguous
+        # one, so each row's start and final f must come from a C-ordered copy.
+        inst = gen_random_dense(64, 41)
+        rng = np.random.default_rng(42)
+        b = rng.normal(size=(12, 64)) * 10.0 ** rng.integers(-8, 9, size=(12, 64))
+        starts = rng.integers(0, 2, size=(12, 64)).astype(np.int8)
+        wide = np.zeros((12, 3 * 64))
+        if layout == "fortran":
+            b_mat = np.asfortranarray(b)
+        elif layout == "column-slice":
+            wide[:, 5:69] = b
+            b_mat = wide[:, 5:69]
+        else:
+            wide[:, ::3] = b
+            b_mat = wide[:, ::3]
+        assert not b_mat.flags.c_contiguous and np.array_equal(b_mat, b)
+        params = TabuParams(max_steps=30, tabu_tenure=5)
+        got = tabu_rows(inst, b_mat, np.asfortranarray(starts), params)
+        for r, result in enumerate(got):
+            want = tabu_solve(inst, b[r], replace(params, start=starts[r]))
+            assert result.x_best.tolist() == want.x_best.tolist()
+            assert (result.f_best.hex() == want.f_best.hex()
+                    == inst.evaluate(b[r], result.x_best).hex())
+            assert result.trace[0].hex() == inst.evaluate(b[r], starts[r]).hex()
+
     def test_one_start_for_every_row(self):
         inst = gen_random_dense(8, 31)
         b = np.random.default_rng(32).normal(size=(5, 8))
