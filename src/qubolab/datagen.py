@@ -18,7 +18,6 @@ import json
 import math
 import operator
 import os
-import re
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
@@ -282,9 +281,10 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
 
     Malformed lines are reported with their line number.  When an instance
     is supplied its size must match the header; when a split is named the
-    file must hold at least one pair of it.  The records are decoded and
-    checked in bulk (_bulk_records); only a file the bulk path refuses goes
-    through the located line-by-line loop, which finds the first bad line.
+    file must hold at least one pair of it.  The records are decoded one
+    line at a time and checked in bulk, by _bulk_records and then Dataset;
+    only a file the bulk path refuses goes through the located line-by-line
+    loop, which finds the first bad line.
     """
     path = os.fspath(path)
 
@@ -315,22 +315,22 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
     if instance is not None and instance.k != k:
         fail(1, f"dataset k={k} does not match instance k={instance.k}")
 
+    dataset = None
     columns = _bulk_records(lines, k)
-    if columns is None:
-        columns = _located_records(lines, k, fail)
-    b, x, splits, provenance = columns
-    if split is not None and split not in splits:
+    if columns is not None:
+        try:
+            # Dataset checks the rest: finite b, 0/1 x, the tags, the provenance objects.
+            dataset = Dataset(instance_ref, k, params, *columns)
+        except (OverflowError, ValueError):
+            pass
+    if dataset is None:
+        b, x, splits, provenance = _located_records(lines, k, fail)
+        n = len(splits)
+        dataset = Dataset(instance_ref, k, params, np.reshape(b, (n, k)),
+                          np.reshape(x, (n, k)), splits, provenance)
+    if split is not None and split not in dataset.split:
         fail(len(lines), f"no {split!r} pairs in the file")
-    n = len(splits)
-    return Dataset(
-        instance_ref=instance_ref,
-        k=k,
-        params=params,
-        b=np.asarray(b, dtype=np.float64).reshape(n, k),
-        x=np.asarray(x, dtype=np.int8).reshape(n, k),
-        split=splits,
-        provenance=provenance,
-    )
+    return dataset
 
 
 def _located_records(lines: list[str], k: int, fail):
@@ -373,57 +373,24 @@ def _located_records(lines: list[str], k: int, fail):
     return b_rows, x_rows, splits, provenance
 
 
-# A JSON string literal; applied left to right to valid JSON it matches
-# exactly the strings, so what it leaves is the text's structure.
-_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
-
-
 def _bulk_records(lines: list[str], k: int):
-    """What _located_records returns, decoded with one json.loads and
-    checked once per column, or None where the located loop must decide.
-
-    The record lines are joined as the elements of one JSON array.  That
-    array reads like the lines one by one only if each line holds exactly
-    one value: json.loads refuses a raw newline inside a string, the count
-    of values must equal the count of lines, and outside strings the
-    brackets of every line must balance, so that the bracket depth is 1
-    (inside the array only) at every joining newline and no value spans
-    two lines.
-    """
-    body = [text for text in lines[1:] if text.strip()]
-    joined = "[" + ",\n".join(body) + "]"
+    """The columns of the records after the header, one json.loads per line
+    and only the checks Dataset cannot make (each record an object with b, x
+    and split, b and x lists of k JSON numbers), or None where the located
+    loop must decide.  A file with no records goes to the located loop,
+    which shapes its empty (0, k) columns."""
     try:
-        records = json.loads(joined)
+        records = [json.loads(text) for text in lines[1:] if text.strip()]
     except (ValueError, RecursionError):
         return None
-    if len(records) != len(body):
-        return None
-    # Valid JSON escapes every quote inside a string with a backslash, so
-    # without backslashes the quotes alone delimit the strings.  A line at
-    # a time, so that no copy of the whole text is held.
-    if "\\" in joined:
-        outside = (_JSON_STRING.sub("", text) for text in body)
-    else:
-        outside = ("".join(text.split('"')[::2]) for text in body)
-    if any(t.count("[") + t.count("{") - t.count("]") - t.count("}") for t in outside):
-        return None
-    if not all(type(r) is dict and "b" in r and "x" in r and "split" in r for r in records):
+    if not records or not all(type(r) is dict and "b" in r and "x" in r and "split" in r
+                              for r in records):
         return None
     b_rows = [r["b"] for r in records]
     x_rows = [r["x"] for r in records]
-    splits = [r["split"] for r in records]
-    provenance = [r.get("provenance", {}) for r in records]
     if not (all(type(row) is list and len(row) == k for row in itertools.chain(b_rows, x_rows))
             # JSON numbers decode to int or float; bool is its own type.
-            and set(map(type, itertools.chain.from_iterable(b_rows + x_rows))) <= {int, float}
-            and set(itertools.chain.from_iterable(x_rows)) <= {0, 1}
-            and all(s in ("train", "val") for s in splits)
-            and all(type(p) is dict for p in provenance)):
+            and set(map(type, itertools.chain.from_iterable(b_rows + x_rows))) <= {int, float}):
         return None
-    try:
-        b = np.array(b_rows, dtype=np.float64).reshape(len(b_rows), k)
-    except OverflowError:
-        return None
-    if not np.all(np.isfinite(b)):
-        return None
-    return b, x_rows, splits, provenance
+    return (b_rows, x_rows, [r["split"] for r in records],
+            [r.get("provenance", {}) for r in records])
