@@ -172,8 +172,10 @@ def _read_meta(path: str, k: int) -> dict:
         text = fh.read()
     try:
         loaded = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{sidecar}:{err.lineno}: invalid JSON: {err}") from err
+    # A deeply nested value exhausts the decoder's recursion limit (line 1).
+    except (json.JSONDecodeError, RecursionError) as err:
+        raise ValueError(
+            f"{sidecar}:{getattr(err, 'lineno', 1)}: invalid JSON: {err}") from err
     if not isinstance(loaded, dict):
         raise ValueError(f"{sidecar}:1: expected a JSON object")
     if "k" in loaded and loaded["k"] != k:

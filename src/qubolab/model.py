@@ -194,7 +194,6 @@ class BpgnnModel:
                              f"expected ({self.instance.k},)")
         if not np.all(np.isfinite(b_mat)):
             raise ValueError("observed vector contains NaN or Inf entries")
-        b_mat = np.ascontiguousarray(b_mat)
         logits = self._logits(b_mat, False, None).data
         x = _example_major(ad._sigmoid(logits) > 0.5, len(b_mat))
         return (x if b.ndim == 2 else x[0]).astype(np.int8)
@@ -381,9 +380,10 @@ def load_checkpoint(path: str | os.PathLike, instance: QuboInstance) -> BpgnnMod
 
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ValueError(
-            f"{path}:{err.lineno}: invalid checkpoint JSON: {err}") from err
+    # A deeply nested value exhausts the decoder's recursion limit (line 1).
+    except (json.JSONDecodeError, RecursionError) as err:
+        raise ValueError(f"{path}:{getattr(err, 'lineno', 1)}: "
+                         f"invalid checkpoint JSON: {err}") from err
     if (not isinstance(doc, dict) or "config" not in doc
             or not isinstance(doc.get("params"), dict)):
         fail("checkpoint must contain 'config' and 'params' objects")

@@ -20,20 +20,28 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def as_observed_vector(b, k: int) -> np.ndarray:
-    """Validate and return an observed vector as a C-contiguous float64 array
-    of length k.
+# Float64 entries in one block of exhaustive scores or objective products.
+BLOCK_STATES = 1 << 20
 
-    Contiguous because numpy's dot product sums a strided vector in another
-    order than a contiguous one, which would make the last bit of evaluate
-    depend on the caller's memory layout.
-    """
+
+def as_observed_vector(b, k: int) -> np.ndarray:
+    """Validate and return an observed vector as a float64 array of length k."""
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (k,):
         raise ValueError(f"observed vector has shape {b.shape}, expected ({k},)")
     if not np.all(np.isfinite(b)):
         raise ValueError("observed vector contains NaN or Inf entries")
-    return np.ascontiguousarray(b)
+    return b
+
+
+def as_field_matrix(b_mat, k: int) -> np.ndarray:
+    """Validate and return observed vectors as a float64 (n, k) stack."""
+    b_mat = np.asarray(b_mat, dtype=np.float64)
+    if b_mat.ndim != 2 or b_mat.shape[1] != k:
+        raise ValueError(f"field matrix has shape {b_mat.shape}, expected (n, {k})")
+    if not np.all(np.isfinite(b_mat)):
+        raise ValueError("field matrix contains NaN or Inf entries")
+    return b_mat
 
 
 def as_binary_assignment(x, k: int) -> np.ndarray:
@@ -143,23 +151,28 @@ class QuboInstance:
     # -- objective ------------------------------------------------------
 
     def evaluate(self, b, x) -> float:
-        """QUBO objective x^T A x + x^T b, accumulated in double precision.
+        """QUBO objective x^T A x + x^T b: the (1, k) call of _objectives."""
+        return float(self._objectives(as_observed_vector(b, self.k)[None],
+                                      as_binary_assignment(x, self.k)[None])[0])
 
-        The sums run through BLAS, so once nnz is large the last bits of f
-        depend on the BLAS thread count: OpenBLAS splits a long dot product
-        between its threads, and 25 SB solves on a k=400 dense instance
-        (160,000 entries) gave f_best values that differed in their last
-        bits between 1 and 2 OpenBLAS threads, with the same x_best.
+    def _objectives(self, b_mat: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
+        """f of every row of a float64 (n, k) b_mat and a 0/1 (n, k) x_mat,
+        unchecked.  Both sums are numpy's pairwise add.reduce along the rows
+        of C-order products, with no BLAS, so row r has the bits of the
+        (1, k) call on it alone under any thread count and either stack's
+        layout (a Fortran-order product would be summed in another order).
+        Rows go in blocks of at most BLOCK_STATES products.
         """
-        return self._objective(as_observed_vector(b, self.k),
-                               as_binary_assignment(x, self.k))
-
-    def _objective(self, b: np.ndarray, x: np.ndarray) -> float:
-        """evaluate without the checks, for a C-contiguous float64 (k,) b
-        and an int8 0/1 (k,) x; a strided b would be summed in another
-        order."""
-        quad = float(np.dot(self.vals, x[self.rows] * x[self.cols]))
-        return quad + float(np.dot(b, x))
+        f = np.empty(len(x_mat))
+        step = max(1, BLOCK_STATES // max(self.nnz, self.k))
+        for lo in range(0, len(f), step):
+            x = x_mat[lo:lo + step].astype(bool)
+            pairs = np.take(x, self.rows, axis=1)
+            pairs &= np.take(x, self.cols, axis=1)
+            quad = np.add.reduce(np.multiply(self.vals, pairs, order="C"), axis=1)
+            lin = np.add.reduce(np.multiply(b_mat[lo:lo + step], x, order="C"), axis=1)
+            f[lo:lo + step] = quad + lin
+        return f
 
     def flip_delta(self, b, x, i: int) -> float:
         """Objective change from flipping bit i: f(flip(x, i)) - f(x).
@@ -203,14 +216,10 @@ def rel_gaps(instance: QuboInstance, b, x_ref, x_pred) -> np.ndarray:
     """Relative objective gaps (f_pred - f_ref) / |f_ref|, one per row of
     b, x_ref and x_pred (each (n, k)).  The gap is undefined when |f_ref|
     <= 1e-12 (e.g. an all-zeros optimum); those rows are left out."""
-
-    def objectives(x) -> np.ndarray:
-        return np.sum(x * (instance.a_csr @ x.T).T + x * b, axis=1)
-
-    f_ref = objectives(x_ref)
+    f_ref = instance._objectives(b, x_ref)
     defined = np.abs(f_ref) > 1e-12
     f_ref = f_ref[defined]
-    return (objectives(x_pred)[defined] - f_ref) / np.abs(f_ref)
+    return (instance._objectives(b, x_pred)[defined] - f_ref) / np.abs(f_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qubo import (QuboInstance, _flip_deltas, as_binary_assignment, as_observed_vector,
-                   qubo_to_ising)
+from .qubo import (BLOCK_STATES, QuboInstance, _flip_deltas, as_binary_assignment,
+                   as_field_matrix, as_observed_vector, qubo_to_ising)
 
 
 # Largest k exhaustive_solve enumerates by default (2^26 states).
 EXHAUSTIVE_CAP = 26
 # Bits of x tabulated once per exhaustive enumeration (2^12 assignments).
 LOW_BITS = 12
-# Scores held by one exhaustive score block: 2^20 float64, 8 MB.
-BLOCK_STATES = 1 << 20
 
 
 class IntractableSizeError(ValueError):
@@ -108,11 +106,7 @@ def exhaustive_argmins(instance: QuboInstance, b_mat,
         raise IntractableSizeError(
             f"intractable size: k={k} exceeds the exhaustive cap {cap}"
         )
-    b_mat = np.asarray(b_mat, dtype=np.float64)
-    if b_mat.ndim != 2 or b_mat.shape[1] != k:
-        raise ValueError(f"field matrix has shape {b_mat.shape}, expected (n, {k})")
-    if not np.all(np.isfinite(b_mat)):
-        raise ValueError("field matrix contains NaN or Inf entries")
+    b_mat = as_field_matrix(b_mat, k)
     n_fields = b_mat.shape[0]
     m = min(k, LOW_BITS)
     h = k - m
@@ -332,18 +326,13 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
     whenever its value is finite; a row whose pick is not finite (every
     flip tabu, or inf/NaN deltas) takes the argsort rule itself.  Rows that
     stop are dropped from the working arrays.  The start and final f of
-    every row come from QuboInstance._objective, evaluate's sums without
-    its per-row checks, which the whole stack has already passed.
+    every row come from one QuboInstance._objectives call each, evaluate's
+    sums without its per-row checks, which the whole stack has already
+    passed.
     """
     params = params or TabuParams()
     k = instance.k
-    b_mat = np.asarray(b_mat, dtype=np.float64)
-    if b_mat.ndim != 2 or b_mat.shape[1] != k:
-        raise ValueError(f"field matrix has shape {b_mat.shape}, expected (n, {k})")
-    if not np.all(np.isfinite(b_mat)):
-        raise ValueError("field matrix contains NaN or Inf entries")
-    # C order, so that each row is the contiguous vector evaluate would sum.
-    b_mat = np.ascontiguousarray(b_mat)
+    b_mat = as_field_matrix(b_mat, k)
     n = len(b_mat)
     if starts is None:
         starts = np.tile(np.zeros(k) if params.start is None else params.start, (n, 1))
@@ -366,7 +355,7 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
     d = instance.a_diag
     xf = x.astype(np.float64)
     g = np.ascontiguousarray((s @ xf.T).T)
-    f = np.array([instance._objective(b, row) for b, row in zip(b_mat, x)])
+    f = instance._objectives(b_mat, x)
     b = b_mat
 
     best_x = x.copy()
@@ -439,7 +428,7 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
                 stop(done, "patience", step + 1)
 
     evaluations = 1 + k * iterations + k * (termination == "all_tabu")
-    f_best = [instance._objective(b_row, x_row) for b_row, x_row in zip(b_mat, best_x)]
+    f_best = instance._objectives(b_mat, best_x).tolist()
     trace_mat = np.column_stack(trace)
     elapsed = (time.perf_counter() - t0) * 1000.0 / n
     return [

@@ -119,6 +119,16 @@ class TestGenData:
         assert config["subcommand"] == "gen-data"
         assert config["n"] == 10 and config["sigma"] == 0.0
 
+    def test_deeply_nested_sidecar_names_line_1(self, ws, tmp_path, capsys):
+        inst = tmp_path / "inst.mtx"
+        inst.write_bytes(ws["inst"].read_bytes())
+        sidecar = tmp_path / "inst.meta.json"
+        sidecar.write_text('{"a":' * 100_000)
+        assert main(["gen-data", "--instance", str(inst), "--n", "4",
+                     "--out", str(tmp_path / "d.jsonl")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {sidecar}:1: invalid JSON: maximum recursion depth exceeded")
+
 
 class TestSolve:
     @pytest.fixture()
@@ -313,6 +323,13 @@ class TestEval:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: .+:\d+: .+\n", err), err
         return err
+
+    def test_deeply_nested_checkpoint_names_line_1(self, ws, tmp_path, capsys):
+        bad = tmp_path / "model.json"
+        bad.write_text("[" * 100_000)
+        err = self.eval_fails_at(ws, tmp_path, capsys, model=bad)
+        assert err.startswith(f"error: {bad}:1: invalid checkpoint JSON: "
+                              "maximum recursion depth exceeded")
 
     def test_checkpoint_parameter_without_shape(self, ws, tmp_path, capsys):
         doc = json.loads(ws["model"].read_text())

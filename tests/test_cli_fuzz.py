@@ -9,8 +9,9 @@ dataset and a width-2 checkpoint) are mutated by deleting, duplicating or
 swapping lines and tokens, by joining two lines (so that one line holds
 two JSON values) or splitting one (so that a value spans two lines), or
 by replacing a token or a run of whitespace with a piece of text from a
-fixed pool.  No pool piece reads as a large integer (`1_0` is 10, `1e400`
-a float), so no run can ask for a large allocation.
+fixed pool.  The checkpoint and the sidecar also get a token replaced by a
+value nested 100,000 deep.  No pool piece reads as a large integer (`1_0`
+is 10, `1e400` a float), so no run can ask for a large allocation.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ FILES = {"mtx": "inst.mtx", "meta": "inst.meta.json", "vector": "b.txt",
 POOL = ("", "x", "nan", "inf", "-1", "0", "1.5", '"1.5"', "[]", "{}", "null", "true",
         # Pieces that np.loadtxt and the per-line readers could read differently.
         "1_0", "0x10", "1.0", "1e400", "% c", "\x0c", "\x0b", "\u2028", "\r")
+# Values nested deeper than the JSON decoder's recursion limit.
+DEEP = ("[" * 100_000, '{"a":' * 100_000)
 # Whitespace, a JSON string, JSON punctuation, or any other run of text.
 PIECE = re.compile(r'\s+|"(?:[^"\\]|\\.)*"|[\[\]{}:,]|[^\s\[\]{}:,"]+')
 
@@ -125,6 +128,20 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
 @given(mutations=st.lists(MUTATION, min_size=1, max_size=3))
 def test_mutated_input_fails_with_a_location(originals, kind, mutations):
+    assert_runs_or_fails_with_a_location(originals, kind, mutations)
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "meta"])
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(deep=st.tuples(st.just("replace_token"), INDEX, st.sampled_from(DEEP)),
+       mutations=st.lists(MUTATION, max_size=2))
+def test_deep_nesting_fails_with_a_location(originals, kind, deep, mutations):
+    assert_runs_or_fails_with_a_location(originals, kind, [deep, *mutations])
+
+
+def assert_runs_or_fails_with_a_location(originals, kind, mutations):
+    """Mutate the `kind` file of a copy of the originals, then run solve and
+    eval on the copy: each exits 0, or 2 naming a file and line."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         paths = {key: work / name for key, name in FILES.items()}

@@ -158,6 +158,17 @@ class TestForward:
         assert x.shape == (5, 6) and x.dtype == np.int8
         assert np.array_equal(x, np.stack([model.predict(row) for row in b]))
 
+    def test_predict_reads_any_layout_without_writing_it(self):
+        inst = gen_random_dense(6, seed=12)
+        model = BpgnnModel(BpgnnConfig(d=8, layers=2), inst)
+        b = np.random.default_rng(4).normal(size=(5, 6))
+        wide = np.zeros((5, 18))
+        wide[:, ::3] = b
+        want = model.predict(b)
+        for stack in (np.asfortranarray(b), wide[:, ::3]):
+            stack.flags.writeable = False
+            assert np.array_equal(model.predict(stack), want)
+
     @pytest.mark.parametrize("b", [np.zeros(5), np.zeros((2, 5)),
                                    np.full((2, 6), np.nan),
                                    np.zeros((1, 2, 6))])
@@ -353,10 +364,12 @@ class TestFlatParameters:
 # sha256 of the checkpoint and history.csv of a tiny lattice training,
 # keyed by use_qubo_features, as the one-operation-per-record composition
 # of the network wrote them.  The compound tape records keep its arithmetic
-# order, so the bytes must not move.
+# order, so the bytes must not move.  The features history was re-pinned
+# once, when rel_gaps came to sum the objective pairwise: its epoch-1
+# val_relqubo moved in the last bit.
 PINNED_DIGESTS = {
     True: ("d799ffc3a9555bdb5ab7221fef7609f25e91e669729164e61713873f0724403c",
-           "399357e13ff57a92722195f3964bb1f6f84432d0a3b41b19ce03c4ca104cb41c"),
+           "439908e9fb06bfcfc5f91e90a9a83040391c83795088e218a51f66ca6cecd636"),
     False: ("5703f761c47a0d830862a90c5846b5873bc02c0b8ffec5c6cdd25e043e88a06c",
             "c110ce71ed089f7346f9e7363786ba214ce2b6996190f7a0c3486c9a225d641a"),
 }

@@ -3,6 +3,12 @@ and the binary/spin change of variables."""
 
 from __future__ import annotations
 
+import math
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubolab import (QuboInstance, gen_ising, gen_lattice_laplacian,
+from qubolab import (QuboInstance, TabuParams, gen_ising, gen_lattice_laplacian,
                      gen_random_dense, ising_energy, lattice_adjacency,
-                     qubo_to_ising)
+                     qubo_to_ising, tabu_rows)
+from qubolab import qubo
 from qubolab.qubo import as_binary_assignment, as_observed_vector, rel_gaps
 
 from conftest import tiny_instance
@@ -132,16 +139,19 @@ class TestObjective:
         assert inst.evaluate([1.0, 2.0, 3.0], [1, 0, 1]) == pytest.approx(4.0)
 
     def test_same_bits_whatever_the_layout_of_b(self):
-        # A row of a Fortran-ordered stack is strided; numpy's dot product
-        # sums a strided vector in another order than a contiguous one.
+        # Rows of a Fortran-order stack and every third column of a wider
+        # array are strided; evaluate sums them as it sums a contiguous copy.
         inst = gen_lattice_laplacian(8)
         rng = np.random.default_rng(0)
-        b = np.asfortranarray(rng.normal(size=(50, 64)) * 10)
+        b = rng.normal(size=(50, 64)) * 10.0 ** rng.integers(-8, 9, size=(50, 64))
         x = rng.integers(0, 2, size=(50, 64))
-        assert not b[0].flags.c_contiguous
-        assert as_observed_vector(b[0], 64).flags.c_contiguous
-        for row, x_row in zip(b, x):
-            assert repr(inst.evaluate(row, x_row)) == repr(inst.evaluate(row.copy(), x_row))
+        wide = np.zeros((50, 3 * 64))
+        wide[:, ::3] = b
+        for strided in (np.asfortranarray(b), wide[:, ::3]):
+            assert not strided[0].flags.c_contiguous
+            for r in range(50):
+                assert (inst.evaluate(strided[r], x[r]).hex()
+                        == inst.evaluate(b[r].copy(), x[r].copy()).hex())
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(1, 6), seed=st.integers(0, 10_000))
@@ -185,6 +195,111 @@ class TestObjective:
         assert batch == pytest.approx(singles, rel=1e-9, abs=1e-12)
 
 
+def objective_case(inst: QuboInstance, n: int, seed: int):
+    """n fields with entries across 17 decades, and n binary states."""
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(n, inst.k)) * 10.0 ** rng.integers(-8, 9, size=(n, inst.k))
+    return b, rng.integers(0, 2, size=(n, inst.k)).astype(np.int8)
+
+
+def layouts(m: np.ndarray) -> dict:
+    """m as a C-order, a Fortran-order and a column-strided stack."""
+    wide = np.zeros((m.shape[0], 3 * m.shape[1]), dtype=m.dtype)
+    wide[:, 1::3] = m
+    return {"c": np.ascontiguousarray(m), "fortran": np.asfortranarray(m),
+            "strided": wide[:, 1::3]}
+
+
+class TestObjectives:
+    """QuboInstance._objectives, the one objective: row r has the bits of
+    the (1, k) call on row r alone, in any layout and block."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 400, 2000])
+    @pytest.mark.parametrize("inst", [
+        gen_random_dense(64, 1),  # 256 rows per block: 400 and 2000 cross
+        gen_lattice_laplacian(8),
+        QuboInstance(k=5, rows=[], cols=[], vals=[]),  # the empty matrix
+    ], ids=["dense-64", "lattice-8", "empty"])
+    def test_rows_have_the_bits_of_one_row_calls(self, inst, n):
+        b, x = objective_case(inst, n, seed=n)
+        want = [inst.evaluate(b[r], x[r]).hex() for r in range(n)]
+        for (name, b_mat), x_mat in zip(layouts(b).items(), layouts(x).values()):
+            got = inst._objectives(b_mat, x_mat)
+            assert got.shape == (n,)
+            assert [v.hex() for v in got] == want, name
+
+    def test_a_stack_that_crosses_a_block_at_k400(self):
+        # 2^20 // 160,000 = 6 rows per block, so row 6 opens the second one
+        inst = gen_random_dense(400, 2)
+        assert qubo.BLOCK_STATES // inst.nnz == 6
+        b, x = objective_case(inst, 7, seed=3)
+        want = [inst.evaluate(b[r], x[r]).hex() for r in range(7)]
+        for b_mat, x_mat in zip(layouts(b).values(), layouts(x).values()):
+            assert [v.hex() for v in inst._objectives(b_mat, x_mat)] == want
+
+    def test_blocks_of_one_row(self, monkeypatch):
+        inst = gen_lattice_laplacian(4)
+        b, x = objective_case(inst, 9, seed=4)
+        want = inst._objectives(b, x).tolist()
+        monkeypatch.setattr(qubo, "BLOCK_STATES", 1)
+        assert inst._objectives(b, x).tolist() == want
+
+    def test_is_within_the_summation_bound_of_the_exact_sum(self):
+        # Any order of n additions errs by at most n u sum|terms|, u = 2^-53.
+        inst = gen_random_dense(30, 5)
+        b, x = objective_case(inst, 20, seed=5)
+        for b_row, x_row, got in zip(b, x, inst._objectives(b, x)):
+            terms = np.r_[inst.vals * (x_row[inst.rows] * x_row[inst.cols]), b_row * x_row]
+            bound = terms.size * 2.0 ** -53 * math.fsum(np.abs(terms))
+            assert abs(got - math.fsum(terms)) <= bound
+
+    def test_same_bits_under_one_and_two_blas_threads(self):
+        # np.dot would split its sums between BLAS threads
+        script = (
+            "import numpy as np\n"
+            "from qubolab import gen_random_dense\n"
+            "inst = gen_random_dense(400, 7)\n"
+            "rng = np.random.default_rng(8)\n"
+            "for _ in range(25):\n"
+            "    b = rng.normal(size=400)\n"
+            "    x = rng.integers(0, 2, size=400)\n"
+            "    print(inst.evaluate(b, x).hex())\n")
+        src = str(pathlib.Path(qubo.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            outputs.append(run.stdout.split())
+        assert len(outputs[0]) == 25
+        assert outputs[0] == outputs[1]
+
+    def test_tabu_rows_referees_in_bounded_memory(self, monkeypatch):
+        # Unblocked, a 1682-row stack at k=400 dense would hold 1682 * 160,000
+        # products: more than 2 GB.
+        inst = gen_random_dense(400, 9)
+        b, x = objective_case(inst, 1682, seed=10)
+        objectives = QuboInstance._objectives
+        peaks = []
+
+        def traced(self, b_mat, x_mat):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            f = objectives(self, b_mat, x_mat)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return f
+
+        monkeypatch.setattr(QuboInstance, "_objectives", traced)
+        tracemalloc.start()
+        try:
+            got = tabu_rows(inst, b, x, TabuParams(max_steps=1, tabu_tenure=1))
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 1682 and len(peaks) == 2
+        assert max(peaks) < 16 * 2 ** 20
+
+
 class TestRelGaps:
     def test_matches_per_row_evaluation_and_skips_zero_references(self):
         inst = gen_random_dense(7, 3)
@@ -201,7 +316,7 @@ class TestRelGaps:
                 expected.append((f_pred - f_ref) / abs(f_ref))
         got = rel_gaps(inst, b, x_ref, x_pred)
         assert len(got) == 5
-        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert got.tolist() == expected  # the one objective, so the same bits
 
 
 class TestGenerators:
