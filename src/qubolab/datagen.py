@@ -13,7 +13,6 @@ turns the rounded x_o into the final label.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
@@ -23,7 +22,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .qubo import QuboInstance, as_binary_assignment, as_observed_vector
+from .io import _decode_json
+from .qubo import QuboInstance
 from .solvers import TabuParams, tabu_rows
 
 
@@ -94,26 +94,28 @@ class Dataset:
     def __post_init__(self):
         b = np.array(self.b, dtype=np.float64, order="C")
         x = np.asarray(self.x)
-        split = np.array(self.split, dtype=str)
+        # Each tag as it was given: numpy's str dtype drops trailing NULs.
+        tags = np.fromiter(self.split, dtype=object)
         if b.ndim != 2 or b.shape[1] != self.k:
             raise ValueError(f"b has shape {b.shape}, expected (n, {self.k})")
         if x.shape != b.shape:
             raise ValueError(f"x has shape {x.shape}, expected {b.shape}")
-        if split.shape != (len(b),):
-            raise ValueError(f"{len(b)} pairs but {split.size} split tags")
-        unknown = (split != "train") & (split != "val")
-        if unknown.any():
-            raise ValueError(
-                f"split tag must be 'train' or 'val', got {split[unknown][0].item()!r}")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("b contains NaN or Inf entries")
-        if np.any((x != 0) & (x != 1)):
-            raise ValueError("x entries must be exactly 0 or 1")
+        if tags.shape != (len(b),):
+            raise ValueError(f"{len(b)} pairs but {tags.size} split tags")
+        for column, bad, why in (
+                ("b", ~np.isfinite(b).all(axis=1), "b contains NaN or Inf entries"),
+                ("x", ((x != 0) & (x != 1)).any(axis=1), "x entries must be exactly 0 or 1"),
+                ("split", (tags != "train") & (tags != "val"),
+                 "split tag must be 'train' or 'val', got {!r}")):
+            if bad.any():
+                pair = int(bad.argmax())
+                raise _PairError(why.format(str(tags[pair])), column, pair)
         provenance = ([{} for _ in range(len(b))] if self.provenance is None
                       else list(self.provenance))
         if len(provenance) != len(b) or not all(isinstance(p, dict) for p in provenance):
             raise ValueError(f"provenance must be {len(b)} dicts, one per pair")
         x = np.array(x, dtype=np.int8, order="C")
+        split = tags.astype(str)
         for a in (b, x, split):
             a.flags.writeable = False
         self.b, self.x, self.split, self.provenance = b, x, split, provenance
@@ -144,6 +146,15 @@ class Dataset:
 
     def x_matrix(self, split: str | None = None) -> np.ndarray:
         return self.x if split is None else self.x[self.split == split]
+
+
+class _PairError(ValueError):
+    """A Dataset value check's refusal: column is 'b', 'x' or 'split', and
+    pair is the first pair that the check refuses."""
+
+    def __init__(self, why: str, column: str, pair: int):
+        super().__init__(why)
+        self.column, self.pair = column, pair
 
 
 class _Pairs(Sequence):
@@ -181,7 +192,7 @@ def barrier_observed_vector(instance: QuboInstance, x_o, mu: float) -> np.ndarra
         raise ValueError(f"x_o has shape {x_o.shape}, expected ({instance.k},) or (n, {instance.k})")
     if np.any(x_o <= 0) or np.any(x_o >= 1):
         raise ValueError("x_o entries must lie strictly inside (0, 1)")
-    g = np.ascontiguousarray((instance.a_sym_csr @ x_o.T).T)
+    g = (instance.a_sym_csr @ x_o.T).T
     return -g + mu / x_o - mu / (1.0 - x_o)
 
 
@@ -281,10 +292,10 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
 
     Malformed lines are reported with their line number.  When an instance
     is supplied its size must match the header; when a split is named the
-    file must hold at least one pair of it.  The records are decoded one
-    line at a time and checked in bulk, by _bulk_records and then Dataset;
-    only a file the bulk path refuses goes through the located line-by-line
-    loop, which finds the first bad line.
+    file must hold at least one pair of it.  Each record line is decoded
+    once and its JSON shape checked there, by _records; Dataset then checks
+    the values (finite b, 0/1 x, the split tags) as whole columns, and the
+    first pair that a check refuses names its line.
     """
     path = os.fspath(path)
 
@@ -295,11 +306,7 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}:1: empty file, expected a header line")
-    try:
-        header = json.loads(lines[0])
-    # A deeply nested value exhausts the decoder's recursion limit.
-    except (json.JSONDecodeError, RecursionError) as err:
-        fail(1, f"invalid JSON header: {err}")
+    header = _decode_json(lines[0], path, "JSON header")
     if not isinstance(header, dict) or "k" not in header:
         fail(1, "header must be an object with a 'k' field")
     k = header["k"]
@@ -315,82 +322,67 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
     if instance is not None and instance.k != k:
         fail(1, f"dataset k={k} does not match instance k={instance.k}")
 
-    dataset = None
-    columns = _bulk_records(lines, k)
-    if columns is not None:
-        try:
-            # Dataset checks the rest: finite b, 0/1 x, the tags, the provenance objects.
-            dataset = Dataset(instance_ref, k, params, *columns)
-        except (OverflowError, ValueError):
-            pass
-    if dataset is None:
-        b, x, splits, provenance = _located_records(lines, k, fail)
-        n = len(splits)
-        dataset = Dataset(instance_ref, k, params, np.reshape(b, (n, k)),
-                          np.reshape(x, (n, k)), splits, provenance)
+    linenos, b, x, splits, provenance = _records(lines, k, path, fail)
+    if not linenos:  # no records: (0, k) columns, which [] cannot shape
+        b = x = np.empty((0, k))
+    try:
+        dataset = Dataset(instance_ref, k, params, b, x, splits, provenance)
+    except _PairError as err:
+        fail(linenos[err.pair], {
+            "b": "observed vector contains NaN or Inf entries",
+            "x": "assignment entries must be exactly 0 or 1",
+            "split": f"split must be 'train' or 'val', got {splits[err.pair]!r}",
+        }[err.column])
     if split is not None and split not in dataset.split:
         fail(len(lines), f"no {split!r} pairs in the file")
     return dataset
 
 
-def _located_records(lines: list[str], k: int, fail):
-    """The records after the header, one json.loads and one check per line;
-    the first bad line raises through fail(lineno, why)."""
-    b_rows, x_rows, splits, provenance = [], [], [], []
+def _records(lines: list[str], k: int, path: str, fail):
+    """The records after the header: their line numbers and the b, x, split
+    and provenance columns, with one json.loads per line and the checks
+    only JSON can fail: each record an object with b, x and split, b and x
+    lists of k JSON numbers, no int in b beyond the float range, provenance
+    an object.  The first line that fails one raises through
+    fail(lineno, why); the values are left to Dataset."""
+
+    def numbers(lineno: int, key: str, row) -> set:
+        if not isinstance(row, list):
+            fail(lineno, f"{key} must be a list of {k} numbers, got {row!r}")
+        if len(row) != k:
+            fail(lineno, f"{key} has length {len(row)}, expected {k}")
+        # JSON numbers decode to int or float; true and false decode to bool.
+        types = set(map(type, row))
+        if not types <= {int, float}:
+            v = next(v for v in row if type(v) not in (int, float))
+            fail(lineno, f"{key} entries must be JSON numbers, got {v!r}")
+        return types
+
+    linenos, b_rows, x_rows, splits, provenance = [], [], [], [], []
     for lineno, text in enumerate(lines[1:], start=2):
         if not text.strip():
             continue
-        try:
-            rec = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as err:
-            fail(lineno, f"invalid JSON: {err}")
+        rec = _decode_json(text, path, line=lineno)
         if not isinstance(rec, dict):
             fail(lineno, f"record must be a JSON object, got {rec!r}")
         for key in ("b", "x", "split"):
             if key not in rec:
                 fail(lineno, f"record missing field {key!r}")
-        for key in ("b", "x"):
-            if not isinstance(rec[key], list):
-                fail(lineno, f"{key} must be a list of {k} numbers, got {rec[key]!r}")
-            if len(rec[key]) != k:
-                fail(lineno, f"{key} has length {len(rec[key])}, expected {k}")
-            for v in rec[key]:
-                # bool is an int subclass, but JSON true/false is not a number.
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    fail(lineno, f"{key} entries must be JSON numbers, got {v!r}")
-        try:
-            b_rows.append(as_observed_vector([float(v) for v in rec["b"]], k))
-            x_rows.append(as_binary_assignment(rec["x"], k))
-        except (OverflowError, ValueError) as err:
-            fail(lineno, str(err))
-        if rec["split"] not in ("train", "val"):
-            fail(lineno, f"split must be 'train' or 'val', got {rec['split']!r}")
+        b_types = numbers(lineno, "b", rec["b"])
+        numbers(lineno, "x", rec["x"])
+        # An int beyond the float range would fail Dataset's float64 copy
+        # with no pair to name.
+        if int in b_types:
+            try:
+                list(map(float, rec["b"]))
+            except OverflowError as err:
+                fail(lineno, str(err))
         lineage = rec.get("provenance", {})
         if not isinstance(lineage, dict):
             fail(lineno, f"provenance must be a JSON object, got {lineage!r}")
+        linenos.append(lineno)
+        b_rows.append(rec["b"])
+        x_rows.append(rec["x"])
         splits.append(rec["split"])
         provenance.append(lineage)
-    return b_rows, x_rows, splits, provenance
-
-
-def _bulk_records(lines: list[str], k: int):
-    """The columns of the records after the header, one json.loads per line
-    and only the checks Dataset cannot make (each record an object with b, x
-    and split, b and x lists of k JSON numbers), or None where the located
-    loop must decide.  A file with no records goes to the located loop,
-    which shapes its empty (0, k) columns."""
-    try:
-        records = [json.loads(text) for text in lines[1:] if text.strip()]
-    except (ValueError, RecursionError):
-        return None
-    if not records or not all(type(r) is dict and "b" in r and "x" in r and "split" in r
-                              for r in records):
-        return None
-    b_rows = [r["b"] for r in records]
-    x_rows = [r["x"] for r in records]
-    if not (all(type(row) is list and len(row) == k for row in itertools.chain(b_rows, x_rows))
-            # JSON numbers decode to int or float; bool is its own type.
-            and set(map(type, itertools.chain.from_iterable(b_rows + x_rows))) <= {int, float}):
-        return None
-    return (b_rows, x_rows, [r["split"] for r in records],
-            [r.get("provenance", {}) for r in records])
+    return linenos, b_rows, x_rows, splits, provenance

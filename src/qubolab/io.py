@@ -170,12 +170,7 @@ def _read_meta(path: str, k: int) -> dict:
         return {}
     with open(sidecar) as fh:
         text = fh.read()
-    try:
-        loaded = json.loads(text)
-    # A deeply nested value exhausts the decoder's recursion limit (line 1).
-    except (json.JSONDecodeError, RecursionError) as err:
-        raise ValueError(
-            f"{sidecar}:{getattr(err, 'lineno', 1)}: invalid JSON: {err}") from err
+    loaded = _decode_json(text, sidecar)
     if not isinstance(loaded, dict):
         raise ValueError(f"{sidecar}:1: expected a JSON object")
     if "k" in loaded and loaded["k"] != k:
@@ -184,6 +179,19 @@ def _read_meta(path: str, k: int) -> dict:
             f"{sidecar}:{line}: metadata says k={loaded['k']}, matrix is {k}"
         )
     return {key: loaded.get(key) for key in ("generator", "seed", "tags")}
+
+
+def _decode_json(text: str, path: str, what: str = "JSON", line: int = 1):
+    """json.loads(text), for a text that starts at `line` of `path`.  Text
+    that is not one JSON value raises ValueError "<path>:<line>: invalid
+    <what>: <why>", naming the line where the decoder stopped."""
+    try:
+        return json.loads(text)
+    # A deeply nested value exhausts the decoder's recursion limit; that
+    # error has no line, so it names the text's first.
+    except (json.JSONDecodeError, RecursionError) as err:
+        raise ValueError(
+            f"{path}:{line + getattr(err, 'lineno', 1) - 1}: invalid {what}: {err}") from err
 
 
 def _sidecar_path(path: str) -> str:

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import (AdamState, Tape, Tensor, adam_step, backward,
                        bce_with_logits, zero_grad)
 from .datagen import Dataset
-from .io import write_csv
+from .io import _decode_json, write_csv
 from .qubo import QuboInstance, as_observed_vector, rel_gaps
 
 # Raw value whose softplus is exactly 1, so diffusion starts at unit rate.
@@ -378,12 +378,7 @@ def load_checkpoint(path: str | os.PathLike, instance: QuboInstance) -> BpgnnMod
         line = text.count("\n", 0, at) + 1 if at > 0 else 1
         raise ValueError(f"{path}:{line}: {why}")
 
-    try:
-        doc = json.loads(text)
-    # A deeply nested value exhausts the decoder's recursion limit (line 1).
-    except (json.JSONDecodeError, RecursionError) as err:
-        raise ValueError(f"{path}:{getattr(err, 'lineno', 1)}: "
-                         f"invalid checkpoint JSON: {err}") from err
+    doc = _decode_json(text, path, "checkpoint JSON")
     if (not isinstance(doc, dict) or "config" not in doc
             or not isinstance(doc.get("params"), dict)):
         fail("checkpoint must contain 'config' and 'params' objects")

@@ -354,7 +354,7 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
     indptr, indices, data = s.indptr, s.indices, s.data
     d = instance.a_diag
     xf = x.astype(np.float64)
-    g = np.ascontiguousarray((s @ xf.T).T)
+    g = (s @ xf.T).T
     f = instance._objectives(b_mat, x)
     b = b_mat
 

@@ -479,6 +479,16 @@ class TestEval:
         err = self.eval_fails_at(ws, tmp_path, capsys, data=bad)
         assert err.startswith(f"error: {bad}:4: {why}")
 
+    def test_nul_suffixed_split_tag_names_its_line(self, ws, tmp_path, capsys):
+        # numpy's str dtype would read the tag "train\0" as "train"
+        header, *records = ws["data"].read_text().splitlines()[:3]
+        rows = [json.loads(record) for record in records]
+        rows[0]["split"], rows[1]["split"] = "train\0", "val"
+        bad = tmp_path / "data.jsonl"
+        bad.write_text("\n".join([header] + [json.dumps(row) for row in rows]) + "\n")
+        err = self.eval_fails_at(ws, tmp_path, capsys, data=bad)
+        assert err == f"error: {bad}:2: split must be 'train' or 'val', got 'train\\x00'\n"
+
 
 class TestProbe:
     def test_grid_csv(self, ws, tmp_path, capsys):

@@ -1,8 +1,7 @@
 """Mutated input files through the CLI: every run either succeeds or ends
 with exit status 2 and `error: <file>:<line>: <why>`, never a traceback.
-The instance and dataset readers parse in bulk and fall back to a located
-line-by-line reader; on every mutated `.mtx` and `.jsonl` file the two
-must agree.
+The instance reader parses in bulk and falls back to a located
+line-by-line reader; on every mutated `.mtx` file the two must agree.
 
 Small valid files (a k=4 instance with its sidecar, an observed vector, a
 dataset and a width-2 checkpoint) are mutated by deleting, duplicating or
@@ -30,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubolab import datagen, read_dataset, read_instance, write_vector
+from qubolab import read_dataset, read_instance, write_vector
 from qubolab import io as qio
 from qubolab.cli import main
 
@@ -208,53 +207,21 @@ def test_bulk_reader_agrees_with_the_located_loop(differential, mutations):
     check(mutate(text, mutations))
 
 
-def dataset_outcome(path):
-    """What read_dataset(path) returns, reduced to bytes and reprs, or the
-    message of the ValueError it raises."""
-    try:
-        got = read_dataset(path)
-    except ValueError as err:
-        return f"ValueError: {err}"
-    return (got.instance_ref, got.k, repr(got.params), got.b.tobytes(), got.x.tobytes(),
-            got.split.tolist(), repr(got.provenance))
-
-
-@pytest.fixture(scope="module")
-def dataset_differential(originals, tmp_path_factory):
-    """The dataset's original text, and a check that read_dataset and the
-    located loop agree on a given text; it returns whether the bulk path
-    took the text."""
-    path = tmp_path_factory.mktemp("dataset_differential") / FILES["dataset"]
-
-    def check(text: str) -> bool:
-        path.write_text(text)
-        with mock.patch.object(datagen, "_located_records",
-                               wraps=datagen._located_records) as located:
-            public = dataset_outcome(path)
-        with mock.patch.object(datagen, "_bulk_records", return_value=None):
-            assert dataset_outcome(path) == public, text
-        return not located.called
-
-    return (originals / FILES["dataset"]).read_text(), check
-
-
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(mutations=st.lists(st.one_of(REPLACE, MUTATION), min_size=1, max_size=3))
-def test_bulk_dataset_reader_agrees_with_the_located_loop(dataset_differential, mutations):
-    text, check = dataset_differential
-    check(mutate(text, mutations))
-
-
-def test_bulk_dataset_reader_takes_valid_files(dataset_differential):
-    text, check = dataset_differential
-    assert check(text)
-    lines = text.splitlines()
+def test_bulk_dataset_reader_takes_valid_files(originals, tmp_path):
+    want = read_dataset(originals / FILES["dataset"])
+    lines = (originals / FILES["dataset"]).read_text().splitlines()
     record = json.loads(lines[1])
     # Brackets, quotes and backslashes inside strings are not structure.
-    record["provenance"]["note"] = 'a "[quoted" {path\\ \u2028 end'
+    note = 'a "[quoted" {path\\ \u2028 end'
+    record["provenance"]["note"] = note
     lines[1] = json.dumps(record)
     lines[2] = "  " + lines[2] + "\t"
-    assert check("\n".join(lines[:3] + ["", " "] + lines[3:]))
+    path = tmp_path / FILES["dataset"]
+    path.write_text("\n".join(lines[:3] + ["", " "] + lines[3:]))
+    got = read_dataset(path)
+    assert got.provenance[0].pop("note") == note
+    assert got == want
+    assert (got.b.tobytes(), got.x.tobytes()) == (want.b.tobytes(), want.x.tobytes())
 
 
 @pytest.mark.parametrize("text", [
@@ -266,9 +233,12 @@ def test_bulk_dataset_reader_takes_valid_files(dataset_differential):
     '"c": [1\n2], "split": "val", "d": "[["}',
     # one line holds two records and another only a comma
     '{"k": 1}\n{"b": [0], "x": [0], "split": "val"}, {"b": [0], "x": [0], "split": "val"}\n,',
-    # a line closes the array that the lines are joined into
+    # a line closes an array that a joined reading of the lines would open
     '{"k": 1}\n{"b": [0], "x": [0], "split": "val"}], [{"b": [0], "x": [0], "split": "val"}',
 ], ids=["spans-and-doubles", "balanced-by-strings", "comma-line", "closes-the-array"])
-def test_bulk_dataset_reader_refuses_values_across_lines(dataset_differential, text):
-    _, check = dataset_differential
-    assert not check(text)
+def test_bulk_dataset_reader_refuses_values_across_lines(tmp_path, text):
+    # Each text fails at its first line that is not one whole JSON value.
+    path = tmp_path / FILES["dataset"]
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: invalid JSON: "):
+        read_dataset(path)

@@ -4,6 +4,7 @@ refinement, splits, and the JSONL round trip."""
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -260,6 +261,42 @@ class TestDatasetPersistence:
         with pytest.raises(ValueError, match=r"data\.jsonl:2"):
             read_dataset(path)
 
+    def test_each_record_line_is_decoded_once(self, tmp_path):
+        header = '{"k": 2}'
+        records = [json.dumps({"b": [0.5, -1.0], "x": [i % 2, 1], "split": "train"})
+                   for i in range(6)]
+        path = tmp_path / "data.jsonl"
+        # Blank lines are skipped, not decoded.
+        path.write_text("\n".join([header, *records[:2], "", "  ", *records[2:]]) + "\n")
+        with mock.patch("json.loads", wraps=json.loads) as loads:
+            assert len(read_dataset(path)) == 6
+        assert loads.call_count == 1 + 6
+        # Refused at line j: the header, then lines 2 to j.
+        j = 5
+        lines = [header, *records]
+        lines[j - 1] = '{"b": [0.5], "x": [0, 1], "split": "val"}'
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch("json.loads", wraps=json.loads) as loads:
+            with pytest.raises(ValueError, match=rf"data\.jsonl:{j}: b has length 1"):
+                read_dataset(path)
+        assert loads.call_count == 1 + (j - 1)
+
+    @pytest.mark.parametrize("key,value,why", [
+        ("b", [0.0, float("inf")], "observed vector contains NaN or Inf entries"),
+        ("x", [0, 2], "assignment entries must be exactly 0 or 1"),
+        ("split", "test", "split must be 'train' or 'val', got 'test'"),
+    ])
+    def test_value_refusal_names_the_line_of_its_first_pair(self, tmp_path, key, value, why):
+        records = [{"b": [0.5, -1.0], "x": [0, 1], "split": "val"} for _ in range(4)]
+        for bad in records[2:]:
+            bad[key] = value
+        text = [json.dumps(record) for record in records]
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n".join(['{"k": 2}', text[0], "", text[1], " ", *text[2:]]) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_dataset(path)
+        assert str(err.value) == f"{path}:6: {why}"
+
     def test_unknown_split_tag_is_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text(
@@ -279,6 +316,12 @@ class TestDatasetType:
         with pytest.raises(ValueError, match="'train' or 'val'"):
             Dataset(instance_ref="", k=2, params={}, b=np.zeros((1, 2)),
                     x=np.zeros((1, 2)), split=["holdout"])
+
+    def test_rejects_tags_that_numpy_strings_would_rewrite(self):
+        # np.array(["train\0"], dtype=str) holds "train"
+        with pytest.raises(ValueError, match=r"'train' or 'val', got 'train\\x00'"):
+            Dataset(instance_ref="", k=2, params={}, b=np.zeros((1, 2)),
+                    x=np.zeros((1, 2)), split=["train\0"])
 
     def test_columns_are_checked_copies(self):
         b = np.arange(6.0).reshape(3, 2)
