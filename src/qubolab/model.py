@@ -23,7 +23,7 @@ from .autodiff import (AdamState, Tape, Tensor, adam_step, backward,
                        bce_with_logits, zero_grad)
 from .datagen import Dataset
 from .io import _decode_json, write_csv
-from .qubo import QuboInstance, as_observed_vector, rel_gaps
+from .qubo import QuboInstance, _product_form, as_observed_vector, rel_gaps
 
 # Raw value whose softplus is exactly 1, so diffusion starts at unit rate.
 _SIGMA_RAW_INIT = math.log(math.expm1(1.0))
@@ -79,13 +79,18 @@ def build_laplacian(instance: QuboInstance) -> sp.csr_matrix:
 
 
 class BpgnnModel:
-    """Network bound to one instance (its A and Laplacian are cached).
+    """Network bound to one instance, whose graph operators it caches.
 
     A batch of n examples runs as one (k*n, d) activation in node-major
     order: row i*n + j holds node i of example j.  Dense layers are then
     plain GEMMs, and a graph product is one k x k operator applied to all
     examples at once.  Each dense layer, residual feature, diffusion
     half-step and reaction step is one tape record.
+
+    The operators a (A) and laplacian are held as dense arrays when they
+    store at least a quarter of their k^2 entries, so a product is one
+    GEMM, and as CSR otherwise: qubo._product_form, the rule sab_solve
+    uses.  a_t and laplacian_t are their transposes for the VJPs.
 
     Parameters live in a name -> Tensor dict, and each tensor's data is a
     reshaped view into one float64 vector, self.flat, in the dict's order:
@@ -99,9 +104,10 @@ class BpgnnModel:
     def __init__(self, config: BpgnnConfig, instance: QuboInstance):
         self.config = config
         self.instance = instance
-        self.laplacian = build_laplacian(instance)
+        self.a = _product_form(instance.a_csr)
+        self.laplacian = _product_form(build_laplacian(instance))
         # The VJPs' transposed operators, built once rather than per call.
-        self.a_t = ad.transposed(instance.a_csr)
+        self.a_t = ad.transposed(self.a)
         self.laplacian_t = ad.transposed(self.laplacian)
         self.params = self._init_params()
         self.flat = np.concatenate([t.data.ravel() for t in self.params.values()])
@@ -162,7 +168,7 @@ class BpgnnModel:
         h = drop(self._mlp(b_t, "enc"))
         for layer in range(cfg.layers):
             if cfg.use_qubo_features:
-                r = ad.residual(h, self.instance.a_csr, b_t, self.a_t)
+                r = ad.residual(h, self.a, b_t, self.a_t)
                 u = ad.add(h, self._mlp(r, f"layer{layer}.g"))
             else:
                 u = h
@@ -195,7 +201,7 @@ class BpgnnModel:
         if not np.all(np.isfinite(b_mat)):
             raise ValueError("observed vector contains NaN or Inf entries")
         logits = self._logits(b_mat, False, None).data
-        x = _example_major(ad._sigmoid(logits) > 0.5, len(b_mat))
+        x = _example_major(ad._sigmoid(logits) > 0.5, self.instance.k)
         return (x if b.ndim == 2 else x[0]).astype(np.int8)
 
 
@@ -204,9 +210,9 @@ def _node_major(m: np.ndarray) -> np.ndarray:
     return m.T.reshape(-1, 1)
 
 
-def _example_major(col: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of _node_major: (k*n, 1) column -> (n, k) rows."""
-    return col.reshape(-1, n).T
+def _example_major(col: np.ndarray, k: int) -> np.ndarray:
+    """Inverse of _node_major: (k*n, 1) column -> (n, k) rows, n >= 0."""
+    return col.reshape(k, -1).T
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +339,7 @@ def _validate(model: BpgnnModel, b_val: np.ndarray,
     """Validation BCE, bit accuracy and mean relative objective gap."""
     logits = model._logits(b_val, False, None)
     loss = bce_with_logits(logits, _node_major(y_val).astype(np.float64))
-    preds = _example_major(ad._sigmoid(logits.data) > 0.5, len(b_val))
+    preds = _example_major(ad._sigmoid(logits.data) > 0.5, model.instance.k)
     acc = float(np.mean(preds == y_val))
     gaps = rel_gaps(model.instance, b_val, y_val, preds)
     rel = float(np.mean(gaps)) if gaps.size else math.nan

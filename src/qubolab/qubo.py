@@ -24,6 +24,14 @@ import scipy.sparse as sp
 BLOCK_STATES = 1 << 20
 
 
+def _product_form(m: sp.csr_matrix):
+    """A square CSR operator in the form its products run in: a dense
+    array when it stores at least a quarter of its k^2 entries, where a
+    sparse kernel no longer pays for its indexing, and the CSR otherwise."""
+    k = m.shape[0]
+    return m.toarray() if 4 * m.nnz >= k * k else m
+
+
 def as_observed_vector(b, k: int) -> np.ndarray:
     """Validate and return an observed vector as a float64 array of length k."""
     b = np.asarray(b, dtype=np.float64)

@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qubo import (BLOCK_STATES, QuboInstance, _flip_deltas, as_binary_assignment,
-                   as_field_matrix, as_observed_vector, qubo_to_ising)
+from .qubo import (BLOCK_STATES, QuboInstance, _flip_deltas, _product_form,
+                   as_binary_assignment, as_field_matrix, as_observed_vector,
+                   qubo_to_ising)
 
 
 # Largest k exhaustive_solve enumerates by default (2^26 states).
@@ -504,7 +505,8 @@ def sab_solve(instance: QuboInstance, b, params: SabParams | None = None) -> Sol
     term is the downhill direction of the spin energy, so the dynamics
     settle toward low objective values.  Each step costs one product with
     A + A^T, held as a dense array when it stores at least a quarter of
-    its k^2 entries and as CSR otherwise.
+    its k^2 entries and as CSR otherwise: qubo._product_form, the rule
+    BpgnnModel applies to its graph operators.
 
     The rounded state x is scored every 10 steps and at the last step, and
     the best scored point is returned.  evaluate referees a scored state
@@ -526,9 +528,7 @@ def sab_solve(instance: QuboInstance, b, params: SabParams | None = None) -> Sol
     else:
         fro = 0.25 * float(np.sqrt((instance.a_csr.data ** 2).sum()))  # ||J||_F
         c0 = 0.5 / (fro / np.sqrt(k)) if fro > 0 else 0.5
-    op = instance.a_sym_csr
-    if 4 * op.nnz >= k * k:
-        op = op.toarray()
+    op = _product_form(instance.a_sym_csr)
 
     # The screen's rounding bound.  Let S = sum|vals| + sum|b|, u = 2^-53
     # and g(n) = n u / (1 - n u).  evaluate sums nnz exact products (x is

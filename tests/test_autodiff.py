@@ -544,10 +544,11 @@ class TestTransposedOperators:
 
     @staticmethod
     def operators():
-        dense, lattice = gen_random_dense(12, 3), gen_lattice_laplacian(4)
-        for inst in (dense, lattice):
+        # random-dense k=12 gives the model dense operators, the 5x5
+        # lattice CSR ones
+        for inst in (gen_random_dense(12, 3), gen_lattice_laplacian(5)):
             model = BpgnnModel(BpgnnConfig(d=3), inst)
-            yield inst.a_csr, model.a_t
+            yield model.a, model.a_t
             yield model.laplacian, model.laplacian_t
         for m in graph_operators(46, 16):
             yield m, transposed(m)

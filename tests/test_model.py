@@ -7,14 +7,15 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qubolab import (BpgnnConfig, BpgnnModel, DataGenParams, Dataset,
-                     HISTORY_COLUMNS, QuboInstance, TrainConfig,
-                     build_laplacian, gen_lattice_laplacian,
+                     HISTORY_COLUMNS, QuboInstance, Tape, TrainConfig,
+                     backward, build_laplacian, gen_lattice_laplacian,
                      gen_random_dense, generate_dataset, load_checkpoint,
                      save_checkpoint, train, write_history)
-from qubolab.autodiff import _sigmoid
-from qubolab.model import _SIGMA_RAW_INIT, _validate
+from qubolab.autodiff import _sigmoid, bce_with_logits, transposed
+from qubolab.model import _SIGMA_RAW_INIT, _node_major, _validate
 
 
 def chain3() -> QuboInstance:
@@ -62,6 +63,54 @@ class TestBuildLaplacian:
         assert lap == pytest.approx(lap.T)
         eig = np.linalg.eigvalsh(lap)
         assert eig.min() >= -1e-9 and eig.max() <= 2.0 + 1e-9
+
+
+class TestOperatorForm:
+    """The model holds A and its Laplacian dense when they store at least
+    k^2/4 entries, the rule sab_solve uses, and as CSR otherwise."""
+
+    @pytest.mark.parametrize("make,dense", [
+        (lambda: gen_random_dense(10, seed=3), True),
+        (lambda: gen_lattice_laplacian(3), True),   # 4 * 33 >= 9^2
+        (lambda: gen_lattice_laplacian(4), True),   # 4 * 64 == 16^2
+        (lambda: gen_lattice_laplacian(5), False),  # 4 * 105 < 25^2
+        (lambda: gen_lattice_laplacian(8), False),
+    ], ids=["random-dense-10", "lattice-3", "lattice-4", "lattice-5", "lattice-8"])
+    def test_density_rule_picks_the_form(self, make, dense):
+        inst = make()
+        model = BpgnnModel(BpgnnConfig(d=2, layers=1), inst)
+        for m, csr in ((model.a, inst.a_csr), (model.laplacian, build_laplacian(inst))):
+            assert isinstance(m, np.ndarray) is dense
+            assert sp.issparse(m) is not dense
+            assert np.array_equal(m if dense else m.toarray(), csr.toarray())
+
+    def test_dense_and_csr_forms_give_the_same_logits_and_gradients(self):
+        inst = gen_random_dense(10, seed=3)
+        rng = np.random.default_rng(5)
+        b = rng.normal(size=(6, 10))
+        y = _node_major((rng.random((6, 10)) > 0.5).astype(np.float64))
+        runs = []
+        for keep_csr in (False, True):
+            model = BpgnnModel(BpgnnConfig(d=8, layers=3, seed=2), inst)
+            if keep_csr:
+                model.a, model.laplacian = inst.a_csr, build_laplacian(inst)
+                model.a_t = transposed(model.a)
+                model.laplacian_t = transposed(model.laplacian)
+            assert isinstance(model.a, np.ndarray) is not keep_csr
+            with Tape():
+                logits = model._logits(b, True, None)
+                backward(bce_with_logits(logits, y))
+            runs.append((logits.data, model.params))
+        (dense_logits, dense_params), (csr_logits, csr_params) = runs
+        np.testing.assert_allclose(dense_logits, csr_logits, rtol=1e-12)
+        # Every node of this complete graph has the same degree, so the
+        # Laplacian maps constant columns to 0 and each layer{i}.g.b2, which
+        # reaches the loss only through it, has a gradient of rounding
+        # size: entries that small are held to the largest gradient's scale.
+        scale = max(np.abs(t.grad).max() for t in dense_params.values())
+        for name, t in dense_params.items():
+            np.testing.assert_allclose(t.grad, csr_params[name].grad, rtol=1e-12,
+                                       atol=1e-12 * scale, err_msg=name)
 
 
 class TestParameters:
@@ -157,6 +206,15 @@ class TestForward:
         x = model.predict(b)
         assert x.shape == (5, 6) and x.dtype == np.int8
         assert np.array_equal(x, np.stack([model.predict(row) for row in b]))
+
+    @pytest.mark.parametrize("make", [lambda: gen_random_dense(10, seed=3),
+                                      lambda: gen_lattice_laplacian(5)],
+                             ids=["dense-form", "csr-form"])
+    def test_predict_on_an_empty_stack_returns_an_empty_stack(self, make):
+        inst = make()
+        model = BpgnnModel(BpgnnConfig(d=4, layers=2), inst)
+        x = model.predict(np.empty((0, inst.k)))
+        assert x.shape == (0, inst.k) and x.dtype == np.int8
 
     def test_predict_reads_any_layout_without_writing_it(self):
         inst = gen_random_dense(6, seed=12)
@@ -362,22 +420,31 @@ class TestFlatParameters:
 
 
 # sha256 of the checkpoint and history.csv of a tiny lattice training,
-# keyed by use_qubo_features, as the one-operation-per-record composition
-# of the network wrote them.  The compound tape records keep its arithmetic
-# order, so the bytes must not move.  The features history was re-pinned
-# once, when rel_gaps came to sum the objective pairwise: its epoch-1
-# val_relqubo moved in the last bit.
+# keyed by (side, use_qubo_features).  Side 3 (k=9, 33 entries) trains on
+# dense graph operators and side 5 (k=25, 105 entries) on CSR ones, so both
+# product forms are pinned.  The side-3 digests were re-pinned when the
+# model came to hold dense operators on dense instances; the side-5 ones
+# were computed before that change and did not move.
 PINNED_DIGESTS = {
-    True: ("d799ffc3a9555bdb5ab7221fef7609f25e91e669729164e61713873f0724403c",
-           "439908e9fb06bfcfc5f91e90a9a83040391c83795088e218a51f66ca6cecd636"),
-    False: ("5703f761c47a0d830862a90c5846b5873bc02c0b8ffec5c6cdd25e043e88a06c",
-            "c110ce71ed089f7346f9e7363786ba214ce2b6996190f7a0c3486c9a225d641a"),
+    (3, True): ("cd7018aa94a0b4af8fea5d77ccb8f2720dfb2e9c75bc42fc5974ae00bab390ee",
+                "ce4d38dbd297decbd7e39d362ce1807531ced38df72a099be1bc529140c637dd"),
+    (3, False): ("adcd8f43d6653e8cd6bed8586db1782b7ceaf8b94f8659941f60a237bbefa84c",
+                 "ae5f41d49bb068ce7fbe0586e23049ff8af2717656e82dc4665ce58dbf92c054"),
+    (5, True): ("af47815cbd3cbfecfcfc662a2b930d91f921905188c1791354237da4d5941bb7",
+                "a05de395b35bdc6107649896c91dd23fc1bfd24afe28589c585c56c0e3558322"),
+    (5, False): ("1f19c4f9571856347a973e3418d9ffb4dc2e0551ffaeb532b9118bdeace1a34a",
+                 "b0da2cd509875a9918e25dccffb89610c73fd7f20df7feb16e163914192c81b5"),
 }
 
 
-@pytest.mark.parametrize("flag", [True, False], ids=["features", "no-features"])
-def test_tiny_lattice_training_keeps_its_pinned_digests(flag, tmp_path):
-    inst = gen_lattice_laplacian(3)
+@pytest.mark.parametrize("side,flag", [
+    pytest.param(3, True, id="features"),
+    pytest.param(3, False, id="no-features"),
+    pytest.param(5, True, id="side5-features"),
+    pytest.param(5, False, id="side5-no-features"),
+])
+def test_tiny_lattice_training_keeps_its_pinned_digests(side, flag, tmp_path):
+    inst = gen_lattice_laplacian(side)
     dataset = generate_dataset(inst, 40, DataGenParams(sigma=2.0, seed=5))
     model = BpgnnModel(BpgnnConfig(d=4, use_qubo_features=flag, seed=1), inst)
     model, _ = train(model, dataset, TrainConfig(epochs=2, batch_size=8, seed=2),
@@ -385,7 +452,7 @@ def test_tiny_lattice_training_keeps_its_pinned_digests(flag, tmp_path):
     save_checkpoint(model, tmp_path / "model.json")
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                     for name in ("model.json", "history.csv"))
-    assert digests == PINNED_DIGESTS[flag]
+    assert digests == PINNED_DIGESTS[side, flag]
 
 
 class TestCheckpoints:
