@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .io import _decode_json
-from .qubo import QuboInstance
+from .io import _decode_json, _read_text
+from .qubo import QuboInstance, _RowError
 from .solvers import TabuParams, tabu_rows
 
 
@@ -109,7 +109,7 @@ class Dataset:
                  "split tag must be 'train' or 'val', got {!r}")):
             if bad.any():
                 pair = int(bad.argmax())
-                raise _PairError(why.format(str(tags[pair])), column, pair)
+                raise _RowError(why.format(str(tags[pair])), column, pair)
         provenance = ([{} for _ in range(len(b))] if self.provenance is None
                       else list(self.provenance))
         if len(provenance) != len(b) or not all(isinstance(p, dict) for p in provenance):
@@ -146,15 +146,6 @@ class Dataset:
 
     def x_matrix(self, split: str | None = None) -> np.ndarray:
         return self.x if split is None else self.x[self.split == split]
-
-
-class _PairError(ValueError):
-    """A Dataset value check's refusal: column is 'b', 'x' or 'split', and
-    pair is the first pair that the check refuses."""
-
-    def __init__(self, why: str, column: str, pair: int):
-        super().__init__(why)
-        self.column, self.pair = column, pair
 
 
 class _Pairs(Sequence):
@@ -288,22 +279,21 @@ def write_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
 
 def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
                  split: str | None = None) -> Dataset:
-    """Read a JSONL dataset, validating every record.
+    """Read a JSONL dataset, a UTF-8 text file, validating every record.
 
     Malformed lines are reported with their line number.  When an instance
     is supplied its size must match the header; when a split is named the
     file must hold at least one pair of it.  Each record line is decoded
     once and its JSON shape checked there, by _records; Dataset then checks
     the values (finite b, 0/1 x, the split tags) as whole columns, and the
-    first pair that a check refuses names its line.
+    first pair that a check refuses (the _RowError's row) names its line.
     """
     path = os.fspath(path)
 
     def fail(lineno: int, why: str):
         raise ValueError(f"{path}:{lineno}: {why}")
 
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ValueError(f"{path}:1: empty file, expected a header line")
     header = _decode_json(lines[0], path, "JSON header")
@@ -327,12 +317,12 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
         b = x = np.empty((0, k))
     try:
         dataset = Dataset(instance_ref, k, params, b, x, splits, provenance)
-    except _PairError as err:
-        fail(linenos[err.pair], {
+    except _RowError as err:
+        fail(linenos[err.row], {
             "b": "observed vector contains NaN or Inf entries",
             "x": "assignment entries must be exactly 0 or 1",
-            "split": f"split must be 'train' or 'val', got {splits[err.pair]!r}",
-        }[err.column])
+            "split": f"split must be 'train' or 'val', got {splits[err.row]!r}",
+        }[err.check])
     if split is not None and split not in dataset.split:
         fail(len(lines), f"no {split!r} pairs in the file")
     return dataset

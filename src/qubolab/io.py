@@ -14,10 +14,11 @@ import json
 import math
 import os
 import warnings
+from io import StringIO
 
 import numpy as np
 
-from .qubo import QuboInstance
+from .qubo import QuboInstance, _RowError
 
 MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 
@@ -47,120 +48,111 @@ def write_instance(path: str | os.PathLike, instance: QuboInstance) -> None:
 
 
 def read_instance(path: str | os.PathLike) -> QuboInstance:
-    """Read a Matrix Market instance and its sidecar metadata.
+    """Read a Matrix Market instance, a UTF-8 text file, and its sidecar.
 
-    The entries are parsed in bulk by one np.loadtxt call and checked as
-    whole arrays.  Only a file the bulk parse refuses is read again line by
-    line, so malformed input raises ValueError naming the file and line.  A
-    missing sidecar is tolerated (meta stays empty); a malformed one is not.
+    Blank and `%` lines are skipped, one np.loadtxt call parses the entries
+    (so each is `row col value` in ASCII decimal) and QuboInstance checks
+    them.  Malformed input raises ValueError at the file and line of the
+    first of: a size-line fault or a wrong entry count; the first malformed,
+    non-finite or out-of-range entry; a sidecar fault; the first repeated
+    coordinate.  A missing sidecar is tolerated (meta stays empty).
     """
     path = os.fspath(path)
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
+    lines = text.splitlines()
+
+    def fail(lineno: int, why: str):
+        raise ValueError(f"{path}:{lineno}: {why}")
+
+    if not lines:
+        fail(1, "empty file, expected a Matrix Market header")
+    if lines[0].strip() != MM_HEADER:
+        fail(1, f"bad header {lines[0]!r}, expected {MM_HEADER!r}")
+    # Blank each `%` line, as np.loadtxt skips blank lines; the writer's
+    # output holds no `%` after the header, so it pays only for the search.
+    if text.find("%", len(lines[0])) >= 0:
+        lines[1:] = ["" if line.lstrip().startswith("%") else line for line in lines[1:]]
+    size = next((n for n, line in enumerate(lines) if n and line.strip()), len(lines))
+    if size == len(lines):
+        fail(size, "missing size line")
+    parts = lines[size].split()
+    if len(parts) != 3:
+        fail(size + 1, f"size line needs 3 fields, got {len(parts)}")
     try:
-        k, rows, cols, vals = _bulk_entries(text)
-        return QuboInstance(k=k, rows=rows, cols=cols, vals=vals,
-                            meta=_read_meta(path, k))
-    except (ValueError, Warning):
-        return _read_instance_located(path, text)
+        k, n_cols, nnz = (int(p) for p in parts)
+    except ValueError:
+        fail(size + 1, f"non-integer size line {lines[size].strip()!r}")
+    if k != n_cols:
+        fail(size + 1, f"matrix must be square, got {k} x {n_cols}")
+    if k < 1:
+        fail(size + 1, f"matrix size must be positive, got {k}")
+
+    start = size + 2  # the line of the first entry line
+    del lines[:size + 1]  # in place, not a copy: lines[j] is now line start + j
+    entries = _loadtxt(lines)
+    found = len(entries) if entries is not None else sum(1 for line in lines if line.strip())
+    if found != nnz:
+        fail(size + 1, f"size line promises {nnz} entries, found {found}")
+    refused = None
+    if entries is None:
+        # Bisect for the first line that np.loadtxt refuses, with the same
+        # parse, which reads each line alone; the entries above it come first.
+        lo, hi = 0, len(lines)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _loadtxt(lines[lo:mid]) is None else (mid, hi)
+        refused, entries = lo, _loadtxt(lines[:lo])
+
+    def index(entry: int) -> int:
+        return [j for j, line in enumerate(lines) if line.strip()][entry]
+
+    try:  # arithmetic and copy() give contiguous arrays that own their data
+        instance = QuboInstance(k=k, rows=entries["r"] - 1, cols=entries["c"] - 1,
+                                vals=entries["v"].copy())
+    except _RowError as err:
+        j, (r, c, _) = index(err.row), entries[err.row].tolist()
+        if err.check == "vals":
+            fail(start + j, f"non-finite value {lines[j].split()[2]!r}")
+        if err.check == "index":
+            fail(start + j, f"index ({r}, {c}) outside 1..{k}")
+        if refused is None:
+            _read_meta(path, k)  # a sidecar fault is named before a repeat
+            first = index(int(((entries["r"] == r) & (entries["c"] == c)).argmax()))
+            fail(start + j, f"duplicate entry ({r}, {c}), first given on line {start + first}")
+    if refused is not None:
+        entry = lines[refused].strip()
+        fail(start + refused, f"entry needs 3 fields, got {len(entry.split())}"
+             if len(entry.split()) != 3 else f"malformed entry {entry!r}")
+    instance.meta = _read_meta(path, k)
+    return instance
 
 
 _ENTRY = np.dtype([("r", np.int64), ("c", np.int64), ("v", np.float64)])
 
 
-def _bulk_entries(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """k and the 0-based entries of a file whose first two lines are the
-    header and the size line and whose every other line is an entry or
-    blank.  Raises ValueError or a Warning for any other file, and for
-    out-of-range or non-finite entries leaves the refusal to QuboInstance."""
-    # Non-ASCII text (Unicode digits and spaces) goes to the line reader.
-    if not text.isascii():
-        raise ValueError("non-ASCII text")
-    header, size, *body = text.splitlines()
-    k, n_cols, nnz = map(int, size.split())
-    if header.strip() != MM_HEADER or n_cols != k:
-        raise ValueError("not a plain square Matrix Market file")
-    # A warning is a refusal: numpy warns on a body with no entries, and
-    # where it reads `1.0` as an index.
+def _loadtxt(lines: list[str]) -> np.ndarray | None:
+    """The entries in lines as one np.loadtxt call reads them, or None when
+    it refuses a line.  A blank line holds no entry."""
     with warnings.catch_warnings():
+        # A refusal, except for no entries: numpy < 2 warns on a `1.0` index.
         warnings.simplefilter("error")
-        entries = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1)
-    if entries.size != nnz:
-        raise ValueError(f"{entries.size} entries, size line promises {nnz}")
-    # Arithmetic and copy() give contiguous arrays that own their data.
-    return k, entries["r"] - 1, entries["c"] - 1, entries["v"].copy()
-
-
-def _read_instance_located(path: str, text: str) -> QuboInstance:
-    """read_instance one line at a time: the reader that names the line of
-    the first error it finds."""
-    raw = text.splitlines()
-
-    def fail(lineno: int, why: str):
-        raise ValueError(f"{path}:{lineno}: {why}")
-
-    if not raw:
-        fail(1, "empty file, expected a Matrix Market header")
-    if raw[0].strip() != MM_HEADER:
-        fail(1, f"bad header {raw[0]!r}, expected {MM_HEADER!r}")
-
-    lineno = 1
-    body = []
-    for line in raw[1:]:
-        lineno += 1
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        body.append((lineno, stripped))
-    if not body:
-        fail(lineno, "missing size line")
-
-    size_lineno, size_line = body[0]
-    parts = size_line.split()
-    if len(parts) != 3:
-        fail(size_lineno, f"size line needs 3 fields, got {len(parts)}")
-    try:
-        n_rows, n_cols, nnz = (int(p) for p in parts)
-    except ValueError:
-        fail(size_lineno, f"non-integer size line {size_line!r}")
-    if n_rows != n_cols:
-        fail(size_lineno, f"matrix must be square, got {n_rows} x {n_cols}")
-    if n_rows < 1:
-        fail(size_lineno, f"matrix size must be positive, got {n_rows}")
-    if len(body) - 1 != nnz:
-        fail(size_lineno, f"size line promises {nnz} entries, found {len(body) - 1}")
-
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
-    for idx, (entry_lineno, entry) in enumerate(body[1:]):
-        parts = entry.split()
-        if len(parts) != 3:
-            fail(entry_lineno, f"entry needs 3 fields, got {len(parts)}")
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            r, c = int(parts[0]), int(parts[1])
-            v = float(parts[2])
-        except ValueError:
-            fail(entry_lineno, f"malformed entry {entry!r}")
-        if not math.isfinite(v):
-            fail(entry_lineno, f"non-finite value {parts[2]!r}")
-        if not (1 <= r <= n_rows and 1 <= c <= n_cols):
-            fail(entry_lineno, f"index ({r}, {c}) outside 1..{n_rows}")
-        rows[idx], cols[idx], vals[idx] = r - 1, c - 1, v
+            return np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
 
-    meta = _read_meta(path, n_rows)
-    try:
-        return QuboInstance(k=n_rows, rows=rows, cols=cols, vals=vals, meta=meta)
-    except ValueError:
-        # Every entry passed the checks above, so a repeated coordinate is
-        # what the instance refused; find the first one only now.
-        seen: dict[tuple[int, int], int] = {}
-        for idx, key in enumerate(zip(rows.tolist(), cols.tolist())):
-            first = seen.setdefault(key, idx)
-            if first != idx:
-                fail(body[idx + 1][0], f"duplicate entry ({key[0] + 1}, {key[1] + 1}), "
-                     f"first given on line {body[first + 1][0]}")
-        raise
+
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file, read as open() reads it.  Other bytes raise
+    ValueError "<path>:<line>: not UTF-8 text: ..." at the first of them."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as err:
+            head = err.object[:err.start]  # lines end at \n, \r\n or a lone \r
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise ValueError(f"{path}:{line}: not UTF-8 text: {err}") from err
 
 
 def _read_meta(path: str, k: int) -> dict:
@@ -168,8 +160,7 @@ def _read_meta(path: str, k: int) -> dict:
     sidecar = _sidecar_path(path)
     if not os.path.exists(sidecar):
         return {}
-    with open(sidecar) as fh:
-        text = fh.read()
+    text = _read_text(sidecar)
     loaded = _decode_json(text, sidecar)
     if not isinstance(loaded, dict):
         raise ValueError(f"{sidecar}:1: expected a JSON object")
@@ -207,25 +198,25 @@ def write_vector(path: str | os.PathLike, b: np.ndarray) -> None:
 
 
 def read_vector(path: str | os.PathLike, k: int | None = None) -> np.ndarray:
-    """Read a one-number-per-line vector; blank lines are ignored.  When k
-    is given the file must hold exactly k numbers."""
+    """Read a one-number-per-line vector from a UTF-8 text file; blank
+    lines are ignored.  When k is given the file must hold exactly k
+    numbers."""
     path = os.fspath(path)
     out = []
     lineno = 0
-    with open(path) as fh:
-        for lineno, text in enumerate(fh, start=1):
-            stripped = text.strip()
-            if not stripped:
-                continue
-            try:
-                v = float(stripped)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed number {stripped!r}")
-            if not math.isfinite(v):
-                raise ValueError(f"{path}:{lineno}: non-finite value {stripped!r}")
-            if len(out) == k:
-                raise ValueError(f"{path}:{lineno}: more than the {k} numbers expected")
-            out.append(v)
+    for lineno, text in enumerate(StringIO(_read_text(path)), start=1):
+        stripped = text.strip()
+        if not stripped:
+            continue
+        try:
+            v = float(stripped)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed number {stripped!r}")
+        if not math.isfinite(v):
+            raise ValueError(f"{path}:{lineno}: non-finite value {stripped!r}")
+        if len(out) == k:
+            raise ValueError(f"{path}:{lineno}: more than the {k} numbers expected")
+        out.append(v)
     if k is not None and len(out) < k:
         raise ValueError(f"{path}:{max(lineno, 1)}: {len(out)} numbers, expected {k}")
     return np.array(out, dtype=np.float64)

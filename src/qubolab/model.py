@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import (AdamState, Tape, Tensor, adam_step, backward,
                        bce_with_logits, zero_grad)
 from .datagen import Dataset
-from .io import _decode_json, write_csv
+from .io import _decode_json, _read_text, write_csv
 from .qubo import QuboInstance, _product_form, as_observed_vector, rel_gaps
 
 # Raw value whose softplus is exactly 1, so diffusion starts at unit rate.
@@ -376,8 +376,7 @@ def load_checkpoint(path: str | os.PathLike, instance: QuboInstance) -> BpgnnMod
     """Rebuild a saved model; a malformed file raises ValueError naming
     the line where the offending key starts (line 1 if it is absent)."""
     path = os.fspath(path)
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
 
     def fail(why: str, key: str | None = None):
         at = text.find(json.dumps(key)) if key is not None else -1

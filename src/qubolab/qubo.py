@@ -65,6 +65,16 @@ def as_binary_assignment(x, k: int) -> np.ndarray:
     return x.astype(np.int8, copy=True)
 
 
+class _RowError(ValueError):
+    """A columnar value check's refusal.  check names the rule that refused
+    ('b', 'x' or 'split' for a Dataset; 'vals', 'index' or 'duplicate' for
+    a QuboInstance), and row is the first row that the rule refuses."""
+
+    def __init__(self, why: str, check: str, row: int):
+        super().__init__(why)
+        self.check, self.row = check, row
+
+
 @dataclass
 class GraphView:
     """Undirected connectivity derived from the sparsity pattern of A.
@@ -89,6 +99,10 @@ class QuboInstance:
     Stored as a coordinate list (rows, cols, vals) with no duplicate
     coordinates, exactly as generated.  Instances are immutable after
     construction and safe to share across threads.
+
+    These are the only checks of an instance's values: a _RowError names the
+    first entry with a non-finite value ('vals') or an index outside [0, k)
+    ('index'), and only if there is none, the first repeat ('duplicate').
     """
 
     k: int
@@ -105,16 +119,20 @@ class QuboInstance:
         self.vals = np.asarray(self.vals, dtype=np.float64)
         if not (self.rows.shape == self.cols.shape == self.vals.shape):
             raise ValueError("rows, cols and vals must have identical length")
-        if self.rows.size:
-            if self.rows.min() < 0 or self.rows.max() >= self.k:
-                raise ValueError(f"row index out of range [0, {self.k})")
-            if self.cols.min() < 0 or self.cols.max() >= self.k:
-                raise ValueError(f"col index out of range [0, {self.k})")
-            flat = np.sort(self.rows * self.k + self.cols)
-            if np.any(flat[1:] == flat[:-1]):
-                raise ValueError("duplicate (row, col) coordinates are not allowed")
-        if not np.all(np.isfinite(self.vals)):
-            raise ValueError("matrix values must be finite")
+        non_finite = ~np.isfinite(self.vals)
+        bad = (non_finite | (self.rows < 0) | (self.rows >= self.k)
+               | (self.cols < 0) | (self.cols >= self.k))
+        if bad.any():
+            entry = int(bad.argmax())
+            if non_finite[entry]:
+                raise _RowError("matrix values must be finite", "vals", entry)
+            raise _RowError(f"index out of range [0, {self.k})", "index", entry)
+        flat = self.rows * self.k + self.cols
+        if np.any(np.diff(np.sort(flat)) == 0):
+            repeated = np.ones(flat.size, dtype=bool)  # not a first occurrence
+            repeated[np.unique(flat, return_index=True)[1]] = False
+            raise _RowError("duplicate (row, col) coordinates are not allowed",
+                            "duplicate", int(repeated.argmax()))
         for a in (self.rows, self.cols, self.vals):
             a.flags.writeable = False
 

@@ -8,6 +8,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -40,6 +41,28 @@ def ws(tmp_path_factory):
                  "--batch", "8", "--out", str(model_path)]) == 0
     return {"root": root, "inst": inst_path, "b": b_path, "data": data_path,
             "model": model_path}
+
+
+@pytest.mark.parametrize("name", ["inst.mtx", "inst.meta.json", "b.txt", "data.jsonl",
+                                  "model.json"])
+def test_file_that_is_not_utf8_names_its_line(ws, tmp_path, capsys, name):
+    for path in ws["inst"], ws["inst"].with_suffix(".meta.json"), ws["b"], ws["data"], \
+            ws["model"]:
+        shutil.copy(path, tmp_path / path.name)
+    bad = tmp_path / name
+    lines = bad.read_bytes().split(b"\n")
+    lines[1] = b"\xff" + lines[1]
+    bad.write_bytes(b"\n".join(lines))
+    if name in ("b.txt", "inst.mtx", "inst.meta.json"):
+        argv = ["solve", "--b", str(tmp_path / "b.txt"), "--method", "exhaustive",
+                "--out", str(tmp_path / "s.json")]
+    else:
+        argv = ["eval", "--data", str(tmp_path / "data.jsonl"), "--model",
+                str(tmp_path / "model.json"), "--methods", "bpgnn",
+                "--out", str(tmp_path / "e.csv")]
+    assert main([*argv, "--instance", str(tmp_path / "inst.mtx")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}:2: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
 
 
 class TestGenInstance:

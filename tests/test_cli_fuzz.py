@@ -1,7 +1,10 @@
 """Mutated input files through the CLI: every run either succeeds or ends
 with exit status 2 and `error: <file>:<line>: <why>`, never a traceback.
-The instance reader parses in bulk and falls back to a located
-line-by-line reader; on every mutated `.mtx` file the two must agree.
+The instance reader parses all entries with one np.loadtxt call; on every
+mutated `.mtx` file it must give the outcome of `reference_read`, a
+line-by-line reader kept here as the reference, except where an entry
+holds a token that only Python's int and float read (`1_0`, a non-ASCII
+digit): the instance reader refuses that as a malformed entry.
 
 Small valid files (a k=4 instance with its sidecar, an observed vector, a
 dataset and a width-2 checkpoint) are mutated by deleting, duplicating or
@@ -10,7 +13,8 @@ two JSON values) or splitting one (so that a value spans two lines), or
 by replacing a token or a run of whitespace with a piece of text from a
 fixed pool.  The checkpoint and the sidecar also get a token replaced by a
 value nested 100,000 deep.  No pool piece reads as a large integer (`1_0`
-is 10, `1e400` a float), so no run can ask for a large allocation.
+is 10 in a size line, `1e400` a float), so no run can ask for a large
+allocation.
 """
 
 from __future__ import annotations
@@ -18,18 +22,18 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import re
 import shutil
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubolab import read_dataset, read_instance, write_vector
+from qubolab import QuboInstance, read_dataset, read_instance, write_vector
 from qubolab import io as qio
 from qubolab.cli import main
 
@@ -161,30 +165,119 @@ def assert_runs_or_fails_with_a_location(originals, kind, mutations):
             ), (argv[0], status, err)
 
 
-def outcome(path):
-    """What read_instance(path) returns, reduced to bytes and dtypes, or the
-    message of the ValueError it raises."""
+def reference_read(path):
+    """read_instance one line at a time, with Python's int and float: the
+    reference for the instance reader's outcome on any file, and the line
+    of the first error it finds."""
+    path = str(path)
+    raw = Path(path).read_text().splitlines()
+
+    def fail(lineno: int, why: str):
+        raise ValueError(f"{path}:{lineno}: {why}")
+
+    if not raw:
+        fail(1, "empty file, expected a Matrix Market header")
+    if raw[0].strip() != qio.MM_HEADER:
+        fail(1, f"bad header {raw[0]!r}, expected {qio.MM_HEADER!r}")
+
+    lineno = 1
+    body = []
+    for line in raw[1:]:
+        lineno += 1
+        stripped = line.strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        body.append((lineno, stripped))
+    if not body:
+        fail(lineno, "missing size line")
+
+    size_lineno, size_line = body[0]
+    parts = size_line.split()
+    if len(parts) != 3:
+        fail(size_lineno, f"size line needs 3 fields, got {len(parts)}")
     try:
-        got = read_instance(path)
+        n_rows, n_cols, nnz = (int(p) for p in parts)
+    except ValueError:
+        fail(size_lineno, f"non-integer size line {size_line!r}")
+    if n_rows != n_cols:
+        fail(size_lineno, f"matrix must be square, got {n_rows} x {n_cols}")
+    if n_rows < 1:
+        fail(size_lineno, f"matrix size must be positive, got {n_rows}")
+    if len(body) - 1 != nnz:
+        fail(size_lineno, f"size line promises {nnz} entries, found {len(body) - 1}")
+
+    rows = np.empty(nnz, dtype=np.int64)
+    cols = np.empty(nnz, dtype=np.int64)
+    vals = np.empty(nnz, dtype=np.float64)
+    for idx, (entry_lineno, entry) in enumerate(body[1:]):
+        parts = entry.split()
+        if len(parts) != 3:
+            fail(entry_lineno, f"entry needs 3 fields, got {len(parts)}")
+        try:
+            r, c = int(parts[0]), int(parts[1])
+            v = float(parts[2])
+        except ValueError:
+            fail(entry_lineno, f"malformed entry {entry!r}")
+        if not math.isfinite(v):
+            fail(entry_lineno, f"non-finite value {parts[2]!r}")
+        if not (1 <= r <= n_rows and 1 <= c <= n_cols):
+            fail(entry_lineno, f"index ({r}, {c}) outside 1..{n_rows}")
+        rows[idx], cols[idx], vals[idx] = r - 1, c - 1, v
+
+    meta = qio._read_meta(path, n_rows)
+    seen: dict[tuple[int, int], int] = {}
+    for idx, key in enumerate(zip(rows.tolist(), cols.tolist())):
+        first = seen.setdefault(key, idx)
+        if first != idx:
+            fail(body[idx + 1][0], f"duplicate entry ({key[0] + 1}, {key[1] + 1}), "
+                 f"first given on line {body[first + 1][0]}")
+    return QuboInstance(k=n_rows, rows=rows, cols=cols, vals=vals, meta=meta)
+
+
+def outcome(path, read=read_instance):
+    """What read(path) returns, reduced to bytes and dtypes, or the message
+    of the ValueError it raises."""
+    try:
+        got = read(path)
     except ValueError as err:
         return f"ValueError: {err}"
     return (got.k, repr(got.meta),
             [(a.dtype, a.tobytes()) for a in (got.rows, got.cols, got.vals)])
 
 
+def python_only_lines(text: str) -> list[tuple[int, str]]:
+    """The entry lines (after the size line, not blank or `%`), with their
+    numbers, that hold a token with `_` or a non-ASCII digit."""
+    content = [(n, line.strip()) for n, line in enumerate(text.splitlines(), 1)
+               if n > 1 and line.strip()[:1] not in ("", "%")]
+    return [(n, line) for n, line in content[1:]
+            if any(ch == "_" or (ch.isdecimal() and not ch.isascii()) for ch in line)]
+
+
 @pytest.fixture(scope="module")
 def differential(originals, tmp_path_factory):
     """The `.mtx` file's original text, and a check that read_instance and
-    the located loop agree on a given text."""
+    reference_read give the same outcome on a given text.  Where they do
+    not, the text has an entry token with `_` or a non-ASCII digit, the
+    first such line is refused as a malformed entry, and the reference
+    names no fault that outranks it: no earlier `.mtx` line, except with a
+    repeated coordinate, which ranks below every entry fault."""
     tmp_path = tmp_path_factory.mktemp("differential")
     shutil.copy(originals / FILES["meta"], tmp_path / FILES["meta"])
     path = tmp_path / FILES["mtx"]
 
     def check(text: str):
         path.write_text(text)
-        public = outcome(path)
-        with mock.patch.object(qio, "_bulk_entries", side_effect=ValueError):
-            assert outcome(path) == public, text
+        public, reference = outcome(path), outcome(path, reference_read)
+        if public == reference:
+            return
+        odd = python_only_lines(path.read_text())
+        assert odd, (text, public, reference)
+        lineno, line = odd[0]
+        assert public == f"ValueError: {path}:{lineno}: malformed entry {line!r}", text
+        earlier = re.match(rf"ValueError: {re.escape(str(path))}:(\d+): (?!duplicate)",
+                           str(reference))
+        assert not (earlier and int(earlier[1]) < lineno), (text, reference)
 
     return (originals / FILES["mtx"]).read_text(), check
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ import pytest
 from qubolab import (gen_ising, gen_lattice_laplacian, gen_random_dense,
                      lattice_adjacency, read_instance, read_vector,
                      write_instance, write_vector)
-from qubolab import io as qio
 from qubolab.io import MM_HEADER, _sidecar_path, write_csv
 
 from conftest import tiny_instance
@@ -98,15 +98,24 @@ class TestBulkRead:
 
     def test_writer_output_never_needs_the_located_loop(self, tmp_path,
                                                         monkeypatch):
-        def located(*args):
-            raise AssertionError("a valid file was read line by line")
-
-        monkeypatch.setattr(qio, "_read_instance_located", located)
+        # Each accepted file is parsed by exactly one np.loadtxt call.
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt",
+                            lambda *a, **kw: calls.append(1) or loadtxt(*a, **kw))
         for name, make in FAMILY.items():
             inst = make()
             write_instance(tmp_path / f"{name}.mtx", inst)
+            calls.clear()
             assert read_instance(tmp_path / f"{name}.mtx").vals.tobytes() == \
                 inst.vals.tobytes()
+            assert len(calls) == 1, name
+        path = tmp_path / "commented.mtx"
+        path.write_text(f"{MM_HEADER}\n% a comment\n\n2 2 2\n  %another\n1 2 3.5\n"
+                        f"\n \t\n2 1 -0.25\n%\n")
+        calls.clear()
+        assert read_instance(path).vals.tolist() == [3.5, -0.25]
+        assert len(calls) == 1
 
 
 class TestInstanceReadFailures:
@@ -163,6 +172,37 @@ class TestInstanceReadFailures:
         with pytest.raises(ValueError, match="invalid JSON"):
             read_instance(path)
 
+    @pytest.mark.parametrize("entry", ["1_0 1 1.0", "1 2 1_0", "١ 2 1.0", "1 2 ٣.5"],
+                             ids=["underscore-index", "underscore-value",
+                                  "arabic-index", "arabic-value"])
+    def test_entries_are_ascii_decimal(self, tmp_path, entry):
+        # Python's int and float read these; np.loadtxt does not.
+        path = tmp_path / "odd.mtx"
+        path.write_text(f"{MM_HEADER}\n2 2 2\n2 2 1.0\n{entry}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: "
+                                             rf"malformed entry {re.escape(repr(entry))}$"):
+            read_instance(path)
+
+    @pytest.mark.parametrize("body,meta,where", [
+        # an earlier non-finite value outranks a later malformed line
+        ("1 1 nan\n2 2 1.0\nx\n", None, r"odd\.mtx:3: non-finite value 'nan'"),
+        ("1 1 1.0\n3 1 1.0\n1 x\n", None, r"odd\.mtx:4: index \(3, 1\) outside 1\.\.2"),
+        ("1 1 1.0\n1 x\n2 2 inf\n", None, r"odd\.mtx:4: entry needs 3 fields, got 2"),
+        # an entry fault outranks a sidecar fault, which outranks a repeat
+        ("1 1 1.0\n2 2 inf\n2 1 1.0\n", "{broken", r"odd\.mtx:4: non-finite value 'inf'"),
+        ("1 1 1.0\n2 2 1.0\n1 1 2.0\n", "{broken", r"odd\.meta\.json:1: invalid JSON"),
+        ("1 1 1.0\n2 2 1.0\n1 1 2.0\n", None,
+         r"odd\.mtx:5: duplicate entry \(1, 1\), first given on line 3"),
+    ], ids=["non-finite-then-malformed", "range-then-malformed", "malformed-then-inf",
+            "entry-then-sidecar", "sidecar-then-duplicate", "duplicate"])
+    def test_first_fault_in_precedence_order(self, tmp_path, body, meta, where):
+        path = tmp_path / "odd.mtx"
+        path.write_text(f"{MM_HEADER}\n2 2 3\n{body}")
+        if meta is not None:
+            (tmp_path / "odd.meta.json").write_text(meta)
+        with pytest.raises(ValueError, match=where):
+            read_instance(path)
+
 
 class TestVectors:
     def test_round_trip_is_exact(self, tmp_path):
@@ -180,6 +220,13 @@ class TestVectors:
         path = tmp_path / "b.txt"
         path.write_text("1.0\nbogus\n")
         with pytest.raises(ValueError, match=r"b\.txt:2"):
+            read_vector(path)
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        # \r\n and a lone \r each end a line, as open() reads them.
+        path = tmp_path / "b.txt"
+        path.write_bytes(b"1.0\r\n2.0\r3.0\n4.\xff0\n")
+        with pytest.raises(ValueError, match=r"b\.txt:4: not UTF-8 text: .* byte 0xff"):
             read_vector(path)
 
     @pytest.mark.parametrize("text,where", [

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubolab import (QuboInstance, TabuParams, gen_ising, gen_lattice_laplacian,
-                     gen_random_dense, ising_energy, lattice_adjacency,
-                     qubo_to_ising, tabu_rows)
+from qubolab import (Dataset, QuboInstance, TabuParams, gen_ising,
+                     gen_lattice_laplacian, gen_random_dense, ising_energy,
+                     lattice_adjacency, qubo_to_ising, tabu_rows)
 from qubolab import qubo
 from qubolab.qubo import as_binary_assignment, as_observed_vector, rel_gaps
 
@@ -96,6 +96,27 @@ class TestQuboInstance:
     def test_rejects_non_finite_values(self):
         with pytest.raises(ValueError, match="finite"):
             QuboInstance(k=1, rows=[0], cols=[0], vals=[np.inf])
+
+    @pytest.mark.parametrize("rows,cols,vals,check,row", [
+        # a value fault anywhere outranks an earlier repeat
+        ([0, 0, 2, 1], [1, 1, 0, 0], [1.0, 2.0, 3.0, np.nan], "index", 2),
+        ([0, 0, 1, 2], [1, 1, 0, 0], [1.0, 2.0, np.inf, 3.0], "vals", 2),
+        # an entry with both faults is a value fault
+        ([0, 5], [1, 0], [1.0, -np.inf], "vals", 1),
+        # the second occurrence of the first coordinate given twice
+        ([1, 0, 0, 1, 0], [1, 1, 0, 1, 1], [1.0, 2.0, 3.0, 4.0, 5.0], "duplicate", 3),
+    ], ids=["index", "vals", "both", "duplicate"])
+    def test_refusal_names_the_first_entry_refused(self, rows, cols, vals, check, row):
+        with pytest.raises(qubo._RowError) as caught:
+            QuboInstance(k=2, rows=rows, cols=cols, vals=vals)
+        assert (caught.value.check, caught.value.row) == (check, row)
+
+    def test_dataset_refuses_with_the_same_row_error(self):
+        b = np.zeros((3, 2))
+        b[1, 0] = np.nan
+        with pytest.raises(qubo._RowError) as caught:
+            Dataset("ref", 2, {}, b, np.zeros((3, 2)), ["train"] * 3)
+        assert (caught.value.check, caught.value.row) == ("b", 1)
 
     def test_arrays_are_frozen(self, k2_instance):
         with pytest.raises(ValueError):
