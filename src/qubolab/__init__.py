@@ -15,9 +15,8 @@ from .io import read_instance, read_vector, write_instance, write_vector
 from .model import (HISTORY_COLUMNS, BpgnnConfig, BpgnnModel, TrainConfig,
                     build_laplacian, load_checkpoint, save_checkpoint,
                     train, write_history)
-from .qubo import (GraphView, QuboInstance, gen_ising, gen_lattice_laplacian,
-                   gen_random_dense, ising_energy, lattice_adjacency,
-                   qubo_to_ising)
+from .qubo import (QuboInstance, gen_ising, gen_lattice_laplacian,
+                   gen_random_dense, ising_energy, lattice_adjacency, qubo_to_ising)
 from .solvers import (IntractableSizeError, SabParams, SolverResult, TabuParams,
                       exhaustive_argmins, exhaustive_solve, refine_with_tabu,
                       sab_solve, tabu_rows, tabu_solve)
@@ -36,7 +35,7 @@ __all__ = [
     "HISTORY_COLUMNS", "BpgnnConfig", "BpgnnModel", "TrainConfig",
     "build_laplacian", "load_checkpoint", "save_checkpoint",
     "train", "write_history",
-    "GraphView", "QuboInstance", "gen_ising", "gen_lattice_laplacian",
+    "QuboInstance", "gen_ising", "gen_lattice_laplacian",
     "gen_random_dense", "ising_energy", "lattice_adjacency", "qubo_to_ising",
     "IntractableSizeError", "SabParams", "SolverResult", "TabuParams",
     "exhaustive_argmins", "exhaustive_solve", "refine_with_tabu", "sab_solve",

@@ -56,10 +56,10 @@ def rel_qubo(instance: QuboInstance, b, x_o, x_p) -> float:
 def homophily(instance: QuboInstance, labels) -> float:
     """Fraction of connectivity edges whose endpoints share a label."""
     labels = as_binary_assignment(labels, instance.k)
-    gv = instance.graph_view
-    if gv.num_edges == 0:
+    edges = instance.edges
+    if not len(edges):
         raise ValueError("homophily is undefined on an edgeless graph")
-    same = labels[gv.edges[:, 0]] == labels[gv.edges[:, 1]]
+    same = labels[edges[:, 0]] == labels[edges[:, 1]]
     return float(np.mean(same))
 
 

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import warnings
-from io import StringIO
 
 import numpy as np
 
@@ -50,12 +48,13 @@ def write_instance(path: str | os.PathLike, instance: QuboInstance) -> None:
 def read_instance(path: str | os.PathLike) -> QuboInstance:
     """Read a Matrix Market instance, a UTF-8 text file, and its sidecar.
 
-    Blank and `%` lines are skipped, one np.loadtxt call parses the entries
-    (so each is `row col value` in ASCII decimal) and QuboInstance checks
-    them.  Malformed input raises ValueError at the file and line of the
-    first of: a size-line fault or a wrong entry count; the first malformed,
-    non-finite or out-of-range entry; a sidecar fault; the first repeated
-    coordinate.  A missing sidecar is tolerated (meta stays empty).
+    Blank and `%` lines are skipped, np.loadtxt parses the size line and,
+    in one call, the entries (so every number is ASCII decimal and each
+    entry is `row col value`), and QuboInstance checks them.  Malformed
+    input raises ValueError at the file and line of the first of: a
+    size-line fault or a wrong entry count; the first malformed, non-finite
+    or out-of-range entry; a sidecar fault; the first repeated coordinate.
+    A missing sidecar is tolerated (meta stays empty).
     """
     path = os.fspath(path)
     text = _read_text(path)
@@ -78,10 +77,10 @@ def read_instance(path: str | os.PathLike) -> QuboInstance:
     parts = lines[size].split()
     if len(parts) != 3:
         fail(size + 1, f"size line needs 3 fields, got {len(parts)}")
-    try:
-        k, n_cols, nnz = (int(p) for p in parts)
-    except ValueError:
+    sizes = _loadtxt(lines[size:size + 1], np.int64)
+    if sizes is None:
         fail(size + 1, f"non-integer size line {lines[size].strip()!r}")
+    k, n_cols, nnz = sizes.tolist()
     if k != n_cols:
         fail(size + 1, f"matrix must be square, got {k} x {n_cols}")
     if k < 1:
@@ -128,17 +127,19 @@ def read_instance(path: str | os.PathLike) -> QuboInstance:
 
 
 _ENTRY = np.dtype([("r", np.int64), ("c", np.int64), ("v", np.float64)])
+_VALUE = np.dtype([("v", np.float64)])
 
 
-def _loadtxt(lines: list[str]) -> np.ndarray | None:
-    """The entries in lines as one np.loadtxt call reads them, or None when
-    it refuses a line.  A blank line holds no entry."""
+def _loadtxt(lines: list[str], dtype=_ENTRY) -> np.ndarray | None:
+    """The rows in lines as one np.loadtxt call reads them as dtype, or None
+    when it refuses a line.  A blank line holds no row.  This is the one
+    number rule of the text formats: ASCII decimal, no `_`."""
     with warnings.catch_warnings():
-        # A refusal, except for no entries: numpy < 2 warns on a `1.0` index.
+        # A refusal, except for no rows: numpy < 2 warns on a `1.0` integer.
         warnings.simplefilter("error")
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            return np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)
+            return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
         except (ValueError, Warning):
             return None
 
@@ -200,26 +201,31 @@ def write_vector(path: str | os.PathLike, b: np.ndarray) -> None:
 def read_vector(path: str | os.PathLike, k: int | None = None) -> np.ndarray:
     """Read a one-number-per-line vector from a UTF-8 text file; blank
     lines are ignored.  When k is given the file must hold exactly k
-    numbers."""
+    numbers.  One np.loadtxt call reads the file; only when it refuses, or
+    the values do, is the file read again line by line to name the first
+    fault."""
     path = os.fspath(path)
-    out = []
-    lineno = 0
-    for lineno, text in enumerate(StringIO(_read_text(path)), start=1):
-        stripped = text.strip()
+    lines = _read_text(path).split("\n")
+    values = _loadtxt(lines, _VALUE)
+    if (values is not None and (k is None or len(values) == k)
+            and np.isfinite(values["v"]).all()):
+        return values["v"].copy()
+    n = 0
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
         if not stripped:
             continue
-        try:
-            v = float(stripped)
-        except ValueError:
+        value = _loadtxt([line], _VALUE)
+        if value is None:
             raise ValueError(f"{path}:{lineno}: malformed number {stripped!r}")
-        if not math.isfinite(v):
+        if not np.isfinite(value["v"]).all():
             raise ValueError(f"{path}:{lineno}: non-finite value {stripped!r}")
-        if len(out) == k:
+        if n == k:
             raise ValueError(f"{path}:{lineno}: more than the {k} numbers expected")
-        out.append(v)
-    if k is not None and len(out) < k:
-        raise ValueError(f"{path}:{max(lineno, 1)}: {len(out)} numbers, expected {k}")
-    return np.array(out, dtype=np.float64)
+        n += 1
+    # The text's last line: split leaves an empty piece after a final newline.
+    raise ValueError(f"{path}:{max(len(lines) - (not lines[-1]), 1)}: "
+                     f"{n} numbers, expected {k}")
 
 
 def write_csv(path: str | os.PathLike, header, rows) -> None:

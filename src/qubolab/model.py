@@ -42,6 +42,14 @@ class BpgnnConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # A checkpoint's JSON may hold any type here; bool is an int
+        # subclass, but true is not a number and "false" is not a switch.
+        for name in ("d", "layers", "eps_step", "dropout", "seed"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)}")
+        if not isinstance(self.use_qubo_features, bool):
+            raise ValueError(
+                f"use_qubo_features must be true or false, got {self.use_qubo_features!r}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.layers < 1:
@@ -55,25 +63,22 @@ class BpgnnConfig:
 def build_laplacian(instance: QuboInstance) -> sp.csr_matrix:
     """Symmetric normalized Laplacian of the instance connectivity.
 
-    L = I - D^{-1/2} Abar D^{-1/2} with Abar the unweighted symmetrized
-    0/1 off-diagonal sparsity pattern.  Isolated nodes keep L_ii = 1.
+    L = I - D^{-1/2} Abar D^{-1/2} with Abar the 0/1 adjacency of
+    instance.edges and D its degrees.  Isolated nodes keep L_ii = 1, and an
+    edgeless instance gives the identity.  L is exactly symmetric (both
+    triangles hold the same product), so it is its own transpose.
     Eigenvalues lie in [0, 2], so an Euler step with eps_step <= 1 and
     unit diffusion rate is non-expansive.
     """
-    gv = instance.graph_view
-    k = instance.k
-    dinv = 1.0 / np.sqrt(np.maximum(gv.degrees.astype(np.float64), 1.0))
-    diag_r = np.arange(k, dtype=np.int64)
-    if gv.num_edges:
-        i, j = gv.edges[:, 0], gv.edges[:, 1]
-        w = dinv[i] * dinv[j]
-        rows = np.concatenate([i, j, diag_r])
-        cols = np.concatenate([j, i, diag_r])
-        vals = np.concatenate([-w, -w, np.ones(k)])
-    else:
-        rows = cols = diag_r
-        vals = np.ones(k)
-    lap = sp.csr_matrix((vals, (rows, cols)), shape=(k, k))
+    k, edges = instance.k, instance.edges
+    degrees = np.bincount(edges.ravel(), minlength=k)
+    dinv = 1.0 / np.sqrt(np.maximum(degrees.astype(np.float64), 1.0))
+    i, j = edges[:, 0], edges[:, 1]
+    w = dinv[i] * dinv[j]
+    diag = np.arange(k, dtype=np.int64)
+    rows = np.concatenate([i, j, diag])
+    cols = np.concatenate([j, i, diag])
+    lap = sp.csr_matrix((np.concatenate([-w, -w, np.ones(k)]), (rows, cols)), shape=(k, k))
     lap.sort_indices()
     return lap
 
@@ -90,7 +95,8 @@ class BpgnnModel:
     The operators a (A) and laplacian are held as dense arrays when they
     store at least a quarter of their k^2 entries, so a product is one
     GEMM, and as CSR otherwise: qubo._product_form, the rule sab_solve
-    uses.  a_t and laplacian_t are their transposes for the VJPs.
+    uses.  a_t is A's transpose for the VJPs, built once; the symmetric
+    laplacian serves as its own.
 
     Parameters live in a name -> Tensor dict, and each tensor's data is a
     reshaped view into one float64 vector, self.flat, in the dict's order:
@@ -106,9 +112,8 @@ class BpgnnModel:
         self.instance = instance
         self.a = _product_form(instance.a_csr)
         self.laplacian = _product_form(build_laplacian(instance))
-        # The VJPs' transposed operators, built once rather than per call.
+        # A's transpose for the VJPs, built once rather than per call.
         self.a_t = ad.transposed(self.a)
-        self.laplacian_t = ad.transposed(self.laplacian)
         self.params = self._init_params()
         self.flat = np.concatenate([t.data.ravel() for t in self.params.values()])
         ends = np.cumsum([t.data.size for t in self.params.values()])
@@ -174,7 +179,7 @@ class BpgnnModel:
                 u = h
             sig = ad.softplus(p[f"layer{layer}.sigma_raw"])
             h_half = ad.diffuse(h, self.laplacian, u, sig, cfg.eps_step,
-                                self.laplacian_t)
+                                self.laplacian)
             reaction = self._mlp(h_half, f"layer{layer}.f")
             h = drop(ad.react(h_half, reaction, cfg.eps_step))
         return ad.linear(h, p["dec.w"], p["dec.b"])

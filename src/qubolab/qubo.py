@@ -75,23 +75,6 @@ class _RowError(ValueError):
         self.check, self.row = check, row
 
 
-@dataclass
-class GraphView:
-    """Undirected connectivity derived from the sparsity pattern of A.
-
-    An edge {i, j} with i != j is present iff A_ij != 0 or A_ji != 0.
-    Edge sign and weight are ignored here; weights are consumed only where
-    an expression multiplies by A itself.
-    """
-
-    edges: np.ndarray  # (m, 2) int64, each row (i, j) with i < j
-    degrees: np.ndarray  # (k,) int64
-
-    @property
-    def num_edges(self) -> int:
-        return self.edges.shape[0]
-
-
 @dataclass(eq=False)
 class QuboInstance:
     """Sparse QUBO matrix A of a fixed problem family.
@@ -163,16 +146,17 @@ class QuboInstance:
         return d
 
     @cached_property
-    def graph_view(self) -> GraphView:
+    def edges(self) -> np.ndarray:
+        """Undirected connectivity of A's sparsity pattern: a read-only
+        (m, 2) int64 array of the pairs i < j with A_ij != 0 or A_ji != 0,
+        sorted and unique.  Diagonal entries, signs and weights are ignored;
+        weights enter only where an expression multiplies by A itself."""
         off = (self.rows != self.cols) & (self.vals != 0.0)
         i = np.minimum(self.rows[off], self.cols[off])
         j = np.maximum(self.rows[off], self.cols[off])
         edges = np.unique(np.stack([i, j], axis=1), axis=0)
-        degrees = np.zeros(self.k, dtype=np.int64)
-        if edges.size:
-            np.add.at(degrees, edges[:, 0], 1)
-            np.add.at(degrees, edges[:, 1], 1)
-        return GraphView(edges=edges, degrees=degrees)
+        edges.flags.writeable = False
+        return edges
 
     # -- objective ------------------------------------------------------
 

@@ -240,6 +240,25 @@ class TestSolve:
         err = self.solve_fails_with(tiny, capsys, bad, tiny / "t.b.txt")
         assert err == f"error: {bad}:2: matrix size must be positive, got 0\n"
 
+    @pytest.mark.parametrize("size", ["٢ 2 1", "2 2 1_0"],
+                             ids=["arabic-digit", "underscore"])
+    def test_size_line_is_ascii_decimal(self, tiny, capsys, size):
+        bad = tiny / "odd.mtx"
+        lines = (tiny / "t.mtx").read_text().splitlines()
+        bad.write_text("\n".join([lines[0], size, lines[2]]) + "\n")
+        err = self.solve_fails_with(tiny, capsys, bad, tiny / "t.b.txt")
+        assert err == f"error: {bad}:2: non-integer size line {size!r}\n"
+
+    @pytest.mark.parametrize("text,where", [
+        ("1_0\n٣.5\n", "1: malformed number '1_0'"),
+        ("1.0\n\n٣.5\n", "3: malformed number '٣.5'"),
+    ], ids=["underscore", "arabic-digit"])
+    def test_vector_is_ascii_decimal(self, tiny, capsys, text, where):
+        bad = tiny / "odd.b.txt"
+        bad.write_text(text)
+        err = self.solve_fails_with(tiny, capsys, tiny / "t.mtx", bad)
+        assert err == f"error: {bad}:{where}\n"
+
     @pytest.mark.parametrize("body", ["", "\n \n\n"], ids=["no-lines", "blank-lines"])
     def test_truncated_instance_names_its_size_line(self, tiny, capsys, body):
         bad = tiny / "cut.mtx"
@@ -286,7 +305,7 @@ class TestTrain:
     def test_artifacts(self, ws, capsys):
         assert ws["model"].exists()
         history = ws["root"] / "model.history.csv"
-        rows = list(csv.reader(history.open()))
+        rows = list(csv.reader(history.read_text().splitlines()))
         assert rows[0] == ["epoch", "train_bce", "val_bce", "val_acc",
                            "val_relqubo"]
         assert len(rows) == 3  # two epochs
@@ -325,7 +344,7 @@ class TestEval:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0].startswith("exhaustive: acc=")
         assert lines[1].startswith("bpgnn: acc=")
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0][:4] == ["method", "accuracy", "rel_qubo", "elapsed_ms"]
         assert [r[0] for r in rows[1:]] == ["exhaustive", "bpgnn"]
         assert 0.0 <= float(rows[1][1]) <= 1.0
@@ -395,8 +414,12 @@ class TestEval:
         assert err.startswith(f"error: {bad}:{line}: parameter 'dec.b'")
         assert why in err
 
-    @pytest.mark.parametrize("key,value", [("d", 1.5), ("layers", 1.5),
-                                           ("seed", -1)])
+    @pytest.mark.parametrize("key,value", [
+        ("d", 1.5), ("layers", 1.5), ("seed", -1),
+        # the model has 1 layer, so only the type check can refuse these
+        ("use_qubo_features", "false"), ("layers", True), ("seed", True),
+        ("eps_step", True), ("dropout", False),
+    ])
     def test_checkpoint_config_the_model_cannot_take(self, ws, tmp_path, capsys,
                                                       key, value):
         doc = json.loads(ws["model"].read_text())
@@ -523,7 +546,7 @@ class TestProbe:
         assert re.fullmatch(
             rf"wrote {re.escape(str(out))} \(3x3 cells, \d+ distinct phi "
             r"values\)\n", line)
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["s", "t", "phi"]
         assert len(rows) == 10
 
@@ -549,7 +572,7 @@ class TestSweep:
         assert re.fullmatch(
             rf"wrote {re.escape(str(out))} \(11 samples, \d+ change points\)",
             line)
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["b", "changed"]
         assert len(rows) == 12
         assert sum(int(r[1]) for r in rows[1:]) >= 1
@@ -575,7 +598,7 @@ class TestBench:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0].startswith("exhaustive: acc=1.0000±0.0000")
         assert lines[1].startswith("tabu: acc=")
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["method", "k", "acc_mean", "acc_std", "relqubo_mean",
                            "relqubo_std", "time_ms_mean"]
         assert len(rows) == 3 and rows[1][1] == "4"

@@ -1,10 +1,11 @@
 """Mutated input files through the CLI: every run either succeeds or ends
 with exit status 2 and `error: <file>:<line>: <why>`, never a traceback.
-The instance reader parses all entries with one np.loadtxt call; on every
-mutated `.mtx` file it must give the outcome of `reference_read`, a
-line-by-line reader kept here as the reference, except where an entry
-holds a token that only Python's int and float read (`1_0`, a non-ASCII
-digit): the instance reader refuses that as a malformed entry.
+The instance reader parses the size line and then all entries with
+np.loadtxt; on every mutated `.mtx` file it must give the outcome of
+`reference_read`, a line-by-line reader kept here as the reference, except
+where the size line or an entry holds a token that only Python's int and
+float read (`1_0`, a non-ASCII digit): the instance reader refuses that as
+a non-integer size line or a malformed entry.
 
 Small valid files (a k=4 instance with its sidecar, an observed vector, a
 dataset and a width-2 checkpoint) are mutated by deleting, duplicating or
@@ -13,8 +14,8 @@ two JSON values) or splitting one (so that a value spans two lines), or
 by replacing a token or a run of whitespace with a piece of text from a
 fixed pool.  The checkpoint and the sidecar also get a token replaced by a
 value nested 100,000 deep.  No pool piece reads as a large integer (`1_0`
-is 10 in a size line, `1e400` a float), so no run can ask for a large
-allocation.
+is refused in a size line, `1e400` is a float), so no run can ask for a
+large allocation.
 """
 
 from __future__ import annotations
@@ -245,12 +246,16 @@ def outcome(path, read=read_instance):
             [(a.dtype, a.tobytes()) for a in (got.rows, got.cols, got.vals)])
 
 
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """The size and entry lines (after the header, not blank or `%`),
+    stripped, with their numbers."""
+    return [(n, line.strip()) for n, line in enumerate(text.splitlines(), 1)
+            if n > 1 and line.strip()[:1] not in ("", "%")]
+
+
 def python_only_lines(text: str) -> list[tuple[int, str]]:
-    """The entry lines (after the size line, not blank or `%`), with their
-    numbers, that hold a token with `_` or a non-ASCII digit."""
-    content = [(n, line.strip()) for n, line in enumerate(text.splitlines(), 1)
-               if n > 1 and line.strip()[:1] not in ("", "%")]
-    return [(n, line) for n, line in content[1:]
+    """The content lines that hold a token with `_` or a non-ASCII digit."""
+    return [(n, line) for n, line in content_lines(text)
             if any(ch == "_" or (ch.isdecimal() and not ch.isascii()) for ch in line)]
 
 
@@ -258,10 +263,11 @@ def python_only_lines(text: str) -> list[tuple[int, str]]:
 def differential(originals, tmp_path_factory):
     """The `.mtx` file's original text, and a check that read_instance and
     reference_read give the same outcome on a given text.  Where they do
-    not, the text has an entry token with `_` or a non-ASCII digit, the
-    first such line is refused as a malformed entry, and the reference
-    names no fault that outranks it: no earlier `.mtx` line, except with a
-    repeated coordinate, which ranks below every entry fault."""
+    not, the text has a size or entry token with `_` or a non-ASCII digit,
+    the first such line is refused (as a non-integer size line or a
+    malformed entry), and the reference names no fault that outranks it:
+    no earlier `.mtx` line, except with a repeated coordinate, which ranks
+    below every entry fault."""
     tmp_path = tmp_path_factory.mktemp("differential")
     shutil.copy(originals / FILES["meta"], tmp_path / FILES["meta"])
     path = tmp_path / FILES["mtx"]
@@ -271,10 +277,13 @@ def differential(originals, tmp_path_factory):
         public, reference = outcome(path), outcome(path, reference_read)
         if public == reference:
             return
-        odd = python_only_lines(path.read_text())
+        written = path.read_text()
+        odd = python_only_lines(written)
         assert odd, (text, public, reference)
         lineno, line = odd[0]
-        assert public == f"ValueError: {path}:{lineno}: malformed entry {line!r}", text
+        why = "non-integer size line" if lineno == content_lines(written)[0][0] \
+            else "malformed entry"
+        assert public == f"ValueError: {path}:{lineno}: {why} {line!r}", text
         earlier = re.match(rf"ValueError: {re.escape(str(path))}:(\d+): (?!duplicate)",
                            str(reference))
         assert not (earlier and int(earlier[1]) < lineno), (text, reference)

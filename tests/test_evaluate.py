@@ -144,7 +144,7 @@ class TestLandscapeProbe:
         grid = probe_landscape(inst, np.zeros(4), seed=3, resolution=3)
         path = tmp_path / "grid.csv"
         write_landscape(grid, path)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["s", "t", "phi"]
         assert len(rows) == 1 + 9
         assert [float(rows[1][0]), float(rows[1][1])] == [-3.0, -3.0]
@@ -215,7 +215,7 @@ class TestIsingSweep:
         sweep = ising_sweep(self.pair_instance(), (-1.0, 4.0), 11)
         path = tmp_path / "sweep.csv"
         write_sweep(sweep, path)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["b", "changed"]
         assert len(rows) == 12
         assert [int(r[1]) for r in rows[1:]] == [
@@ -397,7 +397,7 @@ class TestBenchmark:
             assert row["k"] == 4
             assert row["acc_mean"] == 1.0  # both solvers crack k=4 optima
             assert row["acc_std"] == 0.0
-        parsed = list(csv.reader(path.open()))
+        parsed = list(csv.reader(path.read_text().splitlines()))
         assert parsed[0] == list(BENCH_COLUMNS)
         assert len(parsed) == 3
         assert parsed[1][0] == "exhaustive" and parsed[1][1] == "4"
@@ -439,7 +439,7 @@ class TestWriteEvalRecords:
         records = [EvalRecord("tabu", 0.9, 0.01, 1.5, "inst", "data")]
         path = tmp_path / "records.csv"
         write_eval_records(records, path)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["method", "accuracy", "rel_qubo", "elapsed_ms",
                            "instance", "dataset"]
         assert rows[1] == ["tabu", "0.9", "0.01", "1.5", "inst", "data"]

@@ -98,7 +98,8 @@ class TestBulkRead:
 
     def test_writer_output_never_needs_the_located_loop(self, tmp_path,
                                                         monkeypatch):
-        # Each accepted file is parsed by exactly one np.loadtxt call.
+        # Each accepted file is parsed by exactly two np.loadtxt calls: one
+        # for the size line and one for all the entries.
         calls = []
         loadtxt = np.loadtxt
         monkeypatch.setattr(np, "loadtxt",
@@ -109,13 +110,13 @@ class TestBulkRead:
             calls.clear()
             assert read_instance(tmp_path / f"{name}.mtx").vals.tobytes() == \
                 inst.vals.tobytes()
-            assert len(calls) == 1, name
+            assert len(calls) == 2, name
         path = tmp_path / "commented.mtx"
         path.write_text(f"{MM_HEADER}\n% a comment\n\n2 2 2\n  %another\n1 2 3.5\n"
                         f"\n \t\n2 1 -0.25\n%\n")
         calls.clear()
         assert read_instance(path).vals.tolist() == [3.5, -0.25]
-        assert len(calls) == 1
+        assert len(calls) == 2
 
 
 class TestInstanceReadFailures:
@@ -211,6 +212,19 @@ class TestVectors:
         write_vector(path, b)
         assert np.array_equal(read_vector(path), b)
 
+    def test_valid_file_is_one_parse(self, tmp_path, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt",
+                            lambda *a, **kw: calls.append(1) or loadtxt(*a, **kw))
+        b = np.random.default_rng(4).normal(size=400)
+        path = tmp_path / "b.txt"
+        write_vector(path, b)
+        got = read_vector(path, 400)
+        assert got.tobytes() == b.tobytes()
+        assert got.flags.c_contiguous and got.flags.owndata
+        assert len(calls) == 1
+
     def test_blank_lines_are_ignored(self, tmp_path):
         path = tmp_path / "b.txt"
         path.write_text("1.5\n\n-2.0\n")
@@ -250,7 +264,8 @@ class TestCsv:
         write_csv(path, ("name", "n", "x"),
                   [["a", 3, third], ["b", np.int64(-2), float("nan")],
                    ["c", 0, 0.1]])
-        rows = list(csv.reader(path.open(newline="")))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows == [["name", "n", "x"], ["a", "3", repr(float(third))],
                         ["b", "-2", "nan"], ["c", "0", "0.1"]]
         assert float(rows[1][2]) == third

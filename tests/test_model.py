@@ -11,11 +11,12 @@ import scipy.sparse as sp
 
 from qubolab import (BpgnnConfig, BpgnnModel, DataGenParams, Dataset,
                      HISTORY_COLUMNS, QuboInstance, Tape, TrainConfig,
-                     backward, build_laplacian, gen_lattice_laplacian,
-                     gen_random_dense, generate_dataset, load_checkpoint,
-                     save_checkpoint, train, write_history)
+                     backward, build_laplacian, gen_ising, gen_lattice_laplacian,
+                     gen_random_dense, generate_dataset, lattice_adjacency,
+                     load_checkpoint, save_checkpoint, train, write_history)
 from qubolab.autodiff import _sigmoid, bce_with_logits, transposed
 from qubolab.model import _SIGMA_RAW_INIT, _node_major, _validate
+from qubolab.qubo import _product_form
 
 
 def chain3() -> QuboInstance:
@@ -36,6 +37,13 @@ class TestBpgnnConfig:
         (dict(dropout=1.0), "dropout must lie"),
         (dict(eps_step=float("nan")), "eps_step must be positive"),
         (dict(eps_step=float("inf")), "eps_step must be positive"),
+        (dict(d=True), "d must be a number, got True"),
+        (dict(layers=True), "layers must be a number, got True"),
+        (dict(eps_step=True), "eps_step must be a number, got True"),
+        (dict(dropout=False), "dropout must be a number, got False"),
+        (dict(seed=True), "seed must be a number, got True"),
+        (dict(use_qubo_features="false"), "use_qubo_features must be true or false"),
+        (dict(use_qubo_features=0), "use_qubo_features must be true or false"),
     ])
     def test_validation(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):
@@ -57,6 +65,28 @@ class TestBuildLaplacian:
     def test_isolated_nodes_keep_unit_diagonal(self):
         inst = QuboInstance(3, [0, 1], [0, 1], [2.0, -1.0])  # diagonal only
         assert build_laplacian(inst).toarray() == pytest.approx(np.eye(3))
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_random_dense(10, seed=3),
+        lambda: gen_lattice_laplacian(3),
+        lambda: gen_lattice_laplacian(5),
+        lambda: gen_lattice_laplacian(8),
+        lambda: gen_ising(lattice_adjacency(4), 0.5)[0],
+        lambda: QuboInstance(4, [0, 1, 3], [1, 0, 3], [1.0, 2.0, 3.0]),
+        lambda: QuboInstance(3, [0, 1, 1], [1, 2, 1], [0.0, 1.0, 1.0]),
+    ], ids=["random-dense-10", "lattice-3", "lattice-5", "lattice-8", "ising-4x4",
+            "isolated-node", "explicit-zero"])
+    def test_is_its_own_transpose(self, make):
+        # The model passes L as diffuse's transpose, so L must be exactly
+        # symmetric in both of the forms it holds.
+        lap = build_laplacian(make())
+        lap_t = transposed(lap)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(lap, name), getattr(lap_t, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        dense = _product_form(lap)
+        dense = dense if isinstance(dense, np.ndarray) else dense.toarray()
+        assert dense.tobytes() == np.ascontiguousarray(dense.T).tobytes()
 
     def test_eigenvalues_lie_in_zero_two(self):
         lap = build_laplacian(gen_random_dense(10, seed=3)).toarray()
@@ -95,7 +125,6 @@ class TestOperatorForm:
             if keep_csr:
                 model.a, model.laplacian = inst.a_csr, build_laplacian(inst)
                 model.a_t = transposed(model.a)
-                model.laplacian_t = transposed(model.laplacian)
             assert isinstance(model.a, np.ndarray) is not keep_csr
             with Tape():
                 logits = model._logits(b, True, None)

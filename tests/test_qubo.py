@@ -136,16 +136,28 @@ class TestQuboInstance:
         inst = QuboInstance(k=3, rows=[1, 0], cols=[1, 2], vals=[4.0, 1.0])
         assert inst.a_diag.tolist() == [0.0, 4.0, 0.0]
 
-    def test_graph_view_merges_both_triangles(self):
+    def test_edges_merge_both_triangles(self):
         inst = QuboInstance(k=3, rows=[0, 1, 2], cols=[1, 0, 2], vals=[1.0, 1.0, 3.0])
-        gv = inst.graph_view
-        assert gv.edges.tolist() == [[0, 1]]
-        assert gv.degrees.tolist() == [1, 1, 0]
-        assert gv.num_edges == 1
+        assert inst.edges.tolist() == [[0, 1]]
 
-    def test_graph_view_ignores_explicit_zeros(self):
+    def test_edges_ignore_explicit_zeros(self):
         inst = QuboInstance(k=2, rows=[0], cols=[1], vals=[0.0])
-        assert inst.graph_view.num_edges == 0
+        assert inst.edges.shape == (0, 2) and inst.edges.dtype == np.int64
+
+    def test_diagonal_entries_are_not_edges(self):
+        inst = QuboInstance(k=3, rows=[0, 1, 2, 2], cols=[0, 1, 2, 0],
+                            vals=[1.0, -2.0, 3.0, 4.0])
+        assert inst.edges.tolist() == [[0, 2]]
+
+    def test_edges_are_sorted_unique_and_read_only(self):
+        # entries in descending order, each pair given from both sides
+        rows, cols = [5, 4, 3, 3, 1, 2, 0, 4], [4, 5, 1, 0, 3, 0, 2, 3]
+        inst = QuboInstance(k=6, rows=rows, cols=cols, vals=np.arange(1.0, 9.0))
+        assert inst.edges.tolist() == [[0, 2], [0, 3], [1, 3], [3, 4], [4, 5]]
+        assert inst.edges.dtype == np.int64
+        assert inst.edges is inst.edges
+        with pytest.raises(ValueError, match="read-only"):
+            inst.edges[0, 0] = 1
 
 
 class TestObjective:
