@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import qubolab
 from qubolab import (BpgnnConfig, BpgnnModel, DataGenParams, Dataset,
                      HISTORY_COLUMNS, QuboInstance, Tape, TrainConfig,
                      backward, build_laplacian, gen_ising, gen_lattice_laplacian,
@@ -448,12 +453,25 @@ class TestFlatParameters:
         assert loaded.flat.tobytes() == model.flat.tobytes()
 
 
-# sha256 of the checkpoint and history.csv of a tiny lattice training,
-# keyed by (side, use_qubo_features).  Side 3 (k=9, 33 entries) trains on
-# dense graph operators and side 5 (k=25, 105 entries) on CSR ones, so both
-# product forms are pinned.  The side-3 digests were re-pinned when the
-# model came to hold dense operators on dense instances; the side-5 ones
-# were computed before that change and did not move.
+def tiny_training_digests(inst: QuboInstance, flag: bool, out_dir) -> tuple[str, str]:
+    """sha256 of the checkpoint and history.csv of a two-epoch d=4 training
+    on 40 generated pairs, written to out_dir."""
+    out_dir = pathlib.Path(out_dir)
+    dataset = generate_dataset(inst, 40, DataGenParams(sigma=2.0, seed=5))
+    model = BpgnnModel(BpgnnConfig(d=4, use_qubo_features=flag, seed=1), inst)
+    model, _ = train(model, dataset, TrainConfig(epochs=2, batch_size=8, seed=2),
+                     history_path=out_dir / "history.csv")
+    save_checkpoint(model, out_dir / "model.json")
+    return tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                 for name in ("model.json", "history.csv"))
+
+
+# Digests of tiny_training_digests on a lattice, keyed by (side,
+# use_qubo_features).  Side 3 (k=9, 33 entries) trains on dense graph
+# operators and side 5 (k=25, 105 entries) on CSR ones, so both product
+# forms are pinned.  The side-3 digests were re-pinned when the model came
+# to hold dense operators on dense instances; the side-5 ones were computed
+# before that change and did not move.
 PINNED_DIGESTS = {
     (3, True): ("cd7018aa94a0b4af8fea5d77ccb8f2720dfb2e9c75bc42fc5974ae00bab390ee",
                 "ce4d38dbd297decbd7e39d362ce1807531ced38df72a099be1bc529140c637dd"),
@@ -474,14 +492,81 @@ PINNED_DIGESTS = {
 ])
 def test_tiny_lattice_training_keeps_its_pinned_digests(side, flag, tmp_path):
     inst = gen_lattice_laplacian(side)
-    dataset = generate_dataset(inst, 40, DataGenParams(sigma=2.0, seed=5))
-    model = BpgnnModel(BpgnnConfig(d=4, use_qubo_features=flag, seed=1), inst)
-    model, _ = train(model, dataset, TrainConfig(epochs=2, batch_size=8, seed=2),
-                     history_path=tmp_path / "history.csv")
-    save_checkpoint(model, tmp_path / "model.json")
-    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                    for name in ("model.json", "history.csv"))
-    assert digests == PINNED_DIGESTS[side, flag]
+    assert tiny_training_digests(inst, flag, tmp_path) == PINNED_DIGESTS[side, flag]
+
+
+def one_directional_sparse() -> QuboInstance:
+    """k=30 with a coupling on about one pair in eight, stored only as
+    A_ij with i < j, plus the diagonal: A is not symmetric, and 4 nnz < k^2,
+    so the model holds A and its Laplacian as CSR."""
+    k = 30
+    rng = np.random.default_rng(11)
+    i, j = np.triu_indices(k, 1)
+    pick = rng.random(i.size) < 0.125
+    diag = np.arange(k)
+    return QuboInstance(k, np.concatenate([i[pick], diag]), np.concatenate([j[pick], diag]),
+                        rng.standard_normal(pick.sum() + k))
+
+
+# A lattice's A equals its transpose exactly, so the lattice pins cannot
+# tell A from A^T in the residual feature's VJP; these instances can.
+# Keyed by (instance, use_qubo_features), digests as above.
+NONSYMMETRIC = {
+    "random-dense-10": (lambda: gen_random_dense(10, seed=3), True),
+    "one-directional-30": (one_directional_sparse, False),
+}
+NONSYMMETRIC_DIGESTS = {
+    ("random-dense-10", True): (
+        "c360038f60d358c2bf7222f0931755f470ab0f371d2135fd0b1d9e149dfe964c",
+        "cf1fa8c8b8aedbab5f9959ed891f76ab102d02bb99bc32dcf931354612e41d7e"),
+    ("random-dense-10", False): (
+        "3a7d28ec2a8fbeedb23b0126b78bfd938ab5dcb01132433dbc8e599fc6e334e4",
+        "c939768546e6d8f6e8e3141313bc390bfdd9a1af19ed5129f7681d5741b894cb"),
+    ("one-directional-30", True): (
+        "02eb4acb6ee298d1809fb97e88f28f4fd25a33d721d33be5d0e1f4a9e78578ac",
+        "d6f8640a1812f52e4764ad504c9cfa2b04744fac0c37bbf467749f50044f04e1"),
+    ("one-directional-30", False): (
+        "e7801e95c954523d6f80ffc6f4521cc0645c2e036f0576cf27caa6cb69b9b25f",
+        "5cbbf9b2b9337f9d635c2054688ca6fb00f7c95968f8bec5075b5375c7c8b792"),
+}
+
+
+@pytest.mark.parametrize("name,flag", [
+    pytest.param("random-dense-10", True, id="dense-features"),
+    pytest.param("random-dense-10", False, id="dense-no-features"),
+    pytest.param("one-directional-30", True, id="csr-features"),
+    pytest.param("one-directional-30", False, id="csr-no-features"),
+])
+def test_tiny_nonsymmetric_training_keeps_its_pinned_digests(name, flag, tmp_path):
+    make, dense = NONSYMMETRIC[name]
+    inst = make()
+    a = inst.a_csr.toarray()
+    assert not np.array_equal(a, a.T)
+    model = BpgnnModel(BpgnnConfig(d=4), inst)
+    assert isinstance(model.a, np.ndarray) is dense
+    assert isinstance(model.laplacian, np.ndarray) is dense
+    assert tiny_training_digests(inst, flag, tmp_path) == NONSYMMETRIC_DIGESTS[name, flag]
+
+
+def test_training_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The dense VJPs are GEMMs on transposed views, where a BLAS could block
+    # its sums differently per thread count.
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from test_model import NONSYMMETRIC, tiny_training_digests\n"
+        "inst = NONSYMMETRIC['random-dense-10'][0]()\n"
+        "print(*tiny_training_digests(inst, True, sys.argv[2]))\n")
+    tests = pathlib.Path(__file__).resolve().parent
+    src = str(pathlib.Path(qubolab.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        out_dir = tmp_path / threads
+        out_dir.mkdir()
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", script, str(tests), str(out_dir)],
+                             env=env, capture_output=True, text=True, check=True)
+        assert tuple(run.stdout.split()) == NONSYMMETRIC_DIGESTS["random-dense-10", True]
 
 
 class TestCheckpoints:
