@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class Tensor:
@@ -144,21 +143,6 @@ def _per_item(m, x: np.ndarray) -> np.ndarray:
     return (m @ x.reshape(m.shape[1], -1)).reshape(x.shape)
 
 
-def transposed(m):
-    """m.T for a constant graph operator: a CSR with sorted indices when m
-    is scipy sparse, the view m.T when m is dense.
-
-    A VJP applies m.T, which for a CSR m is a CSC built anew on each call.
-    A model builds this form once instead.  Both products add into each
-    output row over j in ascending order, so they give the same bits.
-    """
-    if not sp.issparse(m):
-        return m.T
-    t = m.T.tocsr()
-    t.sort_indices()
-    return t
-
-
 def _check_graph(name: str, m, x: Tensor):
     _check_2d(name, x)
     k, c = m.shape
@@ -193,41 +177,40 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a.data + b.data, (a, b), vjp)
 
 
-def residual(h: Tensor, m, b: Tensor, m_t=None) -> Tensor:
+def residual(h: Tensor, m, b: Tensor) -> Tensor:
     """Residual feature h * (m h + b) of every item of h (rows as in
     _per_item), with the column b (k*n, 1) added to every channel; b is a
-    constant and gets no gradient.  m_t, if given, is transposed(m)."""
+    constant and gets no gradient.  The VJP applies m.T: a view of a dense
+    m, and a CSC sharing a CSR m's arrays."""
     _check_graph("residual", m, h)
     _check_shape("residual", b, (h.data.shape[0], 1))
     hd = h.data
     s = _per_item(m, hd)
     s += b.data
-    m_t = m.T if m_t is None else m_t
 
     def vjp(g):
         # h enters twice: through the product and through m h.
-        return g * s, _per_item(m_t, g * hd)
+        return g * s, _per_item(m.T, g * hd)
 
     return _emit(hd * s, (h, h), vjp)
 
 
-def diffuse(h: Tensor, m, u: Tensor, rate: Tensor, eps: float, m_t=None) -> Tensor:
+def diffuse(h: Tensor, m, u: Tensor, rate: Tensor, eps: float) -> Tensor:
     """Explicit-Euler diffusion half-step h - eps * rate * (m u), with the
-    (1, d) rate row scaling each channel and m applied per item.  m_t, if
-    given, is transposed(m)."""
+    (1, d) rate row scaling each channel and m applied per item; the VJP
+    applies m.T, as residual's does."""
     _check_graph("diffuse", m, u)
     _check_shape("diffuse", h, u.data.shape)
     _check_shape("diffuse rate", rate, (1, u.data.shape[1]))
     c = -float(eps)
     mu = _per_item(m, u.data)
     rd = rate.data
-    m_t = m.T if m_t is None else m_t
 
     def vjp(g):
         gc = c * g
         g_rate = (gc * mu).sum(axis=0, keepdims=True)
         gc *= rd
-        return g, _per_item(m_t, gc), g_rate
+        return g, _per_item(m.T, gc), g_rate
 
     out = mu * rd
     out *= c

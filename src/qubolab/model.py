@@ -95,8 +95,7 @@ class BpgnnModel:
     The operators a (A) and laplacian are held as dense arrays when they
     store at least a quarter of their k^2 entries, so a product is one
     GEMM, and as CSR otherwise: qubo._product_form, the rule sab_solve
-    uses.  a_t is A's transpose for the VJPs, built once; the symmetric
-    laplacian serves as its own.
+    uses.  Each VJP applies the operator's own .T.
 
     Parameters live in a name -> Tensor dict, and each tensor's data is a
     reshaped view into one float64 vector, self.flat, in the dict's order:
@@ -112,8 +111,6 @@ class BpgnnModel:
         self.instance = instance
         self.a = _product_form(instance.a_csr)
         self.laplacian = _product_form(build_laplacian(instance))
-        # A's transpose for the VJPs, built once rather than per call.
-        self.a_t = ad.transposed(self.a)
         self.params = self._init_params()
         self.flat = np.concatenate([t.data.ravel() for t in self.params.values()])
         ends = np.cumsum([t.data.size for t in self.params.values()])
@@ -173,13 +170,12 @@ class BpgnnModel:
         h = drop(self._mlp(b_t, "enc"))
         for layer in range(cfg.layers):
             if cfg.use_qubo_features:
-                r = ad.residual(h, self.a, b_t, self.a_t)
+                r = ad.residual(h, self.a, b_t)
                 u = ad.add(h, self._mlp(r, f"layer{layer}.g"))
             else:
                 u = h
             sig = ad.softplus(p[f"layer{layer}.sigma_raw"])
-            h_half = ad.diffuse(h, self.laplacian, u, sig, cfg.eps_step,
-                                self.laplacian)
+            h_half = ad.diffuse(h, self.laplacian, u, sig, cfg.eps_step)
             reaction = self._mlp(h_half, f"layer{layer}.f")
             h = drop(ad.react(h_half, reaction, cfg.eps_step))
         return ad.linear(h, p["dec.w"], p["dec.b"])

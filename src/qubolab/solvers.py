@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,12 +180,11 @@ class TabuParams:
     The tabu list remembers the last tabu_tenure full assignments; a move
     producing a remembered assignment is forbidden.  patience stops the
     search after that many consecutive non-improving steps (None disables).
-    max_steps=0 scores the start and returns it.
+    max_steps=0 scores the start (an argument of tabu_solve) and returns it.
     """
 
     max_steps: int = 1000
     tabu_tenure: int = 10
-    start: np.ndarray | None = None  # None means all zeros
     patience: int | None = 50
 
     def __post_init__(self):
@@ -229,8 +228,10 @@ def _first_allowed(deltas: np.ndarray, x: np.ndarray, tabu: dict) -> int:
     return -1
 
 
-def tabu_solve(instance: QuboInstance, b, params: TabuParams | None = None) -> SolverResult:
-    """Single-bit-flip Tabu search.
+def tabu_solve(instance: QuboInstance, b, params: TabuParams | None = None,
+               start=None) -> SolverResult:
+    """Single-bit-flip Tabu search from the binary assignment start (all
+    zeros when None).
 
     Each step scores all k flips of the current point, skips flips whose
     resulting assignment sits in the tabu memory, and moves to the best
@@ -242,10 +243,7 @@ def tabu_solve(instance: QuboInstance, b, params: TabuParams | None = None) -> S
     params = params or TabuParams()
     b = as_observed_vector(b, instance.k)
     k = instance.k
-    if params.start is None:
-        x = np.zeros(k, dtype=np.int8)
-    else:
-        x = as_binary_assignment(params.start, k)
+    x = np.zeros(k, dtype=np.int8) if start is None else as_binary_assignment(start, k)
     t0 = time.perf_counter()
 
     s = instance.a_sym_csr
@@ -311,11 +309,11 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
     """tabu_solve for every row of b_mat (n, k), run in lockstep.
 
     Row r starts from starts[r] (an (n, k) binary matrix; None starts every
-    row from params.start, all zeros when that is None too) and returns
-    exactly what tabu_solve returns for that field and start: the same
-    x_best, f_best, iterations, evaluations, termination and trace.  Each
-    result is charged the stack's time divided by n.  The stack pays only
-    once there are many rows, so one row is handed to tabu_solve itself.
+    row from all zeros) and returns exactly what tabu_solve(instance,
+    b_mat[r], params, starts[r]) returns: the same x_best, f_best,
+    iterations, evaluations, termination and trace.  Each result is charged
+    the stack's time divided by n.  The stack pays only once there are many
+    rows, so one row is handed to tabu_solve itself.
 
     Each step scores the (m, k) flips of the m rows still running with one
     _flip_deltas call.  The tabu test is exact and needs no hashing: every
@@ -335,11 +333,7 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
     k = instance.k
     b_mat = as_field_matrix(b_mat, k)
     n = len(b_mat)
-    if starts is None:
-        starts = np.tile(np.zeros(k) if params.start is None else params.start, (n, 1))
-    elif params.start is not None:
-        raise ValueError("give the start points as starts or as params.start, not both")
-    x = np.asarray(starts)
+    x = np.zeros((n, k)) if starts is None else np.asarray(starts)
     if x.shape != (n, k):
         raise ValueError(f"start matrix has shape {x.shape}, expected ({n}, {k})")
     if np.any((x != 0) & (x != 1)):
@@ -348,7 +342,7 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
     if n == 0:
         return []
     if n == 1:
-        return [tabu_solve(instance, b_mat[0], replace(params, start=x[0]))]
+        return [tabu_solve(instance, b_mat[0], params, x[0])]
     t0 = time.perf_counter()
 
     s = instance.a_sym_csr
@@ -455,8 +449,8 @@ def refine_with_tabu(instance: QuboInstance, b, start, max_steps: int = 10) -> S
     predictions.  A zero budget returns the start.  The default patience
     of 50 applies too, so a run of more than 50 steps can stop early.
     """
-    params = TabuParams(max_steps=max_steps, tabu_tenure=max_steps, start=start)
-    return tabu_solve(instance, b, params)
+    params = TabuParams(max_steps=max_steps, tabu_tenure=max_steps)
+    return tabu_solve(instance, b, params, start)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,10 @@ import pytest
 import scipy.sparse as sp
 
 from qubolab import (AdamState, BpgnnConfig, BpgnnModel, DataGenParams, Tape,
-                     Tensor, TrainConfig, adam_step, backward,
-                     gen_lattice_laplacian, gen_random_dense, generate_dataset,
-                     train)
+                     Tensor, TrainConfig, adam_step, backward, gen_random_dense,
+                     generate_dataset, train)
 from qubolab.autodiff import (add, bce_with_logits, diffuse, dropout, linear,
-                              react, relu, residual, softplus, transposed,
+                              react, relu, residual, softplus,
                               zero_grad, _sigmoid)
 
 
@@ -536,33 +535,6 @@ class TestTapeLifecycle:
         x.grad = np.ones((1, 1))
         zero_grad([x])
         assert x.grad is None
-
-
-class TestTransposedOperators:
-    """A model builds each VJP's m.T once, as transposed(m); its products
-    must be m.T's bit for bit, or checkpoints and histories would move."""
-
-    @staticmethod
-    def operators():
-        # random-dense k=12 gives the model dense operators, the 5x5
-        # lattice CSR ones
-        for inst in (gen_random_dense(12, 3), gen_lattice_laplacian(5)):
-            model = BpgnnModel(BpgnnConfig(d=3), inst)
-            yield model.a, model.a_t
-            # L is symmetric, so the model uses it as its own transpose
-            yield model.laplacian, model.laplacian
-        for m in graph_operators(46, 16):
-            yield m, transposed(m)
-
-    @pytest.mark.parametrize("n", [1, 5])
-    def test_products_equal_those_of_m_transpose(self, n):
-        rng = np.random.default_rng(47)
-        for m, m_t in self.operators():
-            k = m.shape[0]
-            # magnitudes over 16 decades, so any other summation order
-            # rounds differently
-            x = rng.standard_normal((k * n, 3)) * 10.0 ** rng.uniform(-8, 8, (k * n, 3))
-            assert per_item(m_t, x).tobytes() == per_item(m.T, x).tobytes()
 
 
 def per_tensor_adam_step(params, grads, state):

@@ -19,7 +19,7 @@ from qubolab import (BpgnnConfig, BpgnnModel, DataGenParams, Dataset,
                      backward, build_laplacian, gen_ising, gen_lattice_laplacian,
                      gen_random_dense, generate_dataset, lattice_adjacency,
                      load_checkpoint, save_checkpoint, train, write_history)
-from qubolab.autodiff import _sigmoid, bce_with_logits, transposed
+from qubolab.autodiff import _sigmoid, bce_with_logits
 from qubolab.model import _SIGMA_RAW_INIT, _node_major, _validate
 from qubolab.qubo import _product_form
 
@@ -82,10 +82,11 @@ class TestBuildLaplacian:
     ], ids=["random-dense-10", "lattice-3", "lattice-5", "lattice-8", "ising-4x4",
             "isolated-node", "explicit-zero"])
     def test_is_its_own_transpose(self, make):
-        # The model passes L as diffuse's transpose, so L must be exactly
-        # symmetric in both of the forms it holds.
+        # Both triangles hold the same product, so L is exactly symmetric
+        # in both of the forms the model holds.
         lap = build_laplacian(make())
-        lap_t = transposed(lap)
+        lap_t = lap.T.tocsr()
+        lap_t.sort_indices()
         for name in ("indptr", "indices", "data"):
             got, want = getattr(lap, name), getattr(lap_t, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
@@ -129,7 +130,6 @@ class TestOperatorForm:
             model = BpgnnModel(BpgnnConfig(d=8, layers=3, seed=2), inst)
             if keep_csr:
                 model.a, model.laplacian = inst.a_csr, build_laplacian(inst)
-                model.a_t = transposed(model.a)
             assert isinstance(model.a, np.ndarray) is not keep_csr
             with Tape():
                 logits = model._logits(b, True, None)

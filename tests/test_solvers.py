@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,8 +187,8 @@ class TestTabu:
         assert got.f_best == 0.0
 
     def test_respects_start_point(self, k2_instance):
-        params = TabuParams(max_steps=5, start=np.array([1, 1], dtype=np.int8))
-        got = tabu_solve(k2_instance, [-10.0, -10.0], params)
+        got = tabu_solve(k2_instance, [-10.0, -10.0], TabuParams(max_steps=5),
+                         np.array([1, 1], dtype=np.int8))
         assert got.x_best.tolist() == [1, 1]
 
     def test_trace_tracks_best_seen_monotonically(self):
@@ -232,13 +231,13 @@ class TestTabu:
         assert got.iterations == 6
 
 
-def argsort_scan_tabu(instance, b, params):
+def argsort_scan_tabu(instance, b, params, start=None):
     """Reference tabu_solve that picks each move by scanning the stable
     argsort of the deltas for the first flip outside the memory.  Returns
     the fields of a SolverResult but elapsed_ms, as one comparable tuple."""
     k = instance.k
     b = np.asarray(b, dtype=np.float64)
-    x = (np.zeros(k) if params.start is None else np.asarray(params.start)).astype(np.int8)
+    x = (np.zeros(k) if start is None else np.asarray(start)).astype(np.int8)
     s = instance.a_sym_csr
     d = instance.a_diag
     xf = x.astype(np.float64)
@@ -283,12 +282,12 @@ def argsort_scan_tabu(instance, b, params):
             termination, trace)
 
 
-def assert_tabu_solve_is_the_argsort_scan(instance, b, params):
-    got = tabu_solve(instance, b, params)
+def assert_tabu_solve_is_the_argsort_scan(instance, b, params, start=None):
+    got = tabu_solve(instance, b, params, start)
     # repr compares floats bit for bit and treats NaN as equal to itself
     assert repr((got.solver, got.x_best.tobytes(), got.f_best, got.iterations,
                  got.evaluations, got.termination, got.trace)) == repr(
-        argsort_scan_tabu(instance, b, params))
+        argsort_scan_tabu(instance, b, params, start))
     return got
 
 
@@ -297,7 +296,7 @@ def assert_rows_are_tabu_solves(instance, b, starts, params):
     got = tabu_rows(instance, b, starts, params)
     assert len(got) == len(b)
     for r, result in enumerate(got):
-        want = tabu_solve(instance, b[r], replace(params, start=starts[r]))
+        want = tabu_solve(instance, b[r], params, starts[r])
         assert np.array_equal(result.x_best, want.x_best)
         assert result.x_best.dtype == want.x_best.dtype
         # repr compares floats bit for bit and treats NaN as equal to itself
@@ -349,7 +348,7 @@ class TestTabuPick:
         # cube and patience, from random starts
         instance, b, starts, params = case
         for row, start in zip(b, starts):
-            assert_tabu_solve_is_the_argsort_scan(instance, row, replace(params, start=start))
+            assert_tabu_solve_is_the_argsort_scan(instance, row, params, start)
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(tenure=st.sampled_from([0, 1, 2, 6, 64]), seed=st.integers(0, 2 ** 32 - 1))
@@ -367,8 +366,8 @@ class TestTabuPick:
             warnings.simplefilter("ignore", RuntimeWarning)
             assert not np.all(np.isfinite(instance.all_flip_deltas(b, start)))
             assert_tabu_solve_is_the_argsort_scan(
-                instance, b, TabuParams(max_steps=15, tabu_tenure=tenure, patience=None,
-                                        start=start))
+                instance, b, TabuParams(max_steps=15, tabu_tenure=tenure, patience=None),
+                start)
 
 
 class TestTabuRows:
@@ -421,7 +420,7 @@ class TestTabuRows:
         params = TabuParams(max_steps=30, tabu_tenure=5)
         got = tabu_rows(inst, b_mat, np.asfortranarray(starts), params)
         for r, result in enumerate(got):
-            want = tabu_solve(inst, b[r], replace(params, start=starts[r]))
+            want = tabu_solve(inst, b[r], params, starts[r])
             assert result.x_best.tolist() == want.x_best.tolist()
             assert (result.f_best.hex() == want.f_best.hex()
                     == inst.evaluate(b[r], result.x_best).hex())
@@ -431,9 +430,10 @@ class TestTabuRows:
         inst = gen_random_dense(8, 31)
         b = np.random.default_rng(32).normal(size=(5, 8))
         start = np.random.default_rng(33).integers(0, 2, size=8)
-        for params in (TabuParams(max_steps=20), TabuParams(max_steps=20, start=start)):
-            want = [tabu_solve(inst, row, params) for row in b]
-            got = tabu_rows(inst, b, None, params)
+        params = TabuParams(max_steps=20)
+        for starts, one in ((None, None), (np.tile(start, (5, 1)), start)):
+            want = [tabu_solve(inst, row, params, one) for row in b]
+            got = tabu_rows(inst, b, starts, params)
             assert [r.x_best.tolist() for r in got] == [r.x_best.tolist() for r in want]
             assert [r.trace for r in got] == [r.trace for r in want]
 
@@ -448,7 +448,6 @@ class TestTabuRows:
         (np.array([[0.0, np.nan, 0.0, 0.0]]), None, None, "NaN or Inf"),
         (np.zeros((2, 4)), np.zeros((3, 4)), None, "start matrix has shape"),
         (np.zeros((1, 4)), np.full((1, 4), 2), None, "exactly 0 or 1"),
-        (np.zeros((1, 4)), np.zeros((1, 4)), TabuParams(start=np.zeros(4)), "not both"),
     ])
     def test_rejects_bad_input(self, b, starts, params, msg):
         with pytest.raises(ValueError, match=msg):
@@ -499,8 +498,8 @@ class TestRefineWithTabu:
             b = rng.normal(size=8)
             start = rng.integers(0, 2, size=8).astype(np.int8)
             got = refine_with_tabu(inst, b, start, max_steps=budget)
-            want = tabu_solve(inst, b, TabuParams(max_steps=budget,
-                                                  tabu_tenure=budget, start=start))
+            want = tabu_solve(inst, b, TabuParams(max_steps=budget, tabu_tenure=budget),
+                              start)
             assert np.array_equal(got.x_best, want.x_best)
             assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
             if budget == 0:
