@@ -172,7 +172,7 @@ def _cmd_eval(args, out: str) -> None:
     dataset = datagen.read_dataset(args.data, instance=inst, split=args.split)
     methods = args.methods.split(",")
     net = None
-    if any(m in ("bpgnn", "bpgnn+ts") for m in methods):
+    if any(m in evaluate.NEURAL_METHODS for m in methods):
         if args.model is None:
             raise ValueError("neural methods require --model")
         net = model_mod.load_checkpoint(args.model, inst)

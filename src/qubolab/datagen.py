@@ -24,7 +24,7 @@ import numpy as np
 
 from .io import _decode_json, _read_text
 from .qubo import QuboInstance, _RowError
-from .solvers import TabuParams, tabu_rows
+from .solvers import refine_with_tabu
 
 
 @dataclass
@@ -206,8 +206,8 @@ def _generate_pairs(instance: QuboInstance, params: DataGenParams,
 
     Each pair draws x_o and z from its own RNG stream; then every b_o comes
     from one stacked barrier_observed_vector call and every rounded label
-    is polished in one tabu_rows call, a row of each getting the bits of
-    the pair alone.
+    is polished in one refine_with_tabu call, a row of each getting the
+    bits of the pair alone.
     """
     x_o = np.empty((len(seeds), instance.k))
     z = np.empty((len(seeds), instance.k))
@@ -217,8 +217,7 @@ def _generate_pairs(instance: QuboInstance, params: DataGenParams,
         z[index] = rng.standard_normal(instance.k)
     b = barrier_observed_vector(instance, x_o, params.mu) + params.sigma ** 2 * z
     rounded = (x_o > 0.5).astype(np.int8)
-    steps = params.refine_steps
-    results = tabu_rows(instance, b, rounded, TabuParams(max_steps=steps, tabu_tenure=steps))
+    results = refine_with_tabu(instance, b, rounded, params.refine_steps)
     x = np.array([r.x_best for r in results])
     flips = np.count_nonzero(x != rounded, axis=1).tolist()
     sigma = float(params.sigma)
@@ -244,6 +243,8 @@ def generate_dataset(
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    if not all(map(math.isfinite, split)):
+        raise ValueError(f"split must be finite, got {split}")
     if abs(split[0] + split[1] - 1.0) > 1e-9:
         raise ValueError(f"split fractions must sum to 1, got {split}")
     if not 0 <= split[0] <= 1:

@@ -16,8 +16,9 @@ from .io import write_csv
 from .model import BpgnnModel
 from .qubo import (QuboInstance, as_binary_assignment, as_observed_vector,
                    rel_gaps)
-from .solvers import (EXHAUSTIVE_CAP, SabParams, SolverResult, TabuParams,
-                      exhaustive_argmins, sab_solve, tabu_rows)
+from .solvers import (EXHAUSTIVE_CAP, SabParams, SolverResult,
+                      exhaustive_argmins, refine_with_tabu, sab_solve,
+                      tabu_rows)
 
 
 @dataclass
@@ -190,34 +191,25 @@ def write_sweep(sweep: IsingSweep, path: str | os.PathLike) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _hybrid_rows(model: BpgnnModel, instance: QuboInstance, b_mat: np.ndarray,
-                 max_steps: int = 10) -> list[SolverResult]:
-    """hybrid_infer for every row of b_mat (n, k): one batched prediction,
-    then one lockstep tabu_rows polish of every prediction, row for row
-    what refine_with_tabu gives.  Each result is charged the prediction
-    time plus the polish time, both divided by n."""
-    t0 = time.perf_counter()
-    x_pred = model.predict(b_mat)
-    predict_ms = (time.perf_counter() - t0) * 1000.0 / len(b_mat)
-    refined = tabu_rows(instance, b_mat, x_pred,
-                        TabuParams(max_steps=max_steps, tabu_tenure=max_steps))
-    return [replace(r, solver="bpgnn+ts", elapsed_ms=predict_ms + r.elapsed_ms)
-            for r in refined]
-
-
 def hybrid_infer(model: BpgnnModel, instance: QuboInstance, b,
                  max_steps: int = 10) -> SolverResult:
-    """Neural prediction polished by a short Tabu run.
+    """Neural prediction polished by a short Tabu run: the network predicts
+    on the (1, k) row of b and row 0 of refine_with_tabu polishes it.  The
+    result is named bpgnn+ts and charged one span around both.
 
     The returned trace starts at the pure-neural objective, so both the
     unrefined and refined values are available; f_best is never worse
     than the pure prediction because the search keeps its start point.
     """
-    return _hybrid_rows(model, instance,
-                        as_observed_vector(b, instance.k)[None, :], max_steps)[0]
+    b_mat = as_observed_vector(b, instance.k)[None, :]
+    t0 = time.perf_counter()
+    result = refine_with_tabu(instance, b_mat, model.predict(b_mat), max_steps)[0]
+    return replace(result, solver="bpgnn+ts",
+                   elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 BENCH_METHODS = ("exhaustive", "tabu", "sab", "bpgnn", "bpgnn+ts")
+NEURAL_METHODS = ("bpgnn", "bpgnn+ts")
 BENCH_COLUMNS = ("method", "k", "acc_mean", "acc_std", "relqubo_mean",
                  "relqubo_std", "time_ms_mean")
 
@@ -226,34 +218,33 @@ def evaluate_method(method: str, instance: QuboInstance, dataset: Dataset,
                     model: BpgnnModel | None = None,
                     split: str = "val") -> EvalRecord:
     """Mean accuracy/objective-gap/time of one method over a dataset split,
-    referenced against the stored labels.  "exhaustive", "bpgnn" and
-    "tabu" solve the whole split in one batched call and charge each
-    example that call's time divided by n ("tabu" is one lockstep
-    tabu_rows run, tabu_solve with TabuParams() on every row); "bpgnn+ts"
-    is hybrid_infer over the split (one batched prediction, one lockstep
-    polish); "sab" runs once per row."""
+    referenced against the stored labels.  "exhaustive" is one batched
+    enumeration, "tabu" one lockstep tabu_rows run (tabu_solve with
+    TabuParams() on every row), "bpgnn" one batched prediction and
+    "bpgnn+ts" that prediction polished by one refine_with_tabu call;
+    "sab" runs once per row.  Every method is timed by one span around its
+    whole run over the split, and each example is charged that span
+    divided by n."""
     if method not in BENCH_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {BENCH_METHODS}")
-    if method in ("bpgnn", "bpgnn+ts") and model is None:
+    if method in NEURAL_METHODS and model is None:
         raise ValueError(f"method {method!r} needs a trained model")
     if not len(dataset.indices(split)):
         raise ValueError(f"dataset has no {split!r} pairs")
     b = dataset.b_matrix(split)
     x_ref = dataset.x_matrix(split)
-    if method in ("exhaustive", "bpgnn"):
-        t0 = time.perf_counter()
-        x_pred = (exhaustive_argmins(instance, b) if method == "exhaustive"
-                  else model.predict(b))
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0 / len(b)
+    t0 = time.perf_counter()
+    if method == "exhaustive":
+        x_pred = exhaustive_argmins(instance, b)
+    elif method == "tabu":
+        x_pred = np.array([r.x_best for r in tabu_rows(instance, b)])
+    elif method == "sab":
+        x_pred = np.array([sab_solve(instance, row, SabParams()).x_best for row in b])
     else:
+        x_pred = model.predict(b)
         if method == "bpgnn+ts":
-            runs = _hybrid_rows(model, instance, b)
-        elif method == "tabu":
-            runs = tabu_rows(instance, b)
-        else:
-            runs = [sab_solve(instance, row, SabParams()) for row in b]
-        x_pred = np.array([r.x_best for r in runs])
-        elapsed_ms = float(np.mean([r.elapsed_ms for r in runs]))
+            x_pred = np.array([r.x_best for r in refine_with_tabu(instance, b, x_pred)])
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0 / len(b)
     gaps = rel_gaps(instance, b, x_ref, x_pred)
     return EvalRecord(
         method=method,
@@ -288,7 +279,7 @@ def benchmark(instances: list[QuboInstance], datasets: list[Dataset],
             raise ValueError(
                 f"unknown method {method!r}; expected one of {BENCH_METHODS}"
             )
-    needs_model = [m for m in methods if m in ("bpgnn", "bpgnn+ts")]
+    needs_model = [m for m in methods if m in NEURAL_METHODS]
     if needs_model and models is None:
         raise ValueError(f"method {needs_model[0]!r} needs trained models")
 

@@ -441,16 +441,19 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
     ]
 
 
-def refine_with_tabu(instance: QuboInstance, b, start, max_steps: int = 10) -> SolverResult:
-    """Short Tabu polish from a given assignment.
+def refine_with_tabu(instance: QuboInstance, b_mat, starts,
+                     max_steps: int = 10) -> list[SolverResult]:
+    """Short Tabu polish of a stack of guesses: row r of b_mat (n, k) is
+    searched from starts[r].
 
-    One tabu_solve call with both the step budget and the tabu tenure set
-    to max_steps; used to clean up generated labels and neural
-    predictions.  A zero budget returns the start.  The default patience
-    of 50 applies too, so a run of more than 50 steps can stop early.
+    One tabu_rows call with both the step budget and the tabu tenure set
+    to max_steps; the data factory polishes its rounded labels with it,
+    and bpgnn+ts the network's predictions.  A zero budget returns each
+    start.  The default patience of 50 applies too, so a run of more than
+    50 steps can stop early.
     """
     params = TabuParams(max_steps=max_steps, tabu_tenure=max_steps)
-    return tabu_solve(instance, b, params, start)
+    return tabu_rows(instance, b_mat, starts, params)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,7 @@ class TestGenInstance:
     (["sweep", "--instance", "INST", "--b-min", "nan", "--b-max", "1"], "b_range"),
     (["probe", "--instance", "INST", "--s-range", "nan,1"], "s_range"),
     (["probe", "--instance", "INST", "--t-range", "0,inf"], "t_range"),
+    (["gen-data", "--instance", "INST", "--n", "4", "--split", "0.5,nan"], "split"),
 ])
 def test_non_finite_knob_exits_2_naming_it(ws, tmp_path, capsys, args, name):
     out = tmp_path / "out.csv"

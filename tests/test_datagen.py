@@ -9,10 +9,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qubolab import (DataGenParams, DataPair, Dataset, barrier_observed_vector,
-                     exhaustive_solve, gen_lattice_laplacian, gen_random_dense,
-                     generate_dataset, generate_pair, read_dataset,
-                     refine_with_tabu, write_dataset)
+from qubolab import (DataGenParams, DataPair, Dataset, TabuParams,
+                     barrier_observed_vector, exhaustive_solve,
+                     gen_lattice_laplacian, gen_random_dense, generate_dataset,
+                     generate_pair, read_dataset, tabu_solve, write_dataset)
 from qubolab.datagen import draw_near_binary
 
 
@@ -71,14 +71,16 @@ class TestBarrierInversion:
 
 def per_pair_reference(instance, params, pair_seed) -> DataPair:
     """Reference factory that builds one pair alone: draw, barrier b_o of
-    the (k,) point, noise, round, and one refine_with_tabu polish."""
+    the (k,) point, noise, round, and one tabu_solve polish with both the
+    budget and the tenure set to refine_steps."""
     rng = np.random.default_rng(pair_seed)
     x_o = draw_near_binary(rng, instance.k, params.eps_bin)
     b_o = barrier_observed_vector(instance, x_o, params.mu)
     z = rng.standard_normal(instance.k)
     b = b_o + params.sigma ** 2 * z
     rounded = (x_o > 0.5).astype(np.int8)
-    result = refine_with_tabu(instance, b, rounded, max_steps=params.refine_steps)
+    steps = params.refine_steps
+    result = tabu_solve(instance, b, TabuParams(max_steps=steps, tabu_tenure=steps), rounded)
     flips = int(np.count_nonzero(result.x_best != rounded))
     return DataPair(b=b, x=result.x_best, provenance={
         "seed": int(pair_seed),

@@ -456,24 +456,28 @@ class TestTabuRows:
 
 class TestRefineWithTabu:
     def test_zero_steps_returns_the_start(self, k2_instance):
-        got = refine_with_tabu(k2_instance, [-1.0, 0.5], [0, 1], max_steps=0)
-        assert got.x_best.tolist() == [0, 1]
-        assert got.iterations == 0
-        assert got.trace == [0.5]
+        got = refine_with_tabu(k2_instance, [[-1.0, 0.5]], [[0, 1]], max_steps=0)
+        assert len(got) == 1
+        assert got[0].x_best.tolist() == [0, 1]
+        assert got[0].iterations == 0
+        assert got[0].trace == [0.5]
 
     def test_never_worse_than_the_start(self):
         for t in range(10):
             inst = gen_random_dense(10, 500 + t)
             rng = np.random.default_rng(600 + t)
-            b = rng.normal(size=10)
-            start = rng.integers(0, 2, size=10).astype(np.int8)
-            got = refine_with_tabu(inst, b, start, max_steps=10)
-            assert got.f_best <= inst.evaluate(b, start) + 1e-12
+            b = rng.normal(size=(4, 10))
+            starts = rng.integers(0, 2, size=(4, 10)).astype(np.int8)
+            got = refine_with_tabu(inst, b, starts, max_steps=10)
+            for row, start, result in zip(b, starts, got):
+                assert result.f_best <= inst.evaluate(row, start) + 1e-12
 
     def test_polishes_to_the_optimum_nearby(self, k2_instance):
-        got = refine_with_tabu(k2_instance, [-1.0, 0.5], [0, 0], max_steps=3)
-        assert got.x_best.tolist() == [1, 0]
-        assert got.f_best == -1.0
+        got = refine_with_tabu(k2_instance, [[-1.0, 0.5]] * 2, [[0, 0], [1, 1]],
+                               max_steps=3)
+        for result in got:
+            assert result.x_best.tolist() == [1, 0]
+            assert result.f_best == -1.0
 
     def test_recovers_single_corrupted_bit(self):
         recovered = 0
@@ -484,32 +488,36 @@ class TestRefineWithTabu:
             opt = exhaustive_solve(inst, b)
             start = opt.x_best.copy()
             start[rng.integers(0, 12)] ^= 1
-            got = refine_with_tabu(inst, b, start, max_steps=10)
+            got = refine_with_tabu(inst, b[None, :], start[None, :], max_steps=10)[0]
             recovered += int(got.f_best == pytest.approx(opt.f_best, abs=1e-9))
         assert recovered >= 29
 
     @pytest.mark.parametrize("budget", [0, 3, 10])
     def test_is_one_tabu_solve_call(self, budget):
+        # Every row of a stack of several rows, so the lockstep path runs.
         fields = ("solver", "f_best", "iterations", "evaluations", "termination",
                   "trace")
         for t in range(5):
             inst = gen_random_dense(8, 900 + t)
             rng = np.random.default_rng(950 + t)
-            b = rng.normal(size=8)
-            start = rng.integers(0, 2, size=8).astype(np.int8)
-            got = refine_with_tabu(inst, b, start, max_steps=budget)
-            want = tabu_solve(inst, b, TabuParams(max_steps=budget, tabu_tenure=budget),
-                              start)
-            assert np.array_equal(got.x_best, want.x_best)
-            assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
-            if budget == 0:
-                assert np.array_equal(got.x_best, start)
-                assert (got.iterations, got.evaluations) == (0, 1)
-                assert got.trace == [inst.evaluate(b, start)]
+            b = rng.normal(size=(6, 8))
+            starts = rng.integers(0, 2, size=(6, 8)).astype(np.int8)
+            got = refine_with_tabu(inst, b, starts, max_steps=budget)
+            assert len(got) == len(b)
+            params = TabuParams(max_steps=budget, tabu_tenure=budget)
+            for row, start, result in zip(b, starts, got):
+                want = tabu_solve(inst, row, params, start)
+                assert np.array_equal(result.x_best, want.x_best)
+                assert ([getattr(result, f) for f in fields]
+                        == [getattr(want, f) for f in fields])
+                if budget == 0:
+                    assert np.array_equal(result.x_best, start)
+                    assert (result.iterations, result.evaluations) == (0, 1)
+                    assert result.trace == [inst.evaluate(row, start)]
 
     def test_rejects_negative_budget(self, k2_instance):
         with pytest.raises(ValueError, match=">= 0"):
-            refine_with_tabu(k2_instance, [0.0, 0.0], [0, 0], max_steps=-1)
+            refine_with_tabu(k2_instance, [[0.0, 0.0]], [[0, 0]], max_steps=-1)
 
 
 def sab_referee_every_state(instance, b, params):
