@@ -317,17 +317,17 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
 
     Each step scores the (m, k) flips of the m rows still running with one
     _flip_deltas call.  The tabu test is exact and needs no hashing: every
-    row keeps the last tabu_tenure points it visited in a ring, with each
-    slot's Hamming distance to the current point.  Flipping bit i lands on
-    a remembered point p exactly when x XOR p = e_i, so only slots at
-    distance 1 forbid a bit.  With the forbidden deltas set to +inf, the
-    first argmin is the first allowed entry of tabu_solve's stable argsort
-    whenever its value is finite; a row whose pick is not finite (every
-    flip tabu, or inf/NaN deltas) takes the argsort rule itself.  Rows that
-    stop are dropped from the working arrays.  The start and final f of
-    every row come from one QuboInstance._objectives call each, evaluate's
-    sums without its per-row checks, which the whole stack has already
-    passed.
+    row remembers the last tabu_tenure points it visited, oldest first and
+    grown one step at a time, each with its Hamming distance to the current
+    point.  Flipping bit i lands on a remembered point p exactly when
+    x XOR p = e_i, so only points at distance 1 forbid a bit.  With the
+    forbidden deltas set to +inf, the first argmin is the first allowed
+    entry of tabu_solve's stable argsort whenever its value is finite; a
+    row whose pick is not finite (every flip tabu, or inf/NaN deltas) takes
+    the argsort rule itself.  Rows that stop are dropped from the working
+    arrays.  The start and final f of every row come from one
+    QuboInstance._objectives call each, evaluate's sums without its per-row
+    checks, which the whole stack has already passed.
     """
     params = params or TabuParams()
     k = instance.k
@@ -361,8 +361,8 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
     live = np.arange(n)  # the row of b_mat that each working row runs
     stalled = np.zeros(n, dtype=np.int64)
     tenure = params.tabu_tenure
-    ring = np.zeros((n, tenure, k), dtype=np.int8)
-    dist = np.zeros((n, tenure), dtype=np.int64)
+    ring = np.zeros((n, 0, k), dtype=np.int8)
+    dist = np.zeros((n, 0), dtype=np.int64)
 
     def stop(done, why, steps):
         nonlocal live, x, xf, g, b, f, stalled, ring, dist
@@ -377,11 +377,10 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
         if not live.size:
             break
         if tenure:
-            ring[:, step % tenure] = x
-            dist[:, step % tenure] = 0
-        filled = min(step + 1, tenure)
-        near = dist[:, :filled] == 1
-        forbidden = (near[:, :, None] & (ring[:, :filled] != x[:, None, :])).any(axis=1)
+            drop = int(dist.shape[1] == tenure)  # a full memory forgets its oldest point
+            ring = np.concatenate([ring[:, drop:], x[:, None]], axis=1)
+            dist = np.concatenate([dist[:, drop:], np.zeros((live.size, 1), np.int64)], axis=1)
+        forbidden = ((dist == 1)[:, :, None] & (ring != x[:, None, :])).any(axis=1)
         deltas = _flip_deltas(b, d, g, xf)
         masked = np.where(forbidden, np.inf, deltas)
         chosen = masked.argmin(axis=1)
@@ -400,8 +399,7 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
                 break
 
         rows = np.arange(live.size)
-        dist[:, :filled] += np.where(
-            ring[rows, :filled, chosen] == x[rows, chosen][:, None], 1, -1)
+        dist += np.where(ring[rows, :, chosen] == x[rows, chosen][:, None], 1, -1)
         f += deltas[rows, chosen]
         sign = 1.0 - 2.0 * xf[rows, chosen]
         # A + A^T row `chosen` of every working row, as flat CSR positions.

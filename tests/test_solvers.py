@@ -310,9 +310,11 @@ def assert_rows_are_tabu_solves(instance, b, starts, params):
 @st.composite
 def tabu_stacks(draw):
     """A dense or lattice instance, a stack of fields and starts, and tabu
-    knobs: tenure 0, a ring that wraps (tenure < steps), or a memory as large
-    as the whole cube (tenure 2^k >= k), where every walk ends all_tabu."""
-    memory = draw(st.sampled_from(["none", "wrap", "cube"]))
+    knobs: tenure 0, a memory that forgets (tenure < steps), a memory as
+    large as the whole cube (tenure 2^k >= k), where every walk ends
+    all_tabu, or refine_with_tabu's memory (tenure >= steps) with patience,
+    so rows stop while their memory is still filling."""
+    memory = draw(st.sampled_from(["none", "wrap", "cube", "walk"]))
     if draw(st.booleans()):
         k = draw(st.integers(2, 5 if memory == "cube" else 14))
         instance = gen_random_dense(k, draw(st.integers(0, 2 ** 16)))
@@ -324,10 +326,18 @@ def tabu_stacks(draw):
     elif memory == "wrap":
         steps = draw(st.integers(2, 40))
         tenure = draw(st.integers(1, steps - 1))
-    else:
+    elif memory == "cube":
         tenure = 2 ** k
         steps = tenure + draw(st.integers(0, 4))
-    patience = None if memory == "cube" else draw(st.sampled_from([None, 1, 2, 5]))
+    else:
+        steps = draw(st.integers(1, 40))
+        tenure = steps + draw(st.integers(0, 4))
+    if memory == "cube":
+        patience = None
+    elif memory == "walk":
+        patience = draw(st.sampled_from([1, 2, 5]))
+    else:
+        patience = draw(st.sampled_from([None, 1, 2, 5]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 8))
     b = rng.normal(size=(n, k)) * draw(st.sampled_from([0.1, 1.0, 4.0]))
@@ -518,6 +528,24 @@ class TestRefineWithTabu:
     def test_rejects_negative_budget(self, k2_instance):
         with pytest.raises(ValueError, match=">= 0"):
             refine_with_tabu(k2_instance, [[0.0, 0.0]], [[0, 0]], max_steps=-1)
+
+    def test_an_unused_budget_does_not_grow_the_memory(self):
+        # The default patience stops every row long before step 100 at
+        # either budget, so the tenure of 2000 must not be paid for up front.
+        inst = gen_random_dense(10, 3, 0.2)
+        rng = np.random.default_rng(0)
+        b = rng.normal(size=(200, 10))
+        starts = rng.integers(0, 2, size=(200, 10)).astype(np.int8)
+        peaks = {}
+        for budget in (100, 2000):
+            tracemalloc.start()
+            try:
+                got = refine_with_tabu(inst, b, starts, max_steps=budget)
+                peaks[budget] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert max(r.iterations for r in got) < 100
+        assert peaks[2000] <= 1.5 * peaks[100]
 
 
 def sab_referee_every_state(instance, b, params):
