@@ -236,10 +236,10 @@ def generate_dataset(
     split: tuple[float, float] = (0.8, 0.2),
     instance_ref: str | None = None,
 ) -> Dataset:
-    """Generate n_pairs pairs with per-pair seeds seed XOR index and a
-    deterministic shuffled train/val split.
+    """Generate n_pairs pairs and a deterministic shuffled train/val split.
 
-    Pair i is generate_pair(instance, params, seed XOR index), bit for bit.
+    Pair i is generate_pair(instance, params, (seed << 32) | i), bit for
+    bit, so datasets with different seeds share no pair seed.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -250,7 +250,7 @@ def generate_dataset(
     if not 0 <= split[0] <= 1:
         raise ValueError(f"train fraction must lie in [0, 1], got {split[0]}")
     b, x, provenance = _generate_pairs(instance, params,
-                                       [params.seed ^ i for i in range(n_pairs)])
+                                       [(params.seed << 32) | i for i in range(n_pairs)])
     split_rng = np.random.default_rng(np.random.SeedSequence(params.seed).spawn(1)[0])
     perm = split_rng.permutation(n_pairs)
     n_train = int(round(n_pairs * split[0]))

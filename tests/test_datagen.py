@@ -151,12 +151,21 @@ class TestGenerateDataset:
         assert len(ds.indices("train")) == 40
         assert len(ds.indices("val")) == 10
 
-    def test_pair_seeds_are_seed_xor_index(self):
+    def test_pair_seeds_are_seed_shifted_past_the_index(self):
         inst = gen_random_dense(6, 0)
         params = DataGenParams(sigma=0.3, seed=5)
         ds = generate_dataset(inst, 4, params)
         for index in range(4):
-            assert_same_pair(ds.pairs[index], per_pair_reference(inst, params, 5 ^ index))
+            assert ds.pairs[index].provenance["seed"] == (5 << 32) | index
+            assert_same_pair(ds.pairs[index],
+                             per_pair_reference(inst, params, (5 << 32) | index))
+
+    def test_datasets_with_adjacent_seeds_share_no_pair(self):
+        inst = gen_random_dense(6, 0)
+        a = generate_dataset(inst, 8, DataGenParams(sigma=0.3, seed=0))
+        b = generate_dataset(inst, 8, DataGenParams(sigma=0.3, seed=1))
+        assert not {p["seed"] for p in a.provenance} & {p["seed"] for p in b.provenance}
+        assert not {row.tobytes() for row in a.b} & {row.tobytes() for row in b.b}
 
     def test_split_assignment_is_shuffled_but_deterministic(self):
         inst = gen_random_dense(6, 0)

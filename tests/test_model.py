@@ -471,16 +471,18 @@ def tiny_training_digests(inst: QuboInstance, flag: bool, out_dir) -> tuple[str,
 # operators and side 5 (k=25, 105 entries) on CSR ones, so both product
 # forms are pinned.  The side-3 digests were re-pinned when the model came
 # to hold dense operators on dense instances; the side-5 ones were computed
-# before that change and did not move.
+# before that change and did not move.  All of them, and the
+# NONSYMMETRIC_DIGESTS below, were re-pinned when dataset pair seeds became
+# (seed << 32) | index.
 PINNED_DIGESTS = {
-    (3, True): ("cd7018aa94a0b4af8fea5d77ccb8f2720dfb2e9c75bc42fc5974ae00bab390ee",
-                "ce4d38dbd297decbd7e39d362ce1807531ced38df72a099be1bc529140c637dd"),
-    (3, False): ("adcd8f43d6653e8cd6bed8586db1782b7ceaf8b94f8659941f60a237bbefa84c",
-                 "ae5f41d49bb068ce7fbe0586e23049ff8af2717656e82dc4665ce58dbf92c054"),
-    (5, True): ("af47815cbd3cbfecfcfc662a2b930d91f921905188c1791354237da4d5941bb7",
-                "a05de395b35bdc6107649896c91dd23fc1bfd24afe28589c585c56c0e3558322"),
-    (5, False): ("1f19c4f9571856347a973e3418d9ffb4dc2e0551ffaeb532b9118bdeace1a34a",
-                 "b0da2cd509875a9918e25dccffb89610c73fd7f20df7feb16e163914192c81b5"),
+    (3, True): ("ec2db324085a181ce862840b6b4119410c7913dd283db2209433935c176a83f1",
+                "0f130531f759b26ea2eaef71a47a8178450ee168d56b52fd6ce666d839e04c76"),
+    (3, False): ("87b5ea2c8a5f9fac743319eeefe062d8b6e2f3478c6d801d77a68e8737097477",
+                 "70f58a28523c591b1ddf78cc4a011c81a1b07040a9c0c8bc6578a29c8f2fb899"),
+    (5, True): ("bd72db05d83dd30869ace1f85e65c68b91e5aaf5fc00883b4923e23a19b1cd15",
+                "9508dbb254ce392a5591987fb081b51eda809807a259c7859990d99d862c18ca"),
+    (5, False): ("4cf58021a31a398cfbacf280039b5078b14240b0919b267f050936885c56a3ad",
+                 "4cb45afae2862344653ff5adfe7092cf67f8213122166ecfc4daff828c173fdb"),
 }
 
 
@@ -517,17 +519,17 @@ NONSYMMETRIC = {
 }
 NONSYMMETRIC_DIGESTS = {
     ("random-dense-10", True): (
-        "c360038f60d358c2bf7222f0931755f470ab0f371d2135fd0b1d9e149dfe964c",
-        "cf1fa8c8b8aedbab5f9959ed891f76ab102d02bb99bc32dcf931354612e41d7e"),
+        "e12998d8ff3060dad9d74a1350203aeb3d0ac2c86ad000c4293bc40def407d3b",
+        "ab2dd36242d868b2cd886014573390b3e231b99d680650408ae3b98c40236605"),
     ("random-dense-10", False): (
-        "3a7d28ec2a8fbeedb23b0126b78bfd938ab5dcb01132433dbc8e599fc6e334e4",
-        "c939768546e6d8f6e8e3141313bc390bfdd9a1af19ed5129f7681d5741b894cb"),
+        "b9d4f99f4ff7cab88dc3b5128731827098bca20c8a742944f94573ff9e377441",
+        "b0742a361ec8547a19b07d804600bfb78dc0b4bda8499e9fe717c9e8b401a0b5"),
     ("one-directional-30", True): (
-        "02eb4acb6ee298d1809fb97e88f28f4fd25a33d721d33be5d0e1f4a9e78578ac",
-        "d6f8640a1812f52e4764ad504c9cfa2b04744fac0c37bbf467749f50044f04e1"),
+        "4209144d0962e8b05dce5d64cfb759fcde1fded187c763c3817be2db27dca206",
+        "98f87e8911d2c1358c6515e4ba5cc3242d09c70d7c0f25a592d70b3c8fc634f8"),
     ("one-directional-30", False): (
-        "e7801e95c954523d6f80ffc6f4521cc0645c2e036f0576cf27caa6cb69b9b25f",
-        "5cbbf9b2b9337f9d635c2054688ca6fb00f7c95968f8bec5075b5375c7c8b792"),
+        "dbb01b902cf4b256109ce35ccc479241d9c4b9e933644a5a2a1445f7abde6920",
+        "c13a73216e31e85f6b3b697aa701dfa2f6ac53fabf9d5f15640cf33904a98929"),
 }
 
 
