@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .io import _decode_json, _read_text
+from .io import BLOCK_ENTRIES, _decode_json, _read_text
 from .qubo import QuboInstance, _RowError
 from .solvers import refine_with_tabu
 
@@ -269,13 +269,20 @@ def generate_dataset(
 
 
 def write_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
+    """Write a JSONL dataset: the header line, then one record line per
+    pair.  The records go out in blocks of about io.BLOCK_ENTRIES numbers
+    of b, so memory does not grow with the number of pairs."""
     header = {"k": dataset.k, "instance": dataset.instance_ref, "params": dataset.params}
-    lines = [json.dumps(header)]
-    for b, x, split, provenance in zip(dataset.b.tolist(), dataset.x.tolist(),
-                                       dataset.split.tolist(), dataset.provenance):
-        lines.append(json.dumps({"b": b, "x": x, "split": split, "provenance": provenance}))
+    step = max(1, BLOCK_ENTRIES // dataset.k)
     with open(os.fspath(path), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(json.dumps(header) + "\n")
+        for lo in range(0, len(dataset.b), step):
+            block = slice(lo, lo + step)
+            fh.write("".join([
+                json.dumps({"b": b, "x": x, "split": split, "provenance": provenance}) + "\n"
+                for b, x, split, provenance in zip(
+                    dataset.b[block].tolist(), dataset.x[block].tolist(),
+                    dataset.split[block].tolist(), dataset.provenance[block])]))
 
 
 def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,

@@ -10,30 +10,39 @@ size, the generator name, the seed and any generator tags.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import warnings
+from io import StringIO
+from typing import NoReturn
 
 import numpy as np
 
 from .qubo import QuboInstance, _RowError
 
 MM_HEADER = "%%MatrixMarket matrix coordinate real general"
+# The instance text is written BLOCK_ENTRIES entry lines at a time and read
+# BLOCK_CHARS characters (then to the end of a line) at a time.
+BLOCK_ENTRIES = 8192
+BLOCK_CHARS = 1 << 20
 
 
 def write_instance(path: str | os.PathLike, instance: QuboInstance) -> None:
     """Write A to a Matrix Market file and its metadata to a sidecar.
 
     Values are written with repr(float), which round-trips float64
-    exactly through the reader.
+    exactly through the reader.  The entries go out in blocks of
+    BLOCK_ENTRIES lines, so memory does not grow with nnz.
     """
     path = os.fspath(path)
-    lines = [MM_HEADER, f"{instance.k} {instance.k} {instance.nnz}"]
-    for r, c, v in zip(instance.rows.tolist(), instance.cols.tolist(),
-                       instance.vals.tolist()):
-        lines.append(f"{r + 1} {c + 1} {v!r}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{MM_HEADER}\n{instance.k} {instance.k} {instance.nnz}\n")
+        for lo in range(0, instance.nnz, BLOCK_ENTRIES):
+            block = slice(lo, lo + BLOCK_ENTRIES)
+            fh.write("".join([f"{r} {c} {v!r}\n" for r, c, v in zip(
+                (instance.rows[block] + 1).tolist(), (instance.cols[block] + 1).tolist(),
+                instance.vals[block].tolist())]))
     meta = {
         "k": instance.k,
         "generator": instance.meta.get("generator"),
@@ -48,17 +57,49 @@ def write_instance(path: str | os.PathLike, instance: QuboInstance) -> None:
 def read_instance(path: str | os.PathLike) -> QuboInstance:
     """Read a Matrix Market instance, a UTF-8 text file, and its sidecar.
 
-    Blank and `%` lines are skipped, np.loadtxt parses the size line and,
-    in one call, the entries (so every number is ASCII decimal and each
-    entry is `row col value`), and QuboInstance checks them.  Malformed
-    input raises ValueError at the file and line of the first of: a
-    size-line fault or a wrong entry count; the first malformed, non-finite
-    or out-of-range entry; a sidecar fault; the first repeated coordinate.
-    A missing sidecar is tolerated (meta stays empty).
+    The text is read in blocks of whole lines (_text_blocks).  Blank and
+    `%` lines are skipped, np.loadtxt parses the size line and, in one call
+    fed by every block, the entries (so every number is ASCII decimal and
+    each entry is `row col value`), and QuboInstance checks them.  Only a
+    refused file is read whole, by _name_fault, which raises ValueError at
+    the file and line of the first of: a size-line fault or a wrong entry
+    count; the first malformed, non-finite or out-of-range entry; a sidecar
+    fault; the first repeated coordinate.  A missing sidecar is tolerated
+    (meta stays empty).
     """
     path = os.fspath(path)
-    text = _read_text(path)
-    lines = text.splitlines()
+    entries = None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = itertools.chain.from_iterable(_text_blocks(fh))
+            header = next(lines, "")
+            size = next((line for line in lines if line.strip()), "")
+            sizes = _loadtxt([size], np.int64) if len(size.split()) == 3 else None
+            if header.strip() == MM_HEADER and sizes is not None:
+                k, n_cols, nnz = sizes.tolist()
+                if k == n_cols >= 1:
+                    entries = _loadtxt(lines)
+    except UnicodeDecodeError:
+        pass  # _name_fault names the line of the first byte that is not UTF-8
+    if entries is None or len(entries) != nnz:
+        _name_fault(path)
+    # arithmetic and copy() give contiguous arrays that own their data; the
+    # refusal path parses again, so the parse is freed before the checks
+    rows, cols, vals = entries["r"] - 1, entries["c"] - 1, entries["v"].copy()
+    del entries
+    try:
+        instance = QuboInstance(k=k, rows=rows, cols=cols, vals=vals)
+    except _RowError:
+        _name_fault(path)
+    instance.meta = _read_meta(path, k)
+    return instance
+
+
+def _name_fault(path: str) -> NoReturn:
+    """Raise ValueError at the first fault of an instance file that
+    read_instance refused, found in the whole text: the same parse, with
+    every fault located by its line."""
+    lines = list(itertools.chain.from_iterable(_text_blocks(StringIO(_read_text(path)))))
 
     def fail(lineno: int, why: str):
         raise ValueError(f"{path}:{lineno}: {why}")
@@ -67,10 +108,6 @@ def read_instance(path: str | os.PathLike) -> QuboInstance:
         fail(1, "empty file, expected a Matrix Market header")
     if lines[0].strip() != MM_HEADER:
         fail(1, f"bad header {lines[0]!r}, expected {MM_HEADER!r}")
-    # Blank each `%` line, as np.loadtxt skips blank lines; the writer's
-    # output holds no `%` after the header, so it pays only for the search.
-    if text.find("%", len(lines[0])) >= 0:
-        lines[1:] = ["" if line.lstrip().startswith("%") else line for line in lines[1:]]
     size = next((n for n, line in enumerate(lines) if n and line.strip()), len(lines))
     if size == len(lines):
         fail(size, "missing size line")
@@ -105,9 +142,8 @@ def read_instance(path: str | os.PathLike) -> QuboInstance:
     def index(entry: int) -> int:
         return [j for j, line in enumerate(lines) if line.strip()][entry]
 
-    try:  # arithmetic and copy() give contiguous arrays that own their data
-        instance = QuboInstance(k=k, rows=entries["r"] - 1, cols=entries["c"] - 1,
-                                vals=entries["v"].copy())
+    try:
+        QuboInstance(k=k, rows=entries["r"] - 1, cols=entries["c"] - 1, vals=entries["v"])
     except _RowError as err:
         j, (r, c, _) = index(err.row), entries[err.row].tolist()
         if err.check == "vals":
@@ -118,12 +154,30 @@ def read_instance(path: str | os.PathLike) -> QuboInstance:
             _read_meta(path, k)  # a sidecar fault is named before a repeat
             first = index(int(((entries["r"] == r) & (entries["c"] == c)).argmax()))
             fail(start + j, f"duplicate entry ({r}, {c}), first given on line {start + first}")
-    if refused is not None:
-        entry = lines[refused].strip()
-        fail(start + refused, f"entry needs 3 fields, got {len(entry.split())}"
-             if len(entry.split()) != 3 else f"malformed entry {entry!r}")
-    instance.meta = _read_meta(path, k)
-    return instance
+    # read_instance refused the file and no check above names a fault, so
+    # np.loadtxt refused line `refused`.
+    entry = lines[refused].strip()
+    fail(start + refused, f"entry needs 3 fields, got {len(entry.split())}"
+         if len(entry.split()) != 3 else f"malformed entry {entry!r}")
+
+
+def _text_blocks(fh):
+    """The lines of a text stream, as str.splitlines cuts them, in blocks of
+    whole lines of about BLOCK_CHARS characters; every `%` line after the
+    first is blanked, as np.loadtxt skips blank lines.  A block ends at a
+    `\n`, which never splits a line break: a file open in text mode has
+    folded `\r\n` and `\r` to `\n`."""
+    head = 1  # the header line, which is never blanked
+    for block in iter(lambda: fh.read(BLOCK_CHARS), ""):
+        block += fh.readline()  # to the end of the line the read cut
+        lines = block.splitlines()
+        # The writer's output holds no `%` after the header, so it pays
+        # only for the search.
+        if block.find("%", len(lines[0]) if head else 0) >= 0:
+            lines[head:] = ["" if line.lstrip().startswith("%") else line
+                            for line in lines[head:]]
+        head = 0
+        yield lines
 
 
 _ENTRY = np.dtype([("r", np.int64), ("c", np.int64), ("v", np.float64)])

@@ -24,12 +24,16 @@ import scipy.sparse as sp
 BLOCK_STATES = 1 << 20
 
 
+def _is_dense(nnz: int, k: int) -> bool:
+    """Whether k x k products with nnz stored entries run dense: at least a
+    quarter of the k^2 entries, where sparse indexing no longer pays."""
+    return 4 * nnz >= k * k
+
+
 def _product_form(m: sp.csr_matrix):
     """A square CSR operator in the form its products run in: a dense
-    array when it stores at least a quarter of its k^2 entries, where a
-    sparse kernel no longer pays for its indexing, and the CSR otherwise."""
-    k = m.shape[0]
-    return m.toarray() if 4 * m.nnz >= k * k else m
+    array where _is_dense, and the CSR otherwise."""
+    return m.toarray() if _is_dense(m.nnz, m.shape[0]) else m
 
 
 def as_observed_vector(b, k: int) -> np.ndarray:
@@ -158,6 +162,11 @@ class QuboInstance:
         edges.flags.writeable = False
         return edges
 
+    @cached_property
+    def _flat_index(self) -> np.ndarray:
+        """rows * k + cols: each entry's place in a row-major k x k grid."""
+        return self.rows * self.k + self.cols
+
     # -- objective ------------------------------------------------------
 
     def evaluate(self, b, x) -> float:
@@ -171,14 +180,22 @@ class QuboInstance:
         of C-order products, with no BLAS, so row r has the bits of the
         (1, k) call on it alone under any thread count and either stack's
         layout (a Fortran-order product would be summed in another order).
-        Rows go in blocks of at most BLOCK_STATES products.
+        Rows go in blocks of at most BLOCK_STATES products.  A dense
+        instance (_is_dense) gathers the products x_i x_j from each row's
+        outer product, through the flat index rows * k + cols; a sparse one
+        takes x at rows and at cols.  Both give the same products in the
+        same order, so the same bits.
         """
         f = np.empty(len(x_mat))
         step = max(1, BLOCK_STATES // max(self.nnz, self.k))
         for lo in range(0, len(f), step):
             x = x_mat[lo:lo + step].astype(bool)
-            pairs = np.take(x, self.rows, axis=1)
-            pairs &= np.take(x, self.cols, axis=1)
+            if _is_dense(self.nnz, self.k):
+                outer = x[:, :, None] & x[:, None, :]
+                pairs = np.take(outer.reshape(len(x), -1), self._flat_index, axis=1)
+            else:
+                pairs = np.take(x, self.rows, axis=1)
+                pairs &= np.take(x, self.cols, axis=1)
             quad = np.add.reduce(np.multiply(self.vals, pairs, order="C"), axis=1)
             lin = np.add.reduce(np.multiply(b_mat[lo:lo + step], x, order="C"), axis=1)
             f[lo:lo + step] = quad + lin

@@ -4,6 +4,7 @@ refinement, splits, and the JSONL round trip."""
 from __future__ import annotations
 
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -395,6 +396,25 @@ class TestColumnarPersistence:
         assert (tmp_path / "bulk.jsonl").read_bytes() == (tmp_path / "loop.jsonl").read_bytes()
         back = read_dataset(tmp_path / "bulk.jsonl")
         assert back.b.tobytes() == b.tobytes()
+
+    def test_memory_does_not_grow_with_the_pairs(self, tmp_path):
+        # At k=400 the records go out 8192 // 400 = 20 at a time.
+        peaks = {}
+        for n in (100, 1000):
+            rng = np.random.default_rng(n)
+            ds = Dataset("ref", 400, {}, rng.normal(size=(n, 400)),
+                         rng.integers(0, 2, size=(n, 400)), ["train", "val"] * (n // 2),
+                         [{"pair_seed": i} for i in range(n)])
+            tracemalloc.start()
+            try:
+                write_dataset(ds, tmp_path / "bulk.jsonl")
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # Ten times the pairs; all records at once would be ten times the peak.
+        assert peaks[1000] <= 1.5 * peaks[100], peaks
+        per_pair_writer(ds, tmp_path / "loop.jsonl")
+        assert (tmp_path / "bulk.jsonl").read_bytes() == (tmp_path / "loop.jsonl").read_bytes()
 
     def test_missing_provenance_reads_and_writes_as_empty(self, tmp_path):
         path = tmp_path / "data.jsonl"

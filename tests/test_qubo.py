@@ -235,6 +235,23 @@ def objective_case(inst: QuboInstance, n: int, seed: int):
     return b, rng.integers(0, 2, size=(n, inst.k)).astype(np.int8)
 
 
+def permuted_dense(k: int, seed: int) -> QuboInstance:
+    """Half of a dense instance's entries, in a shuffled order: still dense
+    by _product_form's rule, but not the row-major grid."""
+    inst = gen_random_dense(k, seed)
+    keep = np.random.default_rng(seed).permutation(inst.nnz)[:inst.nnz // 2]
+    return QuboInstance(k=k, rows=inst.rows[keep], cols=inst.cols[keep], vals=inst.vals[keep])
+
+
+def take_objectives(inst: QuboInstance, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """_objectives in one block with the products taken at rows and cols on
+    every instance: the reference for the dense form's gather."""
+    x = x.astype(bool)
+    pairs = np.take(x, inst.rows, axis=1) & np.take(x, inst.cols, axis=1)
+    return (np.add.reduce(np.multiply(inst.vals, pairs, order="C"), axis=1)
+            + np.add.reduce(np.multiply(b, x, order="C"), axis=1))
+
+
 def layouts(m: np.ndarray) -> dict:
     """m as a C-order, a Fortran-order and a column-strided stack."""
     wide = np.zeros((m.shape[0], 3 * m.shape[1]), dtype=m.dtype)
@@ -276,6 +293,33 @@ class TestObjectives:
         want = inst._objectives(b, x).tolist()
         monkeypatch.setattr(qubo, "BLOCK_STATES", 1)
         assert inst._objectives(b, x).tolist() == want
+
+    @pytest.mark.parametrize("inst", [
+        gen_random_dense(60, 11),  # the full row-major grid
+        permuted_dense(60, 12),
+        gen_lattice_laplacian(6),
+    ], ids=["dense-grid", "dense-permuted", "lattice-6"])
+    def test_products_have_the_bits_of_the_take_gather(self, inst):
+        b, x = objective_case(inst, 50, seed=13)
+        assert inst._objectives(b, x).tobytes() == take_objectives(inst, b, x).tobytes()
+
+    @pytest.mark.parametrize("inst,dense", [
+        (gen_random_dense(60, 11), True),
+        (permuted_dense(60, 12), True),
+        (gen_lattice_laplacian(6), False),  # 156 of 1296 entries: CSR form
+    ], ids=["dense-grid", "dense-permuted", "lattice-6"])
+    def test_only_the_dense_form_gathers_from_the_outer_product(self, inst, dense,
+                                                              monkeypatch):
+        assert (qubo._product_form(inst.a_csr) is not inst.a_csr) == dense
+        widths, take = [], np.take
+
+        def recorded(a, *args, **kw):
+            widths.append(a.shape[1])
+            return take(a, *args, **kw)
+
+        monkeypatch.setattr(np, "take", recorded)
+        inst._objectives(*objective_case(inst, 5, seed=14))
+        assert widths == ([inst.k ** 2] if dense else [inst.k, inst.k])
 
     def test_is_within_the_summation_bound_of_the_exact_sum(self):
         # Any order of n additions errs by at most n u sum|terms|, u = 2^-53.
