@@ -301,14 +301,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Adam's moment decay rates and the guard added to the root of the second.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moments and hyperparameters for one parameter array."""
+    """Adam moments, lr and weight decay for one parameter array."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     step: int = 0
     m: np.ndarray | None = None
@@ -320,10 +323,6 @@ class AdamState:
         if not 0 <= self.weight_decay < math.inf:
             raise ValueError(
                 f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
-        if not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarray:
@@ -343,11 +342,11 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
     if state.weight_decay:
         grad = grad + state.weight_decay * param
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grad ** 2
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    param -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad ** 2
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    param -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return param

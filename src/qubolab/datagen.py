@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .io import BLOCK_ENTRIES, _decode_json, _read_text
+from .io import BLOCK_ENTRIES, _decode_json, _lines, _read_text
 from .qubo import QuboInstance, _RowError
 from .solvers import refine_with_tabu
 
@@ -301,7 +301,7 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
     def fail(lineno: int, why: str):
         raise ValueError(f"{path}:{lineno}: {why}")
 
-    lines = _read_text(path).splitlines()
+    lines = _lines(_read_text(path))
     if not lines:
         raise ValueError(f"{path}:1: empty file, expected a header line")
     header = _decode_json(lines[0], path, "JSON header")

@@ -14,8 +14,8 @@ import numpy as np
 from .datagen import Dataset
 from .io import write_csv
 from .model import BpgnnModel
-from .qubo import (QuboInstance, as_binary_assignment, as_observed_vector,
-                   rel_gaps)
+from .qubo import (QuboInstance, accuracy, as_binary_assignment,
+                   as_observed_vector, rel_gaps, scores)
 from .solvers import (EXHAUSTIVE_CAP, SabParams, SolverResult,
                       exhaustive_argmins, refine_with_tabu, sab_solve,
                       tabu_rows)
@@ -31,15 +31,6 @@ class EvalRecord:
     elapsed_ms: float
     instance_ref: str = ""
     dataset_ref: str = ""
-
-
-def accuracy(x_o, x_p) -> float:
-    """Fraction of positions where the two assignments agree."""
-    x_o = np.asarray(x_o)
-    x_p = np.asarray(x_p)
-    if x_o.shape != x_p.shape:
-        raise ValueError(f"length mismatch: {x_o.shape} vs {x_p.shape}")
-    return float(np.mean(x_o == x_p))
 
 
 def rel_qubo(instance: QuboInstance, b, x_o, x_p) -> float:
@@ -217,14 +208,14 @@ BENCH_COLUMNS = ("method", "k", "acc_mean", "acc_std", "relqubo_mean",
 def evaluate_method(method: str, instance: QuboInstance, dataset: Dataset,
                     model: BpgnnModel | None = None,
                     split: str = "val") -> EvalRecord:
-    """Mean accuracy/objective-gap/time of one method over a dataset split,
-    referenced against the stored labels.  "exhaustive" is one batched
-    enumeration, "tabu" one lockstep tabu_rows run (tabu_solve with
-    TabuParams() on every row), "bpgnn" one batched prediction and
-    "bpgnn+ts" that prediction polished by one refine_with_tabu call;
-    "sab" runs once per row.  Every method is timed by one span around its
-    whole run over the split, and each example is charged that span
-    divided by n."""
+    """The scores (qubo.scores: bit accuracy and mean relative gap) and the
+    time per example of one method over a dataset split, referenced against
+    the stored labels.  "exhaustive" is one batched enumeration, "tabu" one
+    lockstep tabu_rows run (tabu_solve with TabuParams() on every row),
+    "bpgnn" one batched prediction and "bpgnn+ts" that prediction polished
+    by one refine_with_tabu call; "sab" runs once per row.  Every method is
+    timed by one span around its whole run over the split, and each example
+    is charged that span divided by n."""
     if method not in BENCH_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {BENCH_METHODS}")
     if method in NEURAL_METHODS and model is None:
@@ -245,15 +236,8 @@ def evaluate_method(method: str, instance: QuboInstance, dataset: Dataset,
         if method == "bpgnn+ts":
             x_pred = np.array([r.x_best for r in refine_with_tabu(instance, b, x_pred)])
     elapsed_ms = (time.perf_counter() - t0) * 1000.0 / len(b)
-    gaps = rel_gaps(instance, b, x_ref, x_pred)
-    return EvalRecord(
-        method=method,
-        accuracy=float(np.mean(np.mean(x_pred == x_ref, axis=1))),
-        rel_qubo=float(np.mean(gaps)) if gaps.size else float("nan"),
-        elapsed_ms=elapsed_ms,
-        instance_ref=repr(instance),
-        dataset_ref=dataset.instance_ref,
-    )
+    return EvalRecord(method, *scores(instance, b, x_ref, x_pred), elapsed_ms,
+                      instance_ref=repr(instance), dataset_ref=dataset.instance_ref)
 
 
 def check_counts(instances: list, datasets: list, models: list | None) -> None:

@@ -161,16 +161,21 @@ def _name_fault(path: str) -> NoReturn:
          if len(entry.split()) != 3 else f"malformed entry {entry!r}")
 
 
+def _lines(text: str) -> list[str]:
+    r"""The lines of a text read in text mode, which has folded `\r\n` and
+    `\r` to `\n`: cut at `\n` only, the rule of every text reader and of
+    JSON Lines.  A final `\n` ends the last line and starts none."""
+    return text.removesuffix("\n").split("\n") if text else []
+
+
 def _text_blocks(fh):
-    """The lines of a text stream, as str.splitlines cuts them, in blocks of
-    whole lines of about BLOCK_CHARS characters; every `%` line after the
-    first is blanked, as np.loadtxt skips blank lines.  A block ends at a
-    `\n`, which never splits a line break: a file open in text mode has
-    folded `\r\n` and `\r` to `\n`."""
+    r"""The lines of a text stream (_lines), in blocks of whole lines of
+    about BLOCK_CHARS characters, each ending at a `\n`; every `%` line
+    after the first is blanked, as np.loadtxt skips blank lines."""
     head = 1  # the header line, which is never blanked
     for block in iter(lambda: fh.read(BLOCK_CHARS), ""):
         block += fh.readline()  # to the end of the line the read cut
-        lines = block.splitlines()
+        lines = _lines(block)
         # The writer's output holds no `%` after the header, so it pays
         # only for the search.
         if block.find("%", len(lines[0]) if head else 0) >= 0:
@@ -259,7 +264,7 @@ def read_vector(path: str | os.PathLike, k: int | None = None) -> np.ndarray:
     the values do, is the file read again line by line to name the first
     fault."""
     path = os.fspath(path)
-    lines = _read_text(path).split("\n")
+    lines = _lines(_read_text(path))
     values = _loadtxt(lines, _VALUE)
     if (values is not None and (k is None or len(values) == k)
             and np.isfinite(values["v"]).all()):
@@ -277,9 +282,7 @@ def read_vector(path: str | os.PathLike, k: int | None = None) -> np.ndarray:
         if n == k:
             raise ValueError(f"{path}:{lineno}: more than the {k} numbers expected")
         n += 1
-    # The text's last line: split leaves an empty piece after a final newline.
-    raise ValueError(f"{path}:{max(len(lines) - (not lines[-1]), 1)}: "
-                     f"{n} numbers, expected {k}")
+    raise ValueError(f"{path}:{max(len(lines), 1)}: {n} numbers, expected {k}")
 
 
 def write_csv(path: str | os.PathLike, header, rows) -> None:

@@ -23,7 +23,8 @@ from .autodiff import (AdamState, Tape, Tensor, adam_step, backward,
                        bce_with_logits, zero_grad)
 from .datagen import Dataset
 from .io import _decode_json, _read_text, write_csv
-from .qubo import QuboInstance, _product_form, as_observed_vector, rel_gaps
+from .qubo import (QuboInstance, _product_form, as_field_matrix,
+                   as_observed_vector, scores)
 
 # Raw value whose softplus is exactly 1, so diffusion starts at unit rate.
 _SIGMA_RAW_INIT = math.log(math.expm1(1.0))
@@ -194,16 +195,11 @@ class BpgnnModel:
         b is one observed vector (k,) or a stack of them (n, k); the
         result has the same shape.
         """
-        b = np.asarray(b, dtype=np.float64)
-        b_mat = np.atleast_2d(b)
-        if b_mat.shape[1:] != (self.instance.k,):
-            raise ValueError(f"observed vector has shape {b_mat.shape[1:]}, "
-                             f"expected ({self.instance.k},)")
-        if not np.all(np.isfinite(b_mat)):
-            raise ValueError("observed vector contains NaN or Inf entries")
-        logits = self._logits(b_mat, False, None).data
-        x = _example_major(ad._sigmoid(logits) > 0.5, self.instance.k)
-        return (x if b.ndim == 2 else x[0]).astype(np.int8)
+        k = self.instance.k
+        one = np.ndim(b) != 2
+        b_mat = as_observed_vector(b, k)[None] if one else as_field_matrix(b, k)
+        x = _decode(self._logits(b_mat, False, None).data, k)
+        return x[0] if one else x
 
 
 def _node_major(m: np.ndarray) -> np.ndarray:
@@ -211,9 +207,9 @@ def _node_major(m: np.ndarray) -> np.ndarray:
     return m.T.reshape(-1, 1)
 
 
-def _example_major(col: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of _node_major: (k*n, 1) column -> (n, k) rows, n >= 0."""
-    return col.reshape(k, -1).T
+def _decode(logits: np.ndarray, k: int) -> np.ndarray:
+    """Node-major logits (k*n, 1) -> (n, k) int8 bits, 1 where sigmoid > 0.5."""
+    return (ad._sigmoid(logits) > 0.5).reshape(k, -1).T.astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +333,12 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
 
 def _validate(model: BpgnnModel, b_val: np.ndarray,
               y_val: np.ndarray) -> tuple[float, float, float]:
-    """Validation BCE, bit accuracy and mean relative objective gap."""
+    """Validation BCE and the scores of the decoded prediction (qubo.scores),
+    the ones evaluate_method reports."""
     logits = model._logits(b_val, False, None)
     loss = bce_with_logits(logits, _node_major(y_val).astype(np.float64))
-    preds = _example_major(ad._sigmoid(logits.data) > 0.5, model.instance.k)
-    acc = float(np.mean(preds == y_val))
-    gaps = rel_gaps(model.instance, b_val, y_val, preds)
-    rel = float(np.mean(gaps)) if gaps.size else math.nan
-    return float(loss.data), acc, rel
+    preds = _decode(logits.data, model.instance.k)
+    return (float(loss.data), *scores(model.instance, b_val, y_val, preds))
 
 
 HISTORY_COLUMNS = ("epoch", "train_bce", "val_bce", "val_acc", "val_relqubo")

@@ -249,6 +249,25 @@ def rel_gaps(instance: QuboInstance, b, x_ref, x_pred) -> np.ndarray:
     return (instance._objectives(b, x_pred)[defined] - f_ref) / np.abs(f_ref)
 
 
+def accuracy(x_o, x_p) -> float:
+    """Fraction of positions where the two assignments agree; for (n, k)
+    stacks, of all n*k bits."""
+    x_o = np.asarray(x_o)
+    x_p = np.asarray(x_p)
+    if x_o.shape != x_p.shape:
+        raise ValueError(f"length mismatch: {x_o.shape} vs {x_p.shape}")
+    return float(np.mean(x_o == x_p))
+
+
+def scores(instance: QuboInstance, b, x_ref, x_pred) -> tuple[float, float]:
+    """The two scores of predictions x_pred against references x_ref, rows
+    of b (each (n, k)): the accuracy of all n*k bits and the mean of
+    rel_gaps, NaN when no row has a gap.  Training's validation and every
+    evaluation row report these."""
+    gaps = rel_gaps(instance, b, x_ref, x_pred)
+    return accuracy(x_ref, x_pred), float(np.mean(gaps)) if gaps.size else math.nan
+
+
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------

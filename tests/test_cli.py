@@ -350,6 +350,29 @@ class TestEval:
         assert [r[0] for r in rows[1:]] == ["exhaustive", "bpgnn"]
         assert 0.0 <= float(rows[1][1]) <= 1.0
 
+    def test_bpgnn_row_repeats_the_best_epochs_validation(self, tmp_path, capsys):
+        # train keeps the epoch of lowest val_bce, so eval scores the same
+        # prediction on the same split: the same text, not just close.
+        # With the data seed 0, a mean of row means reads 0.9247500000000001
+        # where the bits' mean reads 0.92475.
+        p = {name: str(tmp_path / name) for name in ("i.mtx", "d.jsonl", "m.json", "e.csv")}
+        for argv in (
+            ["gen-instance", "--kind", "random-dense", "--k", "10", "--scale", "0.2",
+             "--seed", "1", "--out", p["i.mtx"]],
+            ["gen-data", "--instance", p["i.mtx"], "--n", "2000", "--sigma", "0.7",
+             "--seed", "0", "--out", p["d.jsonl"]],
+            ["train", "--instance", p["i.mtx"], "--data", p["d.jsonl"], "--width", "8",
+             "--layers", "2", "--epochs", "2", "--out", p["m.json"]],
+            ["eval", "--instance", p["i.mtx"], "--data", p["d.jsonl"], "--model",
+             p["m.json"], "--methods", "bpgnn", "--out", p["e.csv"]],
+        ):
+            assert main(argv) == 0
+        with open(tmp_path / "m.history.csv", newline="") as fh:
+            best = min(csv.DictReader(fh), key=lambda row: float(row["val_bce"]))
+        with open(p["e.csv"], newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["accuracy"], row["rel_qubo"]) == (best["val_acc"], best["val_relqubo"])
+
     def test_neural_methods_require_model_flag(self, ws, tmp_path, capsys):
         rc = main(["eval", "--instance", str(ws["inst"]),
                    "--data", str(ws["data"]), "--methods", "bpgnn",

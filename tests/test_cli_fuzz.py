@@ -169,9 +169,11 @@ def assert_runs_or_fails_with_a_location(originals, kind, mutations):
 def reference_read(path):
     """read_instance one line at a time, with Python's int and float: the
     reference for the instance reader's outcome on any file, and the line
-    of the first error it finds."""
+    of the first error it finds.  Its lines are the ones a text-mode file
+    yields, which end at a newline only."""
     path = str(path)
-    raw = Path(path).read_text().splitlines()
+    with open(path) as fh:
+        raw = [line.removesuffix("\n") for line in fh]
 
     def fail(lineno: int, why: str):
         raise ValueError(f"{path}:{lineno}: {why}")
@@ -248,8 +250,8 @@ def outcome(path, read=read_instance):
 
 def content_lines(text: str) -> list[tuple[int, str]]:
     """The size and entry lines (after the header, not blank or `%`),
-    stripped, with their numbers."""
-    return [(n, line.strip()) for n, line in enumerate(text.splitlines(), 1)
+    stripped, with their numbers; lines end at a newline only."""
+    return [(n, line.strip()) for n, line in enumerate(text.split("\n"), 1)
             if n > 1 and line.strip()[:1] not in ("", "%")]
 
 

@@ -227,6 +227,21 @@ class TestDatasetPersistence:
         with pytest.raises(ValueError, match="does not match instance"):
             read_dataset(path, instance=other)
 
+    def test_a_raw_line_separator_in_a_string_ends_no_record(self, tmp_path):
+        # A JSON Lines record ends at \n only; JSON strings may hold these raw.
+        ds = self.make()
+        path = tmp_path / "data.jsonl"
+        write_dataset(ds, path)
+        header, first, *rest = path.read_text().split("\n")
+        record = json.loads(first)
+        record["provenance"]["note"] = "a\u2028b\u2029c\x85d"
+        line = json.dumps(record, ensure_ascii=False)
+        assert "\u2028" in line
+        path.write_text("\n".join([header, line, *rest]), encoding="utf-8")
+        back = read_dataset(path)
+        ds.provenance[0]["note"] = "a\u2028b\u2029c\x85d"
+        assert back == ds
+
     def test_empty_file_is_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -319,7 +319,7 @@ class TestEvaluateMethod:
         b, x_ref = data.b_matrix("val"), data.x_matrix("val")
         x_loop = np.array([exhaustive_solve(inst, row).x_best for row in b])
         assert not x_loop[0].any() and not x_loop[1].any()
-        assert rec.accuracy == float(np.mean(np.mean(x_loop == x_ref, axis=1)))
+        assert rec.accuracy == accuracy(x_ref, x_loop)
         assert rec.accuracy == (1.0 + 0.0 + 4.0) / 6.0
         assert rec.rel_qubo == float(np.mean(rel_gaps(inst, b, x_ref, x_loop)))
 
@@ -340,7 +340,7 @@ class TestEvaluateMethod:
         rec = evaluate_method("bpgnn+ts", inst, data, model=model, split="train")
         b, x_ref = data.b_matrix("train"), data.x_matrix("train")
         x_loop = np.array([hybrid_infer(model, inst, row).x_best for row in b])
-        assert rec.accuracy == float(np.mean(np.mean(x_loop == x_ref, axis=1)))
+        assert rec.accuracy == accuracy(x_ref, x_loop)
         assert rec.rel_qubo == float(np.mean(rel_gaps(inst, b, x_ref, x_loop)))
         assert rec.elapsed_ms > 0.0
 
@@ -350,7 +350,7 @@ class TestEvaluateMethod:
         rec = evaluate_method("tabu", inst, data)
         b, x_ref = data.b_matrix("val"), data.x_matrix("val")
         x_loop = np.array([tabu_solve(inst, row, TabuParams()).x_best for row in b])
-        assert rec.accuracy == float(np.mean(np.mean(x_loop == x_ref, axis=1)))
+        assert rec.accuracy == accuracy(x_ref, x_loop)
         assert rec.rel_qubo == float(np.mean(rel_gaps(inst, b, x_ref, x_loop)))
         assert 0.0 < rec.accuracy < 1.0
         assert rec.elapsed_ms > 0.0

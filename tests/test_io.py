@@ -150,6 +150,16 @@ class TestInstanceReadFailures:
         with pytest.raises(ValueError, match=r"junk\.mtx:3"):
             read_instance(path)
 
+    def test_a_form_feed_is_no_line_break(self, tmp_path):
+        # Inside a line \x0c is whitespace, so a malformed token after it is
+        # named on the line where a byte that is not UTF-8 would be.
+        text = f"{MM_HEADER}\n2 2 2\n1 1 1.0\n".encode() + b"\x0c2 2 1"
+        for token, why in ((b"x", "malformed entry '2 2 1x'"), (b"\xff", "not UTF-8 text")):
+            path = tmp_path / "ff.mtx"
+            path.write_bytes(text + token + b"\n")
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: {why}"):
+                read_instance(path)
+
     def test_out_of_range_index(self, tmp_path):
         path = tmp_path / "oob.mtx"
         path.write_text(f"{MM_HEADER}\n2 2 1\n3 1 1.0\n")

@@ -271,11 +271,11 @@ class TestForward:
 
     @pytest.mark.parametrize("b,message", [
         (np.zeros(5), "observed vector has shape (5,), expected (6,)"),
-        (np.zeros((2, 5)), "observed vector has shape (5,), expected (6,)"),
-        (np.zeros((1, 2, 6)), "observed vector has shape (2, 6), expected (6,)"),
-        (1.0, "observed vector has shape (1,), expected (6,)"),
-        (np.full((2, 6), np.nan), "observed vector contains NaN or Inf entries"),
-        (np.where(np.eye(6)[:3] > 0, np.inf, 0.0), "observed vector contains NaN or Inf entries"),
+        (np.zeros((2, 5)), "field matrix has shape (2, 5), expected (n, 6)"),
+        (np.zeros((1, 2, 6)), "observed vector has shape (1, 2, 6), expected (6,)"),
+        (1.0, "observed vector has shape (), expected (6,)"),
+        (np.full((2, 6), np.nan), "field matrix contains NaN or Inf entries"),
+        (np.where(np.eye(6)[:3] > 0, np.inf, 0.0), "field matrix contains NaN or Inf entries"),
         ([0.0, 1.0, 2.0, 3.0, 4.0, -np.inf], "observed vector contains NaN or Inf entries"),
     ], ids=["short-vector", "short-rows", "3-d", "scalar", "nan-stack", "inf-in-stack",
             "inf-vector"])
