@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -133,10 +132,11 @@ class Dataset:
                                                       (self.split, other.split)))
         )
 
-    @property
-    def pairs(self) -> Sequence[DataPair]:
-        """Read-only sequence of the pairs, each a DataPair of row views."""
-        return _Pairs(self)
+    @cached_property
+    def pairs(self) -> tuple[DataPair, ...]:
+        """The pairs as rows, each a DataPair of read-only views into the
+        columns; made on first use and then kept."""
+        return tuple(map(DataPair, self.b, self.x, self.provenance))
 
     def indices(self, split: str) -> np.ndarray:
         return np.flatnonzero(self.split == split)
@@ -146,22 +146,6 @@ class Dataset:
 
     def x_matrix(self, split: str | None = None) -> np.ndarray:
         return self.x if split is None else self.x[self.split == split]
-
-
-class _Pairs(Sequence):
-    """Dataset.pairs: item i is DataPair(b[i], x[i], provenance[i]) over the
-    dataset's own rows."""
-
-    def __init__(self, dataset: Dataset):
-        self._dataset = dataset
-
-    def __len__(self) -> int:
-        return len(self._dataset)
-
-    def __getitem__(self, i) -> DataPair:
-        d = self._dataset
-        i = operator.index(i)
-        return DataPair(b=d.b[i], x=d.x[i], provenance=d.provenance[i])
 
 
 def draw_near_binary(rng: np.random.Generator, k: int, eps_bin: float) -> np.ndarray:

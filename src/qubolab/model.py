@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass
 
@@ -48,6 +49,9 @@ class BpgnnConfig:
         for name in ("d", "layers", "eps_step", "dropout", "seed"):
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)}")
+        for name in ("d", "layers", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not isinstance(self.use_qubo_features, bool):
             raise ValueError(
                 f"use_qubo_features must be true or false, got {self.use_qubo_features!r}")
@@ -55,10 +59,29 @@ class BpgnnConfig:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.eps_step < math.inf:
             raise ValueError(f"eps_step must be positive and finite, got {self.eps_step}")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+
+
+def _layout(config: BpgnnConfig):
+    """(name, shape) of every parameter, in the order of BpgnnModel.flat.
+
+    A name's last part says how it starts: w* uniform in +-1/sqrt(fan-in),
+    the shape's first axis; b* zero; sigma_raw at unit diffusion rate.
+    """
+    d = config.d
+    yield from (("enc.w1", (1, d)), ("enc.b1", (1, d)),
+                ("enc.w2", (d, d)), ("enc.b2", (1, d)))
+    for layer in range(config.layers):
+        for mlp in (f"layer{layer}.g", f"layer{layer}.f"):
+            yield from ((f"{mlp}.w1", (d, d)), (f"{mlp}.b1", (1, d)),
+                        (f"{mlp}.w2", (d, d)), (f"{mlp}.b2", (1, d)))
+        yield f"layer{layer}.sigma_raw", (1, d)
+    yield from (("dec.w", (d, 1)), ("dec.b", (1, 1)))
 
 
 def build_laplacian(instance: QuboInstance) -> sp.csr_matrix:
@@ -99,7 +122,9 @@ class BpgnnModel:
     uses.  Each VJP applies the operator's own .T.
 
     Parameters live in a name -> Tensor dict, and each tensor's data is a
-    reshaped view into one float64 vector, self.flat, in the dict's order:
+    reshaped view into one float64 vector, self.flat.  _layout(config) is
+    the one statement of their names, shapes and order, which
+    _init_params draws and load_checkpoint checks a file against:
       enc.*                encoder MLP 1 -> d (relu hidden)
       layer{i}.g.*         residual-feature MLP d -> d (relu hidden, linear out)
       layer{i}.f.*         reaction MLP d -> d (relu hidden, tanh out)
@@ -119,33 +144,16 @@ class BpgnnModel:
             t.data = part.reshape(t.data.shape)
 
     def _init_params(self) -> dict[str, Tensor]:
-        d = self.config.d
         rng = np.random.default_rng(self.config.seed)
-
-        def weight(fan_in: int, shape) -> Tensor:
-            bound = 1.0 / math.sqrt(fan_in)
-            return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-        def bias(width: int) -> Tensor:
-            return Tensor(np.zeros((1, width)), requires_grad=True)
-
-        params: dict[str, Tensor] = {
-            "enc.w1": weight(1, (1, d)),
-            "enc.b1": bias(d),
-            "enc.w2": weight(d, (d, d)),
-            "enc.b2": bias(d),
-        }
-        for layer in range(self.config.layers):
-            for name in (f"layer{layer}.g", f"layer{layer}.f"):
-                params[f"{name}.w1"] = weight(d, (d, d))
-                params[f"{name}.b1"] = bias(d)
-                params[f"{name}.w2"] = weight(d, (d, d))
-                params[f"{name}.b2"] = bias(d)
-            params[f"layer{layer}.sigma_raw"] = Tensor(
-                np.full((1, d), _SIGMA_RAW_INIT), requires_grad=True
-            )
-        params["dec.w"] = weight(d, (d, 1))
-        params["dec.b"] = bias(1)
+        params: dict[str, Tensor] = {}
+        for name, shape in _layout(self.config):
+            kind = name.rsplit(".", 1)[1][0]
+            if kind == "w":
+                bound = 1.0 / math.sqrt(shape[0])
+                data = rng.uniform(-bound, bound, size=shape)
+            else:
+                data = np.full(shape, _SIGMA_RAW_INIT if kind == "s" else 0.0)
+            params[name] = Tensor(data, requires_grad=True)
         return params
 
     # -- forward --------------------------------------------------------
@@ -385,26 +393,14 @@ def load_checkpoint(path: str | os.PathLike, instance: QuboInstance) -> BpgnnMod
     saved = doc["params"]
     try:
         config = BpgnnConfig(**doc["config"])
-        # Size the model by the saved parameters before allocating it, so a
-        # config asking for more layers or width than the file holds fails.
-        layers = sum(name.endswith(".sigma_raw") for name in saved)
-        w2 = saved.get("enc.w2")
-        w2_data = w2.get("data") if isinstance(w2, dict) else None
-        weights = len(w2_data) if isinstance(w2_data, list) else 0
-        if (config.layers, config.d ** 2) != (layers, weights):
-            raise ValueError(
-                f"{config.layers} layers of width {config.d}, but the params "
-                f"hold {layers} layers and {weights} 'enc.w2' weights (width squared)")
-        model = BpgnnModel(config, instance)
     except (TypeError, ValueError) as err:
         fail(f"bad config block: {err}", "config")
-    missing = sorted(set(model.params) - set(saved))
-    extra = sorted(set(saved) - set(model.params))
-    if missing:
-        fail(f"checkpoint is missing parameter {missing[0]!r}", "params")
-    if extra:
-        fail(f"checkpoint has unknown parameter {extra[0]!r}", extra[0])
-    for name, t in model.params.items():
+    # Check the file against the layout first, so that no model is built
+    # for a config the params do not hold.
+    values: dict[str, np.ndarray] = {}
+    for name, shape in _layout(config):
+        if name not in saved:
+            fail(f"checkpoint is missing parameter {name!r}", "params")
         entry = saved[name]
         if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
             fail(f"parameter {name!r} needs 'shape' and 'data'", name)
@@ -413,17 +409,21 @@ def load_checkpoint(path: str | os.PathLike, instance: QuboInstance) -> BpgnnMod
                 and set(map(type, entry["data"])) <= {int, float}):
             fail(f"parameter {name!r} data must be a list of JSON numbers", name)
         try:
-            shape = tuple(entry["shape"])
+            saved_shape = tuple(entry["shape"])
             data = np.asarray(entry["data"], dtype=np.float64)
         except (OverflowError, TypeError, ValueError) as err:
             fail(f"parameter {name!r}: {err}", name)
-        if shape != t.data.shape:
-            fail(f"parameter {name!r} has shape {shape}, expected {t.data.shape}",
-                 name)
-        if data.size != t.data.size:
+        if saved_shape != shape:
+            fail(f"parameter {name!r} has shape {saved_shape}, expected {shape}", name)
+        if data.size != math.prod(shape):
             fail(f"parameter {name!r} has {data.size} values, expected "
-                 f"{t.data.size}", name)
+                 f"{math.prod(shape)}", name)
         if not np.all(np.isfinite(data)):
             fail(f"parameter {name!r} has non-finite values", name)
-        t.data[...] = data.reshape(t.data.shape)
+        values[name] = data
+    extra = sorted(set(saved) - set(values))
+    if extra:
+        fail(f"checkpoint has unknown parameter {extra[0]!r}", extra[0])
+    model = BpgnnModel(config, instance)
+    model.flat[:] = np.concatenate(list(values.values()))
     return model

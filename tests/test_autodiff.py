@@ -482,6 +482,15 @@ class TestTapeLifecycle:
         finally:
             gc.enable()
 
+    def test_backward_skips_a_record_that_reaches_no_loss(self):
+        x = Tensor(np.ones((1, 1)), requires_grad=True)
+        w = Tensor(np.ones((1, 1)), requires_grad=True)
+        with Tape() as tape:
+            relu(w)  # recorded, but the loss never reads its output
+            backward(bce_with_logits(x, np.ones((1, 1))))
+        assert len(tape) == 2
+        assert w.grad is None and x.grad is not None
+
     def test_an_intermediate_no_vjp_reads_is_freed_in_the_forward(self):
         # relu's VJP reads its own output, so the pre-activation it consumed
         # is not kept for backward

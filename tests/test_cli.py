@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import platform
 import re
@@ -133,6 +134,13 @@ class TestGenData:
         ref_path = tmp_path / "ref.jsonl"
         write_dataset(ref, ref_path)
         assert ref_path.read_bytes() == ws["data"].read_bytes()
+
+    def test_split_needs_two_fractions(self, ws, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--instance", str(ws["inst"]), "--n", "4",
+                  "--split", "0.5,0.3,0.2", "--out", str(tmp_path / "d.jsonl")])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_stdout_and_config(self, ws, tmp_path, capsys):
         out = tmp_path / "d.jsonl"
@@ -626,6 +634,31 @@ class TestBench:
         assert rows[0] == ["method", "k", "acc_mean", "acc_std", "relqubo_mean",
                            "relqubo_std", "time_ms_mean"]
         assert len(rows) == 3 and rows[1][1] == "4"
+
+    def test_neural_rows_load_one_checkpoint_per_realization(self, tmp_path, capsys):
+        lists = {"--instances": [], "--datasets": [], "--models": []}
+        for t in (0, 1):
+            ip, dp, mp = (tmp_path / f"{name}{t}" for name in ("i.mtx", "d.jsonl", "m.json"))
+            assert main(["gen-instance", "--kind", "random-dense", "--k", "6",
+                         "--seed", str(50 + t), "--out", str(ip)]) == 0
+            assert main(["gen-data", "--instance", str(ip), "--n", "12",
+                         "--split", "0.5,0.5", "--out", str(dp)]) == 0
+            assert main(["train", "--instance", str(ip), "--data", str(dp),
+                         "--width", "4", "--layers", "1", "--epochs", "1",
+                         "--out", str(mp)]) == 0
+            for flag, path in zip(lists, (ip, dp, mp)):
+                lists[flag].append(str(path))
+        capsys.readouterr()
+        out = tmp_path / "bench.csv"
+        argv = [a for flag, paths in lists.items() for a in (flag, ",".join(paths))]
+        assert main(["bench", *argv, "--methods", "tabu,bpgnn,bpgnn+ts",
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["method"] for r in rows] == ["tabu", "bpgnn", "bpgnn+ts"]
+        for row in rows:
+            assert row["k"] == "6"
+            assert all(math.isfinite(float(v)) for c, v in row.items()
+                       if c not in ("method", "k"))
 
     @pytest.mark.parametrize("lists,noun", [
         (["--datasets", "{data},{bad}"], "datasets"),

@@ -186,6 +186,11 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match="sum to 1"):
             generate_dataset(inst, 4, DataGenParams(), split=(0.8, 0.1))
 
+    def test_rejects_a_train_fraction_outside_the_unit_interval(self):
+        inst = gen_random_dense(6, 0)
+        with pytest.raises(ValueError, match=r"train fraction must lie in \[0, 1\], got 1.5"):
+            generate_dataset(inst, 4, DataGenParams(), split=(1.5, -0.5))
+
     def test_rejects_empty_request(self):
         inst = gen_random_dense(6, 0)
         with pytest.raises(ValueError, match="n_pairs"):
@@ -377,7 +382,7 @@ class TestDatasetType:
 
     def test_pairs_are_read_only_row_views(self):
         ds = generate_dataset(gen_random_dense(5, 8), 6, DataGenParams(sigma=0.4, seed=6))
-        assert len(ds.pairs) == 6
+        assert len(ds.pairs) == 6 and ds.pairs is ds.pairs
         for i, pair in enumerate(ds.pairs):
             assert np.shares_memory(pair.b, ds.b) and not pair.b.flags.writeable
             assert pair == DataPair(ds.b[i], ds.x[i], ds.provenance[i])

@@ -126,6 +126,13 @@ class TestInstanceReadFailures:
         with pytest.raises(ValueError, match=r"bad\.mtx:1: bad header"):
             read_instance(path)
 
+    def test_header_only_file_misses_its_size_line(self, tmp_path):
+        path = tmp_path / "header.mtx"
+        path.write_text(f"{MM_HEADER}\n")
+        with pytest.raises(ValueError) as err:
+            read_instance(path)
+        assert str(err.value) == f"{path}:1: missing size line"
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.mtx"
         path.write_text("")

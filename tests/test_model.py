@@ -49,6 +49,10 @@ class TestBpgnnConfig:
         (dict(seed=True), "seed must be a number, got True"),
         (dict(use_qubo_features="false"), "use_qubo_features must be true or false"),
         (dict(use_qubo_features=0), "use_qubo_features must be true or false"),
+        (dict(d=1.5), "d must be an integer, got 1.5"),
+        (dict(layers=2.0), "layers must be an integer, got 2.0"),
+        (dict(seed=0.5), "seed must be an integer, got 0.5"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
     ])
     def test_validation(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):
@@ -260,14 +264,6 @@ class TestForward:
         for stack in (np.asfortranarray(b), wide[:, ::3]):
             stack.flags.writeable = False
             assert np.array_equal(model.predict(stack), want)
-
-    @pytest.mark.parametrize("b", [np.zeros(5), np.zeros((2, 5)),
-                                   np.full((2, 6), np.nan),
-                                   np.zeros((1, 2, 6))])
-    def test_predict_rejects_bad_vectors(self, b):
-        model = BpgnnModel(BpgnnConfig(d=4, layers=1), gen_random_dense(6, 1))
-        with pytest.raises(ValueError):
-            model.predict(b)
 
     @pytest.mark.parametrize("b,message", [
         (np.zeros(5), "observed vector has shape (5,), expected (6,)"),
@@ -648,9 +644,9 @@ class TestCheckpoints:
             self._load(tmp_path, doc)
 
     @pytest.mark.parametrize("key,value,why", [
-        ("layers", 5, "5 layers of width 4, but the params hold 4 layers"),
-        ("d", 5, "4 layers of width 5, but the params hold 4 layers and 16"),
-        ("layers", 10 ** 400, "but the params hold 4 layers"),
+        ("layers", 5, "checkpoint is missing parameter 'layer4.g.w1'"),
+        ("d", 5, "parameter 'enc.w1' has shape (1, 4), expected (1, 5)"),
+        ("layers", 10 ** 400, "checkpoint is missing parameter 'layer4.g.w1'"),
     ], ids=["layers", "width", "huge-layers"])
     def test_config_is_checked_against_the_params_before_building(
             self, tmp_path, monkeypatch, key, value, why):
@@ -664,6 +660,27 @@ class TestCheckpoints:
             raise AssertionError("a model was built for a config the params do not hold")
 
         monkeypatch.setattr(BpgnnModel, "_init_params", never)
-        path.write_text(json.dumps(doc, indent=1))
-        with pytest.raises(ValueError, match=f"model.json:2: bad config block: .*{why}"):
+        text = json.dumps(doc, indent=1)
+        path.write_text(text)
+        at = '"params"' if "missing" in why else '"enc.w1"'
+        line = text[:text.index(at)].count("\n") + 1
+        with pytest.raises(ValueError) as err:
             load_checkpoint(path, chain3())
+        assert str(err.value) == f"{path}:{line}: {why}"
+
+    def test_values_are_checked_before_building(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        save_checkpoint(self.make_model(), path)
+        doc = json.loads(path.read_text())
+        doc["params"]["dec.b"]["data"] = ["HUGE"]
+        text = json.dumps(doc, indent=1).replace('"HUGE"', "1e400")
+        path.write_text(text)
+
+        def never(self):
+            raise AssertionError("a model was built for params that fail their check")
+
+        monkeypatch.setattr(BpgnnModel, "_init_params", never)
+        line = text[:text.index('"dec.b"')].count("\n") + 1
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path, chain3())
+        assert str(err.value) == f"{path}:{line}: parameter 'dec.b' has non-finite values"

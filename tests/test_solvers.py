@@ -632,6 +632,10 @@ class TestSabParams:
         with pytest.raises(ValueError, match="dt"):
             SabParams(dt=0.0)
 
+    def test_rejects_zero_steps(self):
+        with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
+            SabParams(steps=0)
+
     def test_rejects_nonpositive_c0(self):
         with pytest.raises(ValueError, match="c0"):
             SabParams(c0=-1.0)
