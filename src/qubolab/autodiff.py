@@ -114,10 +114,9 @@ def backward(loss: Tensor) -> None:
             t.grad = g if t.grad is None else t.grad + g
 
 
-def zero_grad(params) -> None:
-    """Clear gradients; accepts a dict of tensors or an iterable."""
-    values = params.values() if isinstance(params, dict) else params
-    for t in values:
+def zero_grad(params: dict[str, Tensor]) -> None:
+    """Clear the gradient of every tensor in a name -> Tensor dict."""
+    for t in params.values():
         t.grad = None
 
 
@@ -272,9 +271,10 @@ def dropout(x: Tensor, p: float, seed: int) -> Tensor:
     return _emit(x.data * factor, (x,), vjp)
 
 
-def bce_with_logits(logits: Tensor, targets: Tensor | np.ndarray) -> Tensor:
-    """Mean binary cross-entropy from logits, log-sum-exp stabilized."""
-    y = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
+def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy from logits, log-sum-exp stabilized, against
+    a constant target array of the logits' shape."""
+    y = np.asarray(targets, dtype=np.float64)
     z = logits.data
     if z.shape != y.shape:
         raise ValueError(f"logits shape {z.shape} != targets shape {y.shape}")

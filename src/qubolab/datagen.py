@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .io import BLOCK_ENTRIES, _decode_json, _lines, _read_text
+from .io import _decode_json, _lines, _read_text
 from .qubo import QuboInstance, _RowError
 from .solvers import refine_with_tabu
 
@@ -78,8 +78,9 @@ class Dataset:
 
     b becomes a C-contiguous (n, k) float64 array, x an (n, k) int8 array
     and split an (n,) array of 'train'/'val' tags; each is copied, checked
-    once as a whole and made read-only.  provenance is one dict per pair,
-    {} for every pair when None.
+    once as a whole and made read-only; a refused value raises _RowError at
+    its first pair, with the text read_dataset reports at that pair's line.
+    provenance is one dict per pair, {} for every pair when None.
     """
 
     instance_ref: str
@@ -102,13 +103,14 @@ class Dataset:
         if tags.shape != (len(b),):
             raise ValueError(f"{len(b)} pairs but {tags.size} split tags")
         for column, bad, why in (
-                ("b", ~np.isfinite(b).all(axis=1), "b contains NaN or Inf entries"),
-                ("x", ((x != 0) & (x != 1)).any(axis=1), "x entries must be exactly 0 or 1"),
+                ("b", ~np.isfinite(b).all(axis=1), "observed vector contains NaN or Inf entries"),
+                ("x", ((x != 0) & (x != 1)).any(axis=1),
+                 "assignment entries must be exactly 0 or 1"),
                 ("split", (tags != "train") & (tags != "val"),
-                 "split tag must be 'train' or 'val', got {!r}")):
+                 "split must be 'train' or 'val', got {!r}")):
             if bad.any():
                 pair = int(bad.argmax())
-                raise _RowError(why.format(str(tags[pair])), column, pair)
+                raise _RowError(why.format(tags[pair]), column, pair)
         provenance = ([{} for _ in range(len(b))] if self.provenance is None
                       else list(self.provenance))
         if len(provenance) != len(b) or not all(isinstance(p, dict) for p in provenance):
@@ -254,19 +256,15 @@ def generate_dataset(
 
 def write_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
     """Write a JSONL dataset: the header line, then one record line per
-    pair.  The records go out in blocks of about io.BLOCK_ENTRIES numbers
-    of b, so memory does not grow with the number of pairs."""
+    pair, each written as soon as it is encoded, so memory does not grow
+    with the number of pairs."""
     header = {"k": dataset.k, "instance": dataset.instance_ref, "params": dataset.params}
-    step = max(1, BLOCK_ENTRIES // dataset.k)
     with open(os.fspath(path), "w") as fh:
         fh.write(json.dumps(header) + "\n")
-        for lo in range(0, len(dataset.b), step):
-            block = slice(lo, lo + step)
-            fh.write("".join([
-                json.dumps({"b": b, "x": x, "split": split, "provenance": provenance}) + "\n"
-                for b, x, split, provenance in zip(
-                    dataset.b[block].tolist(), dataset.x[block].tolist(),
-                    dataset.split[block].tolist(), dataset.provenance[block])]))
+        for b, x, split, provenance in zip(dataset.b, dataset.x, dataset.split,
+                                           dataset.provenance):
+            fh.write(json.dumps({"b": b.tolist(), "x": x.tolist(), "split": str(split),
+                                 "provenance": provenance}) + "\n")
 
 
 def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
@@ -277,8 +275,8 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
     is supplied its size must match the header; when a split is named the
     file must hold at least one pair of it.  Each record line is decoded
     once and its JSON shape checked there, by _records; Dataset then checks
-    the values (finite b, 0/1 x, the split tags) as whole columns, and the
-    first pair that a check refuses (the _RowError's row) names its line.
+    the values (finite b, 0/1 x, the split tags) as whole columns, and its
+    message is reported at the line of the first pair it refuses.
     """
     path = os.fspath(path)
 
@@ -310,11 +308,7 @@ def read_dataset(path: str | os.PathLike, instance: QuboInstance | None = None,
     try:
         dataset = Dataset(instance_ref, k, params, b, x, splits, provenance)
     except _RowError as err:
-        fail(linenos[err.row], {
-            "b": "observed vector contains NaN or Inf entries",
-            "x": "assignment entries must be exactly 0 or 1",
-            "split": f"split must be 'train' or 'val', got {splits[err.row]!r}",
-        }[err.check])
+        fail(linenos[err.row], str(err))
     if split is not None and split not in dataset.split:
         fail(len(lines), f"no {split!r} pairs in the file")
     return dataset

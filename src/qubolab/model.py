@@ -189,13 +189,10 @@ class BpgnnModel:
             h = drop(ad.react(h_half, reaction, cfg.eps_step))
         return ad.linear(h, p["dec.w"], p["dec.b"])
 
-    def forward(self, b, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        """Logits, shape (k, 1), for one observed vector."""
-        b = as_observed_vector(b, self.instance.k)
-        if training and self.config.dropout > 0 and rng is None:
-            raise ValueError("training-mode forward with dropout needs an rng")
-        return self._logits(b[None, :], training, rng)
+    def forward(self, b) -> Tensor:
+        """Eval-mode logits, shape (k, 1), for one observed vector; train
+        runs its dropout forward through _logits."""
+        return self._logits(as_observed_vector(b, self.instance.k)[None, :], False, None)
 
     def predict(self, b) -> np.ndarray:
         """Binary assignment: bit i is 1 iff sigmoid(logit_i) > 0.5.
@@ -413,7 +410,8 @@ def load_checkpoint(path: str | os.PathLike, instance: QuboInstance) -> BpgnnMod
             data = np.asarray(entry["data"], dtype=np.float64)
         except (OverflowError, TypeError, ValueError) as err:
             fail(f"parameter {name!r}: {err}", name)
-        if saved_shape != shape:
+        # A shape entry must be a JSON integer: true and 1.0 compare equal to 1.
+        if saved_shape != shape or not all(type(v) is int for v in saved_shape):
             fail(f"parameter {name!r} has shape {saved_shape}, expected {shape}", name)
         if data.size != math.prod(shape):
             fail(f"parameter {name!r} has {data.size} values, expected "

@@ -542,9 +542,6 @@ class TestTapeLifecycle:
         x.grad = np.ones((1, 1))
         zero_grad({"x": x})
         assert x.grad is None
-        x.grad = np.ones((1, 1))
-        zero_grad([x])
-        assert x.grad is None
 
 
 def per_tensor_adam_step(params, grads, state):

@@ -329,6 +329,17 @@ class TestDatasetPersistence:
             read_dataset(path)
         assert str(err.value) == f"{path}:6: {why}"
 
+    @pytest.mark.parametrize("tag,shown", [
+        ("5", "5"), ("null", "None"), ('["val"]', "['val']"), ("1.5", "1.5"),
+        ("true", "True"), ('"holdout"', "'holdout'"), ('"train\\u0000"', "'train\\x00'"),
+    ])
+    def test_split_refusal_shows_the_tag_as_given(self, tmp_path, tag, shown):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"k": 1}\n{"b": [0.0], "x": [0], "split": ' + tag + "}\n")
+        with pytest.raises(ValueError) as err:
+            read_dataset(path)
+        assert str(err.value) == f"{path}:2: split must be 'train' or 'val', got {shown}"
+
     def test_unknown_split_tag_is_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text(
@@ -370,8 +381,8 @@ class TestDatasetType:
     @pytest.mark.parametrize("kwargs,message", [
         (dict(b=np.zeros((2, 3))), r"b has shape \(2, 3\), expected \(n, 2\)"),
         (dict(x=np.zeros((2, 3))), r"x has shape \(2, 3\), expected \(2, 2\)"),
-        (dict(b=[[0.0, np.nan], [0.0, 0.0]]), "b contains NaN or Inf"),
-        (dict(x=[[0, 2], [0, 1]]), "x entries must be exactly 0 or 1"),
+        (dict(b=[[0.0, np.nan], [0.0, 0.0]]), "observed vector contains NaN or Inf"),
+        (dict(x=[[0, 2], [0, 1]]), "assignment entries must be exactly 0 or 1"),
         (dict(provenance=[{}]), "provenance must be 2 dicts"),
         (dict(provenance=[{}, 5]), "provenance must be 2 dicts"),
     ])
@@ -379,6 +390,24 @@ class TestDatasetType:
         columns = dict(b=np.zeros((2, 2)), x=np.zeros((2, 2)), split=["val", "val"])
         with pytest.raises(ValueError, match=message):
             Dataset(instance_ref="", k=2, params={}, **(columns | kwargs))
+
+    @pytest.mark.parametrize("key,value", [
+        ("b", [0.0, float("nan")]), ("x", [0, 2]), ("split", "holdout"),
+    ])
+    def test_refusal_text_is_the_readers(self, tmp_path, key, value):
+        record = {"b": [0.5, -1.0], "x": [0, 1], "split": "val"} | {key: value}
+        columns = {"b": [record["b"]], "x": [record["x"]], "split": [record["split"]]}
+        with pytest.raises(ValueError) as built:
+            Dataset(instance_ref="", k=2, params={}, **columns)
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"k": 2}\n' + json.dumps(record) + "\n")
+        with pytest.raises(ValueError) as read:
+            read_dataset(path)
+        assert str(read.value) == f"{path}:2: {built.value}"
+
+    def test_is_not_equal_to_another_type(self):
+        ds = Dataset(instance_ref="", k=1, params={}, b=[[0.0]], x=[[1]], split=["val"])
+        assert (ds == object()) is False
 
     def test_pairs_are_read_only_row_views(self):
         ds = generate_dataset(gen_random_dense(5, 8), 6, DataGenParams(sigma=0.4, seed=6))

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from qubolab import (gen_ising, gen_lattice_laplacian, gen_random_dense,
-                     lattice_adjacency, read_instance, read_vector,
-                     write_instance, write_vector)
+                     lattice_adjacency, load_checkpoint, read_dataset,
+                     read_instance, read_vector, write_instance, write_vector)
+from qubolab import io as qio
 from qubolab.io import MM_HEADER, _sidecar_path, write_csv
 
 from conftest import tiny_instance
@@ -286,3 +287,32 @@ class TestCsv:
         assert rows == [["name", "n", "x"], ["a", "3", repr(float(third))],
                         ["b", "-2", "nan"], ["c", "0", "0.1"]]
         assert float(rows[1][2]) == third
+
+
+# A fault on an early line, then 2000 lines that hold none, then the byte
+# 0xff (written for "\udcff") on the last line.
+NOT_UTF8 = {
+    "instance": (read_instance, "inst.mtx",
+                 [MM_HEADER, "3 3 2001", "1 x 0.5", *["2 2 1.0"] * 2000, "% \udcff"]),
+    "vector": (read_vector, "b.txt", ["1.0", "bogus", *["2.0"] * 2000, "\udcff"]),
+    "dataset": (read_dataset, "data.jsonl",
+                ['{"k": 1}', '{"b": [0.0], "x": [0]}',
+                 *['{"b": [0.0], "x": [0], "split": "val"}'] * 2000, '"\udcff"']),
+    "checkpoint": (lambda path: load_checkpoint(path, tiny_instance()), "model.json",
+                   ["{", '"config": oops,', *['"pad": 0,'] * 2000, '"x": "\udcff"}']),
+}
+
+
+@pytest.mark.parametrize("reader,block_chars", [
+    *((reader, None) for reader in NOT_UTF8), ("instance", 64),
+], ids=[*NOT_UTF8, "instance-small-blocks"])
+def test_a_byte_that_is_not_utf8_is_named_before_any_other_fault(
+        tmp_path, monkeypatch, reader, block_chars):
+    read, name, lines = NOT_UTF8[reader]
+    if block_chars is not None:
+        monkeypatch.setattr(qio, "BLOCK_CHARS", block_chars)
+    path = tmp_path / name
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(err.value).startswith(f"{path}:{len(lines)}: not UTF-8 text")

@@ -281,19 +281,14 @@ class TestForward:
             model.predict(b)
         assert str(err.value) == message
 
-    def test_training_dropout_needs_rng(self):
-        model = BpgnnModel(BpgnnConfig(d=4, layers=1, dropout=0.5), chain3())
-        with pytest.raises(ValueError, match="needs an rng"):
-            model.forward(np.zeros(3), training=True)
-
     def test_dropout_active_only_in_training(self):
         model = BpgnnModel(BpgnnConfig(d=8, layers=2, dropout=0.5), chain3())
         b = np.array([1.0, -1.0, 0.5])
         eval1 = model.forward(b).data
         eval2 = model.forward(b).data
         assert np.array_equal(eval1, eval2)
-        t1 = model.forward(b, training=True, rng=np.random.default_rng(0)).data
-        t2 = model.forward(b, training=True, rng=np.random.default_rng(1)).data
+        t1 = model._logits(b[None], True, np.random.default_rng(0)).data
+        t2 = model._logits(b[None], True, np.random.default_rng(1)).data
         assert not np.array_equal(t1, t2)
 
 
@@ -630,6 +625,19 @@ class TestCheckpoints:
         doc["params"]["dec.w"]["shape"] = [1, 4]
         with pytest.raises(ValueError, match="has shape"):
             self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("shape", [[True, 1.0], [1.0, 1.0], [1, True]])
+    def test_shape_entries_must_be_json_integers(self, tmp_path, shape):
+        doc = self._doc(tmp_path)
+        doc["params"]["dec.b"]["shape"] = shape
+        text = json.dumps(doc, indent=1)
+        path = tmp_path / "edited.json"
+        path.write_text(text)
+        line = text[:text.index('"dec.b"')].count("\n") + 1
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path, chain3())
+        assert str(err.value) == (
+            f"{path}:{line}: parameter 'dec.b' has shape {tuple(shape)}, expected (1, 1)")
 
     def test_truncated_values(self, tmp_path):
         doc = self._doc(tmp_path)
