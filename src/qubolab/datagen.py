@@ -102,15 +102,13 @@ class Dataset:
             raise ValueError(f"x has shape {x.shape}, expected {b.shape}")
         if tags.shape != (len(b),):
             raise ValueError(f"{len(b)} pairs but {tags.size} split tags")
-        for column, bad, why in (
-                ("b", ~np.isfinite(b).all(axis=1), "observed vector contains NaN or Inf entries"),
-                ("x", ((x != 0) & (x != 1)).any(axis=1),
-                 "assignment entries must be exactly 0 or 1"),
-                ("split", (tags != "train") & (tags != "val"),
-                 "split must be 'train' or 'val', got {!r}")):
+        for bad, why in (
+                (~np.isfinite(b).all(axis=1), "observed vector contains NaN or Inf entries"),
+                (((x != 0) & (x != 1)).any(axis=1), "assignment entries must be exactly 0 or 1"),
+                ((tags != "train") & (tags != "val"), "split must be 'train' or 'val', got {!r}")):
             if bad.any():
                 pair = int(bad.argmax())
-                raise _RowError(why.format(tags[pair]), column, pair)
+                raise _RowError(why.format(tags[pair]), pair)
         provenance = ([{} for _ in range(len(b))] if self.provenance is None
                       else list(self.provenance))
         if len(provenance) != len(b) or not all(isinstance(p, dict) for p in provenance):

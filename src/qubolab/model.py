@@ -30,6 +30,10 @@ from .qubo import (QuboInstance, _product_form, as_field_matrix,
 # Raw value whose softplus is exactly 1, so diffusion starts at unit rate.
 _SIGMA_RAW_INIT = math.log(math.expm1(1.0))
 
+# Floats in one (k*rows, d) activation of an eval-mode block (256 KB), so a
+# block's working set stays in cache and memory does not grow with the rows.
+FORWARD_FLOATS = 1 << 15
+
 
 @dataclass
 class BpgnnConfig:
@@ -114,7 +118,8 @@ class BpgnnModel:
     order: row i*n + j holds node i of example j.  Dense layers are then
     plain GEMMs, and a graph product is one k x k operator applied to all
     examples at once.  Each dense layer, residual feature, diffusion
-    half-step and reaction step is one tape record.
+    half-step and reaction step is one tape record.  predict and
+    validation run untaped, in blocks of rows (_eval_logits).
 
     The operators a (A) and laplacian are held as dense arrays when they
     store at least a quarter of their k^2 entries, so a product is one
@@ -189,6 +194,22 @@ class BpgnnModel:
             h = drop(ad.react(h_half, reaction, cfg.eps_step))
         return ad.linear(h, p["dec.w"], p["dec.b"])
 
+    def _eval_logits(self, b_mat: np.ndarray) -> np.ndarray:
+        """Eval-mode node-major logits, shape (k*n, 1), for n observed vectors
+        (n, k), run in blocks of max(1, FORWARD_FLOATS // (k*d)) rows.
+
+        Each block's logits fill their columns of one (k, n) array, so the
+        result is in the order _logits gives for the whole stack, and every
+        sum over it adds its terms in that order.
+        """
+        k, n = self.instance.k, len(b_mat)
+        rows = max(1, FORWARD_FLOATS // (k * self.config.d))
+        out = np.empty((k, n))
+        for lo in range(0, n, rows):
+            block = self._logits(b_mat[lo:lo + rows], False, None).data
+            out[:, lo:lo + rows] = block.reshape(k, -1)
+        return out.reshape(-1, 1)
+
     def forward(self, b) -> Tensor:
         """Eval-mode logits, shape (k, 1), for one observed vector; train
         runs its dropout forward through _logits."""
@@ -203,7 +224,7 @@ class BpgnnModel:
         k = self.instance.k
         one = np.ndim(b) != 2
         b_mat = as_observed_vector(b, k)[None] if one else as_field_matrix(b, k)
-        x = _decode(self._logits(b_mat, False, None).data, k)
+        x = _decode(self._eval_logits(b_mat), k)
         return x[0] if one else x
 
 
@@ -339,10 +360,10 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
 def _validate(model: BpgnnModel, b_val: np.ndarray,
               y_val: np.ndarray) -> tuple[float, float, float]:
     """Validation BCE and the scores of the decoded prediction (qubo.scores),
-    the ones evaluate_method reports."""
-    logits = model._logits(b_val, False, None)
-    loss = bce_with_logits(logits, _node_major(y_val).astype(np.float64))
-    preds = _decode(logits.data, model.instance.k)
+    the ones evaluate_method reports; the logits come in predict's blocks."""
+    logits = model._eval_logits(b_val)
+    loss = bce_with_logits(Tensor(logits), _node_major(y_val).astype(np.float64))
+    preds = _decode(logits, model.instance.k)
     return (float(loss.data), *scores(model.instance, b_val, y_val, preds))
 
 

@@ -70,13 +70,14 @@ def as_binary_assignment(x, k: int) -> np.ndarray:
 
 
 class _RowError(ValueError):
-    """A columnar value check's refusal.  check names the rule that refused
-    ('b', 'x' or 'split' for a Dataset; 'vals', 'index' or 'duplicate' for
-    a QuboInstance), and row is the first row that the rule refuses."""
+    """A columnar value check's refusal: row is the first row that the check
+    refuses.  A QuboInstance also names its check ('vals', 'index' or
+    'duplicate'), which io words in its own message; a Dataset's message is
+    the one reported, so it names none."""
 
-    def __init__(self, why: str, check: str, row: int):
+    def __init__(self, why: str, row: int, check: str | None = None):
         super().__init__(why)
-        self.check, self.row = check, row
+        self.row, self.check = row, check
 
 
 @dataclass(eq=False)
@@ -112,14 +113,14 @@ class QuboInstance:
         if bad.any():
             entry = int(bad.argmax())
             if non_finite[entry]:
-                raise _RowError("matrix values must be finite", "vals", entry)
-            raise _RowError(f"index out of range [0, {self.k})", "index", entry)
+                raise _RowError("matrix values must be finite", entry, "vals")
+            raise _RowError(f"index out of range [0, {self.k})", entry, "index")
         flat = self.rows * self.k + self.cols
         if np.any(np.diff(np.sort(flat)) == 0):
             repeated = np.ones(flat.size, dtype=bool)  # not a first occurrence
             repeated[np.unique(flat, return_index=True)[1]] = False
             raise _RowError("duplicate (row, col) coordinates are not allowed",
-                            "duplicate", int(repeated.argmax()))
+                            int(repeated.argmax()), "duplicate")
         for a in (self.rows, self.cols, self.vals):
             a.flags.writeable = False
 

@@ -537,11 +537,12 @@ class TestTapeLifecycle:
         assert len(tape) == 1
         assert inside.data.tolist() == outside.data.tolist()
 
-    def test_zero_grad_clears_dict_and_iterable(self):
+    def test_zero_grad_clears_every_gradient(self):
         x = Tensor(np.ones((1, 1)), requires_grad=True)
+        y = Tensor(np.ones((2, 1)), requires_grad=True)
         x.grad = np.ones((1, 1))
-        zero_grad({"x": x})
-        assert x.grad is None
+        zero_grad({"x": x, "y": y})
+        assert x.grad is None and y.grad is None
 
 
 def per_tensor_adam_step(params, grads, state):

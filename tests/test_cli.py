@@ -22,6 +22,7 @@ from qubolab import (DataGenParams, QuboInstance, cli, gen_random_dense,
                      generate_dataset, load_checkpoint, read_instance,
                      read_vector, write_dataset, write_instance, write_vector)
 from qubolab.cli import main
+from qubolab.model import FORWARD_FLOATS
 
 
 @pytest.fixture(scope="module")
@@ -358,18 +359,17 @@ class TestEval:
         assert [r[0] for r in rows[1:]] == ["exhaustive", "bpgnn"]
         assert 0.0 <= float(rows[1][1]) <= 1.0
 
-    def test_bpgnn_row_repeats_the_best_epochs_validation(self, tmp_path, capsys):
-        # train keeps the epoch of lowest val_bce, so eval scores the same
-        # prediction on the same split: the same text, not just close.
-        # With the data seed 0, a mean of row means reads 0.9247500000000001
-        # where the bits' mean reads 0.92475.
+    @staticmethod
+    def best_epoch_and_eval_row(tmp_path, width):
+        """Train on 2000 dense k=10 pairs (400 val rows), evaluate bpgnn,
+        and return the history row of lowest val_bce and the eval row."""
         p = {name: str(tmp_path / name) for name in ("i.mtx", "d.jsonl", "m.json", "e.csv")}
         for argv in (
             ["gen-instance", "--kind", "random-dense", "--k", "10", "--scale", "0.2",
              "--seed", "1", "--out", p["i.mtx"]],
             ["gen-data", "--instance", p["i.mtx"], "--n", "2000", "--sigma", "0.7",
              "--seed", "0", "--out", p["d.jsonl"]],
-            ["train", "--instance", p["i.mtx"], "--data", p["d.jsonl"], "--width", "8",
+            ["train", "--instance", p["i.mtx"], "--data", p["d.jsonl"], "--width", str(width),
              "--layers", "2", "--epochs", "2", "--out", p["m.json"]],
             ["eval", "--instance", p["i.mtx"], "--data", p["d.jsonl"], "--model",
              p["m.json"], "--methods", "bpgnn", "--out", p["e.csv"]],
@@ -379,6 +379,21 @@ class TestEval:
             best = min(csv.DictReader(fh), key=lambda row: float(row["val_bce"]))
         with open(p["e.csv"], newline="") as fh:
             (row,) = csv.DictReader(fh)
+        return best, row
+
+    def test_bpgnn_row_repeats_the_best_epochs_validation(self, tmp_path):
+        # train keeps the epoch of lowest val_bce, so eval scores the same
+        # prediction on the same split: the same text, not just close.
+        # With the data seed 0, a mean of row means reads 0.9247500000000001
+        # where the bits' mean reads 0.92475.
+        best, row = self.best_epoch_and_eval_row(tmp_path, 8)
+        assert (row["accuracy"], row["rel_qubo"]) == (best["val_acc"], best["val_relqubo"])
+
+    def test_bpgnn_row_repeats_the_validation_across_blocks(self, tmp_path):
+        # At width 32 the 400 val rows run in blocks of 32768 // 320 = 102,
+        # four blocks, in predict as in validation; at width 8 they fit one.
+        assert max(1, FORWARD_FLOATS // (10 * 32)) == 102
+        best, row = self.best_epoch_and_eval_row(tmp_path, 32)
         assert (row["accuracy"], row["rel_qubo"]) == (best["val_acc"], best["val_relqubo"])
 
     def test_neural_methods_require_model_flag(self, ws, tmp_path, capsys):

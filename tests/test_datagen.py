@@ -447,7 +447,8 @@ class TestColumnarPersistence:
         assert back.b.tobytes() == b.tobytes()
 
     def test_memory_does_not_grow_with_the_pairs(self, tmp_path):
-        # At k=400 the records go out 8192 // 400 = 20 at a time.
+        # Each record is written as soon as it is encoded, so only one
+        # record's text is held at a time.
         peaks = {}
         for n in (100, 1000):
             rng = np.random.default_rng(n)

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from qubolab import (BpgnnConfig, BpgnnModel, DataGenParams, Dataset,
                      gen_random_dense, generate_dataset, lattice_adjacency,
                      load_checkpoint, save_checkpoint, train, write_history)
 from qubolab.autodiff import _sigmoid, bce_with_logits
-from qubolab.model import _SIGMA_RAW_INIT, _node_major, _validate
+from qubolab.model import FORWARD_FLOATS, _SIGMA_RAW_INIT, _node_major, _validate
 from qubolab.qubo import _product_form
 
 
@@ -290,6 +291,47 @@ class TestForward:
         t1 = model._logits(b[None], True, np.random.default_rng(0)).data
         t2 = model._logits(b[None], True, np.random.default_rng(1)).data
         assert not np.array_equal(t1, t2)
+
+
+class TestEvalBlocks:
+    """predict and validation run the eval-mode forward in blocks of
+    max(1, FORWARD_FLOATS // (k*d)) rows (BpgnnModel._eval_logits)."""
+
+    @staticmethod
+    def block_rows(model):
+        return max(1, FORWARD_FLOATS // (model.instance.k * model.config.d))
+
+    @pytest.mark.parametrize("make", [lambda: gen_lattice_laplacian(8),
+                                      lambda: gen_random_dense(40, seed=3)],
+                             ids=["lattice-8x8", "dense-k40"])
+    @pytest.mark.parametrize("blocks,extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_blocks_give_the_whole_stacks_logits(self, make, blocks, extra):
+        model = BpgnnModel(BpgnnConfig(d=32, layers=4, seed=5), make())
+        n = blocks * self.block_rows(model) + extra
+        b = np.random.default_rng(n).normal(size=(n, model.instance.k))
+        assert np.array_equal(model._eval_logits(b), model._logits(b, False, None).data)
+
+    @pytest.mark.parametrize("n", [400, 2000])
+    def test_dense_k10_blocks_give_the_whole_stacks_logits(self, n):
+        # At k=10 a row's last bits can depend on the width of its block
+        # (README); at these sizes, the pipelines' split sizes, they do not.
+        model = BpgnnModel(BpgnnConfig(d=32, layers=4, seed=5), gen_random_dense(10, 1, 0.2))
+        assert self.block_rows(model) == 102
+        b = np.random.default_rng(n).normal(size=(n, 10))
+        assert np.array_equal(model._eval_logits(b), model._logits(b, False, None).data)
+
+    def test_predict_memory_does_not_grow_with_the_rows(self):
+        # The whole 2000-row stack held 220 MB of activations at once.
+        model = BpgnnModel(BpgnnConfig(d=32, layers=4), gen_lattice_laplacian(8))
+        b = np.random.default_rng(0).normal(size=(2000, 64))
+        tracemalloc.start()
+        try:
+            x = model.predict(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (2000, 64)
+        assert peak < 10 * 2 ** 20, peak
 
 
 class TestTrainConfig:
