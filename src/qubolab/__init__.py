@@ -18,8 +18,8 @@ from .model import (HISTORY_COLUMNS, BpgnnConfig, BpgnnModel, TrainConfig,
 from .qubo import (QuboInstance, gen_ising, gen_lattice_laplacian,
                    gen_random_dense, ising_energy, lattice_adjacency, qubo_to_ising)
 from .solvers import (IntractableSizeError, SabParams, SolverResult, TabuParams,
-                      exhaustive_argmins, exhaustive_solve, refine_with_tabu,
-                      sab_solve, tabu_rows, tabu_solve)
+                      TabuRows, exhaustive_argmins, exhaustive_solve,
+                      refine_with_tabu, sab_solve, tabu_rows, tabu_solve)
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,7 @@ __all__ = [
     "train", "write_history",
     "QuboInstance", "gen_ising", "gen_lattice_laplacian",
     "gen_random_dense", "ising_energy", "lattice_adjacency", "qubo_to_ising",
-    "IntractableSizeError", "SabParams", "SolverResult", "TabuParams",
+    "IntractableSizeError", "SabParams", "SolverResult", "TabuRows", "TabuParams",
     "exhaustive_argmins", "exhaustive_solve", "refine_with_tabu", "sab_solve",
     "tabu_rows", "tabu_solve", "__version__",
 ]

@@ -201,14 +201,14 @@ def _generate_pairs(instance: QuboInstance, params: DataGenParams,
         z[index] = rng.standard_normal(instance.k)
     b = barrier_observed_vector(instance, x_o, params.mu) + params.sigma ** 2 * z
     rounded = (x_o > 0.5).astype(np.int8)
-    results = refine_with_tabu(instance, b, rounded, params.refine_steps)
-    x = np.array([r.x_best for r in results])
+    polished = refine_with_tabu(instance, b, rounded, params.refine_steps)
+    x = polished.x_best
     flips = np.count_nonzero(x != rounded, axis=1).tolist()
     sigma = float(params.sigma)
     provenance = [
         {"seed": int(pair_seed), "sigma": sigma, "refined": n_flips > 0,
-         "f_value": float(result.f_best), "flips": n_flips}
-        for pair_seed, result, n_flips in zip(seeds, results, flips)
+         "f_value": f_value, "flips": n_flips}
+        for pair_seed, f_value, n_flips in zip(seeds, polished.f_best.tolist(), flips)
     ]
     return b, x, provenance
 

@@ -16,9 +16,9 @@ from .io import write_csv
 from .model import BpgnnModel
 from .qubo import (QuboInstance, accuracy, as_binary_assignment,
                    as_observed_vector, rel_gaps, scores)
-from .solvers import (EXHAUSTIVE_CAP, SabParams, SolverResult,
+from .solvers import (EXHAUSTIVE_CAP, SabParams, SolverResult, _polish_params,
                       exhaustive_argmins, refine_with_tabu, sab_solve,
-                      tabu_rows)
+                      tabu_rows, tabu_solve)
 
 
 @dataclass
@@ -95,7 +95,7 @@ def _minimizers(instance: QuboInstance, fields: np.ndarray,
     Tabu run (tabu_solve with TabuParams() on every row)."""
     if instance.k <= cap:
         return exhaustive_argmins(instance, fields, cap), "exhaustive"
-    return np.array([r.x_best for r in tabu_rows(instance, fields)]), "tabu"
+    return tabu_rows(instance, fields).x_best, "tabu"
 
 
 def probe_landscape(instance: QuboInstance, b, seed: int,
@@ -184,17 +184,17 @@ def write_sweep(sweep: IsingSweep, path: str | os.PathLike) -> None:
 
 def hybrid_infer(model: BpgnnModel, instance: QuboInstance, b,
                  max_steps: int = 10) -> SolverResult:
-    """Neural prediction polished by a short Tabu run: the network predicts
-    on the (1, k) row of b and row 0 of refine_with_tabu polishes it.  The
-    result is named bpgnn+ts and charged one span around both.
+    """Neural prediction polished by a short Tabu run: tabu_solve with the
+    knobs of refine_with_tabu's polish, started from the network's
+    prediction for b.  The result is named bpgnn+ts and charged one span
+    around both.
 
     The returned trace starts at the pure-neural objective, so both the
     unrefined and refined values are available; f_best is never worse
     than the pure prediction because the search keeps its start point.
     """
-    b_mat = as_observed_vector(b, instance.k)[None, :]
     t0 = time.perf_counter()
-    result = refine_with_tabu(instance, b_mat, model.predict(b_mat), max_steps)[0]
+    result = tabu_solve(instance, b, _polish_params(max_steps), model.predict(b))
     return replace(result, solver="bpgnn+ts",
                    elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
@@ -228,13 +228,13 @@ def evaluate_method(method: str, instance: QuboInstance, dataset: Dataset,
     if method == "exhaustive":
         x_pred = exhaustive_argmins(instance, b)
     elif method == "tabu":
-        x_pred = np.array([r.x_best for r in tabu_rows(instance, b)])
+        x_pred = tabu_rows(instance, b).x_best
     elif method == "sab":
         x_pred = np.array([sab_solve(instance, row, SabParams()).x_best for row in b])
     else:
         x_pred = model.predict(b)
         if method == "bpgnn+ts":
-            x_pred = np.array([r.x_best for r in refine_with_tabu(instance, b, x_pred)])
+            x_pred = refine_with_tabu(instance, b, x_pred).x_best
     elapsed_ms = (time.perf_counter() - t0) * 1000.0 / len(b)
     return EvalRecord(method, *scores(instance, b, x_ref, x_pred), elapsed_ms,
                       instance_ref=repr(instance), dataset_ref=dataset.instance_ref)

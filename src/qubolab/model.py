@@ -168,14 +168,15 @@ class BpgnnModel:
         hidden = ad.relu(ad.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
         return ad.linear(hidden, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
-    def _logits(self, b_mat: np.ndarray, training: bool,
-                rng: np.random.Generator | None) -> Tensor:
-        """Node-major logits, shape (k*n, 1), for n observed vectors (n, k)."""
+    def _logits(self, b_mat: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
+        """Node-major logits, shape (k*n, 1), for n observed vectors (n, k).
+        Dropout is drawn from rng exactly when one is given (training); with
+        none the forward runs in eval mode."""
         cfg = self.config
         p = self.params
 
         def drop(t: Tensor) -> Tensor:
-            if training and cfg.dropout > 0:
+            if rng is not None and cfg.dropout > 0:
                 seed = int(rng.integers(0, 2 ** 63))
                 return ad.dropout(t, cfg.dropout, seed)
             return t
@@ -206,14 +207,14 @@ class BpgnnModel:
         rows = max(1, FORWARD_FLOATS // (k * self.config.d))
         out = np.empty((k, n))
         for lo in range(0, n, rows):
-            block = self._logits(b_mat[lo:lo + rows], False, None).data
+            block = self._logits(b_mat[lo:lo + rows]).data
             out[:, lo:lo + rows] = block.reshape(k, -1)
         return out.reshape(-1, 1)
 
     def forward(self, b) -> Tensor:
         """Eval-mode logits, shape (k, 1), for one observed vector; train
         runs its dropout forward through _logits."""
-        return self._logits(as_observed_vector(b, self.instance.k)[None, :], False, None)
+        return self._logits(as_observed_vector(b, self.instance.k)[None, :])
 
     def predict(self, b) -> np.ndarray:
         """Binary assignment: bit i is 1 iff sigmoid(logit_i) > 0.5.
@@ -321,7 +322,7 @@ def train(model: BpgnnModel, dataset: Dataset, config: TrainConfig,
         for lo in range(0, n_train, config.batch_size):
             rows = perm[lo:lo + config.batch_size]
             with Tape():
-                logits = model._logits(b_train[rows], True, rng)
+                logits = model._logits(b_train[rows], rng)
                 loss = bce_with_logits(logits, _node_major(y_train[rows]))
                 backward(loss)
             grad = np.concatenate([

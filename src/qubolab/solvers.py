@@ -7,8 +7,9 @@ table of every low-bit assignment with one product, and a whole group of
 observed vectors is scored in the same product.  Ties go to the first
 minimum in lexicographic order (x_0 most significant).
 
-All solvers return a SolverResult whose f_best is recomputed from x_best
-at return time, so the invariant f_best == evaluate(x_best) holds exactly.
+All solvers return a SolverResult, and the stacked Tabu run a TabuRows of
+columns; f_best is recomputed from x_best at return time, so the invariant
+f_best == evaluate(x_best) holds exactly, row by row.
 """
 
 from __future__ import annotations
@@ -61,6 +62,18 @@ class SolverResult:
             "elapsed_ms": float(self.elapsed_ms),
             "termination": self.termination,
         }
+
+
+@dataclass
+class TabuRows:
+    """Outcome of one stacked Tabu run (tabu_rows), as columns with one row
+    per field: x_best (n, k) int8, f_best (n,) float64, iterations (n,)
+    and termination (n,), each row what tabu_solve gives for that field."""
+
+    x_best: np.ndarray
+    f_best: np.ndarray
+    iterations: np.ndarray
+    termination: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +318,13 @@ def tabu_solve(instance: QuboInstance, b, params: TabuParams | None = None,
 
 
 def tabu_rows(instance: QuboInstance, b_mat, starts=None,
-              params: TabuParams | None = None) -> list[SolverResult]:
+              params: TabuParams | None = None) -> TabuRows:
     """tabu_solve for every row of b_mat (n, k), run in lockstep.
 
     Row r starts from starts[r] (an (n, k) binary matrix; None starts every
-    row from all zeros) and returns exactly what tabu_solve(instance,
-    b_mat[r], params, starts[r]) returns: the same x_best, f_best,
-    iterations, evaluations, termination and trace.  Each result is charged
-    the stack's time divided by n.  The stack pays only once there are many
-    rows, so one row is handed to tabu_solve itself.
+    row from all zeros), and row r of each returned column is what
+    tabu_solve(instance, b_mat[r], params, starts[r]) gives: the same
+    x_best, f_best, iterations and termination.
 
     Each step scores the (m, k) flips of the m rows still running with one
     _flip_deltas call.  The tabu test is exact and needs no hashing: every
@@ -339,11 +350,6 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
     if np.any((x != 0) & (x != 1)):
         raise ValueError("assignment entries must be exactly 0 or 1")
     x = x.astype(np.int8)
-    if n == 0:
-        return []
-    if n == 1:
-        return [tabu_solve(instance, b_mat[0], params, x[0])]
-    t0 = time.perf_counter()
 
     s = instance.a_sym_csr
     indptr, indices, data = s.indptr, s.indices, s.data
@@ -355,7 +361,6 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
 
     best_x = x.copy()
     best_f = f.copy()
-    trace = [best_f.copy()]  # best_f of every row after each step
     iterations = np.full(n, params.max_steps)
     termination = np.full(n, "max_steps", dtype=object)
     live = np.arange(n)  # the row of b_mat that each working row runs
@@ -414,44 +419,33 @@ def tabu_rows(instance: QuboInstance, b_mat, starts=None,
         best_f[live[improved]] = f[improved]
         best_x[live[improved]] = x[improved]
         stalled = np.where(improved, 0, stalled + 1)
-        trace.append(best_f.copy())
         if params.patience is not None:
             done = stalled >= params.patience
             if done.any():
                 stop(done, "patience", step + 1)
 
-    evaluations = 1 + k * iterations + k * (termination == "all_tabu")
-    f_best = instance._objectives(b_mat, best_x).tolist()
-    trace_mat = np.column_stack(trace)
-    elapsed = (time.perf_counter() - t0) * 1000.0 / n
-    return [
-        SolverResult(
-            solver="tabu",
-            x_best=best_x[r],
-            f_best=f_best[r],
-            iterations=int(iterations[r]),
-            evaluations=int(evaluations[r]),
-            elapsed_ms=elapsed,
-            termination=termination[r],
-            trace=trace_mat[r, :iterations[r] + 1].tolist(),
-        )
-        for r in range(n)
-    ]
+    return TabuRows(x_best=best_x, f_best=instance._objectives(b_mat, best_x),
+                    iterations=iterations, termination=termination)
+
+
+def _polish_params(max_steps: int) -> TabuParams:
+    """The short Tabu polish's knobs: a budget of max_steps and a tabu
+    tenure equal to it, so no point visited in the polish is revisited.
+    The default patience of 50 applies too, so a run of more than 50 steps
+    can stop early."""
+    return TabuParams(max_steps=max_steps, tabu_tenure=max_steps)
 
 
 def refine_with_tabu(instance: QuboInstance, b_mat, starts,
-                     max_steps: int = 10) -> list[SolverResult]:
+                     max_steps: int = 10) -> TabuRows:
     """Short Tabu polish of a stack of guesses: row r of b_mat (n, k) is
     searched from starts[r].
 
-    One tabu_rows call with both the step budget and the tabu tenure set
-    to max_steps; the data factory polishes its rounded labels with it,
-    and bpgnn+ts the network's predictions.  A zero budget returns each
-    start.  The default patience of 50 applies too, so a run of more than
-    50 steps can stop early.
+    One tabu_rows call with _polish_params(max_steps); the data factory
+    polishes its rounded labels with it, and bpgnn+ts the network's
+    predictions.  A zero budget returns each start.
     """
-    params = TabuParams(max_steps=max_steps, tabu_tenure=max_steps)
-    return tabu_rows(instance, b_mat, starts, params)
+    return tabu_rows(instance, b_mat, starts, _polish_params(max_steps))
 
 
 # ---------------------------------------------------------------------------

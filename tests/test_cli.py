@@ -22,7 +22,8 @@ from qubolab import (DataGenParams, QuboInstance, cli, gen_random_dense,
                      generate_dataset, load_checkpoint, read_instance,
                      read_vector, write_dataset, write_instance, write_vector)
 from qubolab.cli import main
-from qubolab.model import FORWARD_FLOATS
+from qubolab import autodiff
+from qubolab.model import FORWARD_FLOATS, BpgnnModel
 
 
 @pytest.fixture(scope="module")
@@ -360,9 +361,19 @@ class TestEval:
         assert 0.0 <= float(rows[1][1]) <= 1.0
 
     @staticmethod
-    def best_epoch_and_eval_row(tmp_path, width):
+    def best_epoch_and_eval_row(tmp_path, width, monkeypatch):
         """Train on 2000 dense k=10 pairs (400 val rows), evaluate bpgnn,
-        and return the history row of lowest val_bce and the eval row."""
+        and return the history row of lowest val_bce, the eval row and, for
+        train and eval, the row count of every untaped _logits call."""
+        logits = BpgnnModel._logits
+        blocks = {}
+
+        def recorded(self, b_mat, rng=None):
+            if not autodiff._TAPE_STACK:
+                blocks.setdefault(argv[0], []).append(len(b_mat))
+            return logits(self, b_mat, rng)
+
+        monkeypatch.setattr(BpgnnModel, "_logits", recorded)
         p = {name: str(tmp_path / name) for name in ("i.mtx", "d.jsonl", "m.json", "e.csv")}
         for argv in (
             ["gen-instance", "--kind", "random-dense", "--k", "10", "--scale", "0.2",
@@ -379,22 +390,27 @@ class TestEval:
             best = min(csv.DictReader(fh), key=lambda row: float(row["val_bce"]))
         with open(p["e.csv"], newline="") as fh:
             (row,) = csv.DictReader(fh)
-        return best, row
+        return best, row, blocks
 
-    def test_bpgnn_row_repeats_the_best_epochs_validation(self, tmp_path):
+    def test_bpgnn_row_repeats_the_best_epochs_validation(self, tmp_path, monkeypatch):
         # train keeps the epoch of lowest val_bce, so eval scores the same
         # prediction on the same split: the same text, not just close.
         # With the data seed 0, a mean of row means reads 0.9247500000000001
         # where the bits' mean reads 0.92475.
-        best, row = self.best_epoch_and_eval_row(tmp_path, 8)
+        best, row, blocks = self.best_epoch_and_eval_row(tmp_path, 8, monkeypatch)
         assert (row["accuracy"], row["rel_qubo"]) == (best["val_acc"], best["val_relqubo"])
+        # at width 8 the 400 val rows fit one block (32768 // 80 = 409)
+        assert blocks == {"train": [400] * 2, "eval": [400]}
 
-    def test_bpgnn_row_repeats_the_validation_across_blocks(self, tmp_path):
+    def test_bpgnn_row_repeats_the_validation_across_blocks(self, tmp_path, monkeypatch):
         # At width 32 the 400 val rows run in blocks of 32768 // 320 = 102,
-        # four blocks, in predict as in validation; at width 8 they fit one.
+        # four blocks, in predict as in each epoch's validation.  On these
+        # rows a whole-stack or other-width forward gives the same scores,
+        # so the blocks themselves are asserted.
         assert max(1, FORWARD_FLOATS // (10 * 32)) == 102
-        best, row = self.best_epoch_and_eval_row(tmp_path, 32)
+        best, row, blocks = self.best_epoch_and_eval_row(tmp_path, 32, monkeypatch)
         assert (row["accuracy"], row["rel_qubo"]) == (best["val_acc"], best["val_relqubo"])
+        assert blocks == {"train": [102, 102, 102, 94] * 2, "eval": [102, 102, 102, 94]}
 
     def test_neural_methods_require_model_flag(self, ws, tmp_path, capsys):
         rc = main(["eval", "--instance", str(ws["inst"]),

@@ -3,6 +3,7 @@ refinement, splits, and the JSONL round trip."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tracemalloc
 from unittest import mock
@@ -202,6 +203,30 @@ class TestGenerateDataset:
         b_train = ds.b_matrix("train")
         assert b_train.shape == (len(ds.indices("train")), 6)
         assert ds.x_matrix().shape == (10, 6)
+
+
+# sha256 of write_dataset's file for each case of
+# test_written_bytes_keep_their_pinned_digests.  The bits come from CSR
+# products and QuboInstance._objectives only, so no BLAS choice moves them;
+# the provenance f_value is pinned with every other byte.
+DATASET_DIGESTS = {
+    "dense-k10": "8f9a97dc369c75e1e2ebedb7fd321ca25b3fb2261a2f35ed4583a77a7a812c0f",
+    "lattice-4x4": "59397049148ad8b1ccd6cab5ac07f1d5292bd5443f168841b599b88e3961ff95",
+    "dense-k10-one-pair": "c8413d6a0ffd2cba2296c9bc7ccdb9acd724d7a3b9cafba7bb500341c32f3788",
+}
+
+
+@pytest.mark.parametrize("name,make,n_pairs,sigma", [
+    ("dense-k10", lambda: gen_random_dense(10, 1, 0.2), 40, 0.7),
+    ("lattice-4x4", lambda: gen_lattice_laplacian(4), 30, 1.5),
+    ("dense-k10-one-pair", lambda: gen_random_dense(10, 1, 0.2), 1, 0.7),
+])
+def test_written_bytes_keep_their_pinned_digests(name, make, n_pairs, sigma, tmp_path):
+    ds = generate_dataset(make(), n_pairs, DataGenParams(sigma=sigma, seed=3))
+    assert any(p["refined"] for p in ds.provenance)
+    write_dataset(ds, tmp_path / "d.jsonl")
+    digest = hashlib.sha256((tmp_path / "d.jsonl").read_bytes()).hexdigest()
+    assert digest == DATASET_DIGESTS[name]
 
 
 class TestDatasetPersistence:

@@ -251,16 +251,16 @@ class TestHybridInfer:
         inst, data, model = eval_problem
         b = data.b_matrix("train")
         stack = refine_with_tabu(inst, b, model.predict(b), max_steps=3)
-        assert len(stack) == len(b)
+        params = TabuParams(max_steps=3, tabu_tenure=3)
         for j in range(len(b)):
             one = hybrid_infer(model, inst, b[j], max_steps=3)
-            assert np.array_equal(one.x_best, stack[j].x_best)
-            assert one.trace == stack[j].trace
-            assert (one.solver, one.f_best, one.iterations, one.evaluations,
-                    one.termination) == (
-                "bpgnn+ts", stack[j].f_best, stack[j].iterations,
-                stack[j].evaluations, stack[j].termination)
+            assert np.array_equal(one.x_best, stack.x_best[j])
+            assert (one.solver, one.f_best, one.iterations, one.termination) == (
+                "bpgnn+ts", stack.f_best[j], stack.iterations[j], stack.termination[j])
             assert one.elapsed_ms > 0.0
+            # tabu_solve with the polish's knobs, trace and count included
+            want = tabu_solve(inst, b[j], params, model.predict(b[j]))
+            assert (one.trace, one.evaluations) == (want.trace, want.evaluations)
 
     def test_stack_polish_is_refine_with_tabu_per_row(self):
         # The oracle is tabu_solve itself, with the polish's knobs.
@@ -269,12 +269,11 @@ class TestHybridInfer:
         model = BpgnnModel(BpgnnConfig(d=4, layers=1, seed=1), inst)
         stack = refine_with_tabu(inst, b, model.predict(b), max_steps=6)
         params = TabuParams(max_steps=6, tabu_tenure=6)
-        for row, got in zip(b, stack):
+        for r, row in enumerate(b):
             want = tabu_solve(inst, row, params, model.predict(row))
-            assert np.array_equal(got.x_best, want.x_best)
-            assert (got.f_best, got.iterations, got.evaluations, got.termination,
-                    got.trace) == (want.f_best, want.iterations, want.evaluations,
-                                   want.termination, want.trace)
+            assert np.array_equal(stack.x_best[r], want.x_best)
+            assert (stack.f_best[r], stack.iterations[r], stack.termination[r]) == (
+                want.f_best, want.iterations, want.termination)
 
     def test_zero_refinement_returns_pure_prediction(self, eval_problem):
         inst, _, model = eval_problem

@@ -137,7 +137,7 @@ class TestOperatorForm:
                 model.a, model.laplacian = inst.a_csr, build_laplacian(inst)
             assert isinstance(model.a, np.ndarray) is not keep_csr
             with Tape():
-                logits = model._logits(b, True, None)
+                logits = model._logits(b)
                 backward(bce_with_logits(logits, y))
             runs.append((logits.data, model.params))
         (dense_logits, dense_params), (csr_logits, csr_params) = runs
@@ -208,7 +208,7 @@ class TestForward:
         for inst in (dense, gen_lattice_laplacian(3)):
             model = BpgnnModel(BpgnnConfig(d=8, layers=3), inst)
             b = np.random.default_rng(1).normal(size=(4, inst.k))
-            batched = model._logits(b, False, None).data
+            batched = model._logits(b).data
             # node-major rows: row i*n + j is node i of example j
             batched = batched.reshape(inst.k, 4).T
             single = np.stack([model.forward(row).data.ravel() for row in b])
@@ -288,9 +288,11 @@ class TestForward:
         eval1 = model.forward(b).data
         eval2 = model.forward(b).data
         assert np.array_equal(eval1, eval2)
-        t1 = model._logits(b[None], True, np.random.default_rng(0)).data
-        t2 = model._logits(b[None], True, np.random.default_rng(1)).data
+        t1 = model._logits(b[None], np.random.default_rng(0)).data
+        t2 = model._logits(b[None], np.random.default_rng(1)).data
         assert not np.array_equal(t1, t2)
+        # with no rng, no dropout is drawn
+        assert np.array_equal(model._logits(b[None]).data, eval1)
 
 
 class TestEvalBlocks:
@@ -309,7 +311,7 @@ class TestEvalBlocks:
         model = BpgnnModel(BpgnnConfig(d=32, layers=4, seed=5), make())
         n = blocks * self.block_rows(model) + extra
         b = np.random.default_rng(n).normal(size=(n, model.instance.k))
-        assert np.array_equal(model._eval_logits(b), model._logits(b, False, None).data)
+        assert np.array_equal(model._eval_logits(b), model._logits(b).data)
 
     @pytest.mark.parametrize("n", [400, 2000])
     def test_dense_k10_blocks_give_the_whole_stacks_logits(self, n):
@@ -318,7 +320,7 @@ class TestEvalBlocks:
         model = BpgnnModel(BpgnnConfig(d=32, layers=4, seed=5), gen_random_dense(10, 1, 0.2))
         assert self.block_rows(model) == 102
         b = np.random.default_rng(n).normal(size=(n, 10))
-        assert np.array_equal(model._eval_logits(b), model._logits(b, False, None).data)
+        assert np.array_equal(model._eval_logits(b), model._logits(b).data)
 
     def test_predict_memory_does_not_grow_with_the_rows(self):
         # The whole 2000-row stack held 220 MB of activations at once.

@@ -375,7 +375,7 @@ class TestObjectives:
             got = tabu_rows(inst, b, x, TabuParams(max_steps=1, tabu_tenure=1))
         finally:
             tracemalloc.stop()
-        assert len(got) == 1682 and len(peaks) == 2
+        assert got.x_best.shape == (1682, 400) and len(peaks) == 2
         assert max(peaks) < 16 * 2 ** 20
 
 

@@ -292,19 +292,21 @@ def assert_tabu_solve_is_the_argsort_scan(instance, b, params, start=None):
 
 
 def assert_rows_are_tabu_solves(instance, b, starts, params):
-    """tabu_rows equals tabu_solve row by row, every field but elapsed_ms."""
+    """Row r of every tabu_rows column is tabu_solve on row r: x_best,
+    f_best, iterations and termination.  Returns the columns and the
+    tabu_solve results."""
     got = tabu_rows(instance, b, starts, params)
-    assert len(got) == len(b)
-    for r, result in enumerate(got):
-        want = tabu_solve(instance, b[r], params, starts[r])
-        assert np.array_equal(result.x_best, want.x_best)
-        assert result.x_best.dtype == want.x_best.dtype
-        # repr compares floats bit for bit and treats NaN as equal to itself
-        assert repr((result.solver, result.f_best, result.iterations, result.evaluations,
-                     result.termination, result.trace)) == repr(
-            (want.solver, want.f_best, want.iterations, want.evaluations,
-             want.termination, want.trace))
-    return got
+    n = len(b)
+    assert got.x_best.shape == (n, instance.k) and got.x_best.dtype == np.int8
+    assert got.f_best.shape == got.iterations.shape == got.termination.shape == (n,)
+    want = [tabu_solve(instance, b[r], params, starts[r]) for r in range(n)]
+    for r, result in enumerate(want):
+        assert np.array_equal(got.x_best[r], result.x_best)
+    # repr compares floats bit for bit and treats NaN as equal to itself
+    assert repr(list(zip(got.f_best.tolist(), got.iterations.tolist(),
+                         got.termination.tolist()))) == repr(
+        [(r.f_best, r.iterations, r.termination) for r in want])
+    return got, want
 
 
 @st.composite
@@ -385,11 +387,28 @@ class TestTabuRows:
     @given(tabu_stacks())
     def test_every_row_is_a_tabu_solve(self, case):
         instance, b, starts, params = case
-        got = assert_rows_are_tabu_solves(instance, b, starts, params)
+        got, _ = assert_rows_are_tabu_solves(instance, b, starts, params)
         cube = 1 << instance.k
         if params.patience is None and min(params.tabu_tenure, params.max_steps) >= cube:
             # every visited point stays remembered, so each walk runs out of moves
-            assert {r.termination for r in got} == {"all_tabu"}
+            assert set(got.termination) == {"all_tabu"}
+
+    @pytest.mark.parametrize("params", [
+        TabuParams(), TabuParams(max_steps=0), TabuParams(max_steps=10, tabu_tenure=10),
+        TabuParams(max_steps=40, tabu_tenure=3, patience=None)])
+    def test_one_row_is_a_tabu_solve(self, params):
+        for inst in (gen_random_dense(10, 36, 0.2), gen_lattice_laplacian(3)):
+            rng = np.random.default_rng(37)
+            b = rng.normal(size=(1, inst.k))
+            starts = rng.integers(0, 2, size=(1, inst.k)).astype(np.int8)
+            assert_rows_are_tabu_solves(inst, b, starts, params)
+
+    def test_an_empty_stack_gives_empty_columns(self):
+        inst = gen_random_dense(8, 34)
+        for starts in (None, np.empty((0, 8))):
+            got = tabu_rows(inst, np.empty((0, 8)), starts)
+            assert got.x_best.shape == (0, 8) and got.x_best.dtype == np.int8
+            assert got.f_best.shape == got.iterations.shape == got.termination.shape == (0,)
 
     def test_non_finite_deltas_take_the_argsort_rule(self):
         # Diagonal entries and fields near 1e308 sum past the largest double:
@@ -404,15 +423,15 @@ class TestTabuRows:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for tenure in (0, 2, 6):
-                got = assert_rows_are_tabu_solves(
+                _, want = assert_rows_are_tabu_solves(
                     instance, b, starts,
                     TabuParams(max_steps=15, tabu_tenure=tenure, patience=None))
-                assert any(math.isinf(v) for r in got for v in r.trace)
+                assert any(math.isinf(v) for r in want for v in r.trace)
 
     @pytest.mark.parametrize("layout", ["fortran", "column-slice", "column-step"])
     def test_strided_fields_are_refereed_like_evaluate(self, layout):
-        # Each row's start and final f must have the bits of evaluate on a
-        # contiguous copy of that row, though tabu_rows copies no field.
+        # Each row's f must have the bits of evaluate on a contiguous copy
+        # of that row, though tabu_rows copies no field.
         inst = gen_random_dense(64, 41)
         rng = np.random.default_rng(42)
         b = rng.normal(size=(12, 64)) * 10.0 ** rng.integers(-8, 9, size=(12, 64))
@@ -429,12 +448,11 @@ class TestTabuRows:
         assert not b_mat.flags.c_contiguous and np.array_equal(b_mat, b)
         params = TabuParams(max_steps=30, tabu_tenure=5)
         got = tabu_rows(inst, b_mat, np.asfortranarray(starts), params)
-        for r, result in enumerate(got):
+        for r, f_best in enumerate(got.f_best.tolist()):
             want = tabu_solve(inst, b[r], params, starts[r])
-            assert result.x_best.tolist() == want.x_best.tolist()
-            assert (result.f_best.hex() == want.f_best.hex()
-                    == inst.evaluate(b[r], result.x_best).hex())
-            assert result.trace[0].hex() == inst.evaluate(b[r], starts[r]).hex()
+            assert got.x_best[r].tolist() == want.x_best.tolist()
+            assert (f_best.hex() == want.f_best.hex()
+                    == inst.evaluate(b[r], got.x_best[r]).hex())
 
     def test_one_start_for_every_row(self):
         inst = gen_random_dense(8, 31)
@@ -444,14 +462,9 @@ class TestTabuRows:
         for starts, one in ((None, None), (np.tile(start, (5, 1)), start)):
             want = [tabu_solve(inst, row, params, one) for row in b]
             got = tabu_rows(inst, b, starts, params)
-            assert [r.x_best.tolist() for r in got] == [r.x_best.tolist() for r in want]
-            assert [r.trace for r in got] == [r.trace for r in want]
-
-    def test_charges_each_row_a_share_of_the_stack(self):
-        inst = gen_random_dense(8, 34)
-        got = tabu_rows(inst, np.random.default_rng(35).normal(size=(4, 8)))
-        assert len({r.elapsed_ms for r in got}) == 1 and got[0].elapsed_ms > 0.0
-        assert tabu_rows(inst, np.empty((0, 8))) == []
+            assert got.x_best.tolist() == [r.x_best.tolist() for r in want]
+            assert got.f_best.tolist() == [r.f_best for r in want]
+            assert got.iterations.tolist() == [r.iterations for r in want]
 
     @pytest.mark.parametrize("b,starts,params,msg", [
         (np.zeros((2, 3)), None, None, "field matrix has shape"),
@@ -467,10 +480,9 @@ class TestTabuRows:
 class TestRefineWithTabu:
     def test_zero_steps_returns_the_start(self, k2_instance):
         got = refine_with_tabu(k2_instance, [[-1.0, 0.5]], [[0, 1]], max_steps=0)
-        assert len(got) == 1
-        assert got[0].x_best.tolist() == [0, 1]
-        assert got[0].iterations == 0
-        assert got[0].trace == [0.5]
+        assert got.x_best.tolist() == [[0, 1]]
+        assert got.iterations.tolist() == [0]
+        assert got.f_best.tolist() == [0.5]
 
     def test_never_worse_than_the_start(self):
         for t in range(10):
@@ -479,15 +491,14 @@ class TestRefineWithTabu:
             b = rng.normal(size=(4, 10))
             starts = rng.integers(0, 2, size=(4, 10)).astype(np.int8)
             got = refine_with_tabu(inst, b, starts, max_steps=10)
-            for row, start, result in zip(b, starts, got):
-                assert result.f_best <= inst.evaluate(row, start) + 1e-12
+            for row, start, f_best in zip(b, starts, got.f_best):
+                assert f_best <= inst.evaluate(row, start) + 1e-12
 
     def test_polishes_to_the_optimum_nearby(self, k2_instance):
         got = refine_with_tabu(k2_instance, [[-1.0, 0.5]] * 2, [[0, 0], [1, 1]],
                                max_steps=3)
-        for result in got:
-            assert result.x_best.tolist() == [1, 0]
-            assert result.f_best == -1.0
+        assert got.x_best.tolist() == [[1, 0], [1, 0]]
+        assert got.f_best.tolist() == [-1.0, -1.0]
 
     def test_recovers_single_corrupted_bit(self):
         recovered = 0
@@ -498,32 +509,28 @@ class TestRefineWithTabu:
             opt = exhaustive_solve(inst, b)
             start = opt.x_best.copy()
             start[rng.integers(0, 12)] ^= 1
-            got = refine_with_tabu(inst, b[None, :], start[None, :], max_steps=10)[0]
-            recovered += int(got.f_best == pytest.approx(opt.f_best, abs=1e-9))
+            got = refine_with_tabu(inst, b[None, :], start[None, :], max_steps=10)
+            recovered += int(got.f_best[0] == pytest.approx(opt.f_best, abs=1e-9))
         assert recovered >= 29
 
     @pytest.mark.parametrize("budget", [0, 3, 10])
     def test_is_one_tabu_solve_call(self, budget):
-        # Every row of a stack of several rows, so the lockstep path runs.
-        fields = ("solver", "f_best", "iterations", "evaluations", "termination",
-                  "trace")
         for t in range(5):
             inst = gen_random_dense(8, 900 + t)
             rng = np.random.default_rng(950 + t)
             b = rng.normal(size=(6, 8))
             starts = rng.integers(0, 2, size=(6, 8)).astype(np.int8)
             got = refine_with_tabu(inst, b, starts, max_steps=budget)
-            assert len(got) == len(b)
             params = TabuParams(max_steps=budget, tabu_tenure=budget)
-            for row, start, result in zip(b, starts, got):
+            for r, (row, start) in enumerate(zip(b, starts)):
                 want = tabu_solve(inst, row, params, start)
-                assert np.array_equal(result.x_best, want.x_best)
-                assert ([getattr(result, f) for f in fields]
-                        == [getattr(want, f) for f in fields])
+                assert np.array_equal(got.x_best[r], want.x_best)
+                assert (got.f_best[r], got.iterations[r], got.termination[r]) == (
+                    want.f_best, want.iterations, want.termination)
                 if budget == 0:
-                    assert np.array_equal(result.x_best, start)
-                    assert (result.iterations, result.evaluations) == (0, 1)
-                    assert result.trace == [inst.evaluate(row, start)]
+                    assert np.array_equal(got.x_best[r], start)
+                    assert got.iterations[r] == 0
+                    assert got.f_best[r] == inst.evaluate(row, start)
 
     def test_rejects_negative_budget(self, k2_instance):
         with pytest.raises(ValueError, match=">= 0"):
@@ -544,7 +551,7 @@ class TestRefineWithTabu:
                 peaks[budget] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert max(r.iterations for r in got) < 100
+            assert got.iterations.max() < 100
         assert peaks[2000] <= 1.5 * peaks[100]
 
 
